@@ -12,7 +12,7 @@ vs adapted test errors.
 
 import os
 
-from chancorr.train import (backbone_mse_mae, evaluate, few_shot_protocol,
+from chancorr.train import (backbone_mse_mae, few_shot_protocol,
                             few_shot_scenario, fit, write_text_atomic)
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
@@ -28,11 +28,11 @@ def main():
     print(f"  frozen backbone   test MSE {frozen_mse:.4f}  MAE {frozen_mae:.4f}")
 
     print("fitting the adapter (25 epochs) ...")
-    state, report = fit(few_shot_protocol(seed=0), train, val, backbone)
-    mse, mae = evaluate(state, backbone, test)
-    gain = 1.0 - mse / frozen_mse
-    print(f"  adapted forecasts test MSE {mse:.4f}  MAE {mae:.4f}  "
-          f"({gain:+.1%} MSE vs frozen)")
+    _, report = fit(few_shot_protocol(seed=0), train, val, backbone,
+                    test=test)
+    gain = 1.0 - report.test_mse / frozen_mse
+    print(f"  adapted forecasts test MSE {report.test_mse:.4f}  "
+          f"MAE {report.test_mae:.4f}  ({gain:+.1%} MSE vs frozen)")
     print(f"  adapter parameters: {report.adapter_params} "
           f"(backbone: {report.backbone_params})")
 

@@ -7,8 +7,8 @@ turns a correlation estimate into contrastive masks, and the fusion head
 that blends an adapter forecast with the frozen backbone's.
 
 Training runs through the autodiff graph (``training_losses``); inference
-(``predict``) runs only the projection + fusion path on plain forwards, with
-no correlation matrices built.
+(``predict``) runs only the projection + fusion path under ``no_grad``, with
+no correlation matrices built, and checks its forecast for NaN/Inf once.
 """
 
 from dataclasses import dataclass, asdict
@@ -140,7 +140,9 @@ def predict(state: AdapterState, out: BackboneOutput) -> np.ndarray:
         x_pos, x_neg = divide(state.hd, ad.constant(out.repr))
         ystar_norm = fuse_predict(state.fusion, x_pos, x_neg,
                                   ad.constant(out.yhat_norm))
-        return ystar_norm.data * out.std + out.mean
+    ystar = ystar_norm.data * out.std + out.mean
+    ad.check_finite(ystar, "predict")
+    return ystar
 
 
 def branch_views(state: AdapterState, out: BackboneOutput):
@@ -148,12 +150,14 @@ def branch_views(state: AdapterState, out: BackboneOutput):
     (for similarity export)."""
     with ad.no_grad():
         x_pos, x_neg = divide(state.hd, ad.constant(out.repr))
-        nd = x_pos.ndim
-        axes = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)
-        pos = np.transpose(x_pos.data, axes)
-        neg = np.transpose(x_neg.data, axes)
-        flat = pos.shape[:-2] + (pos.shape[-2] * pos.shape[-1],)
-        return pos.reshape(flat), neg.reshape(flat)
+    ad.check_finite(x_pos.data, "branch_views")
+    ad.check_finite(x_neg.data, "branch_views")
+    nd = x_pos.ndim
+    axes = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)
+    pos = np.transpose(x_pos.data, axes)
+    neg = np.transpose(x_neg.data, axes)
+    flat = pos.shape[:-2] + (pos.shape[-2] * pos.shape[-1],)
+    return pos.reshape(flat), neg.reshape(flat)
 
 
 def save_adapter(state: AdapterState, path) -> None:

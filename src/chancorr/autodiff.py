@@ -9,9 +9,11 @@ Conventions
 -----------
 * float64 by default; float32 is available (``set_default_dtype``) for
   timing experiments where precision is irrelevant.
-* Every forward result is checked for NaN/Inf and raises `NonFiniteError`
-  on violation -- non-finite values are treated as an error state, never
-  silently propagated.
+* Non-finite values are an error state, never a result.  With grad
+  recording on, every forward result is checked for NaN/Inf and raises
+  `NonFiniteError` on violation.  Under ``no_grad`` the ops do only the
+  arithmetic and let NaN/Inf propagate; each caller that evaluates under
+  ``no_grad`` checks its final output once with `check_finite`.
 * ``softmax`` subtracts the per-slice maximum before exponentiation;
   ``layer_norm`` normalises over the last axis with eps 1e-5.
 * Hard gates (``relu`` here, threshold masks downstream) follow the
@@ -38,6 +40,7 @@ __all__ = [
     "NonFiniteError",
     "GraphError",
     "NonDeterministicError",
+    "check_finite",
     "as_tensor",
     "constant",
     "parameter",
@@ -127,12 +130,13 @@ def grad_enabled() -> bool:
 
 
 @contextlib.contextmanager
-def record_gates(sink: list):
+def record_gates(sink: list | None):
     """Collect gate decisions (relu / threshold supports) into ``sink``.
 
     Each gated op appends a packed boolean array describing which entries
     were kept.  Comparing sinks from two forward passes tells the gradient
-    checker whether a perturbation crossed a gate boundary.
+    checker whether a perturbation crossed a gate boundary.  A ``None``
+    sink records nothing.
     """
     global _gate_sink
     prev = _gate_sink
@@ -149,7 +153,8 @@ def trace_gate(kept: np.ndarray) -> None:
         _gate_sink.append(np.packbits(np.asarray(kept, dtype=bool), axis=None))
 
 
-def _check_finite(data: np.ndarray, op: str) -> None:
+def check_finite(data: np.ndarray, op: str) -> None:
+    """Raise `NonFiniteError` if ``data`` holds a NaN or an Inf."""
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"{op} produced non-finite values")
 
@@ -310,13 +315,13 @@ def parameter(value, dtype=None) -> Tensor:
 
 
 def _result(data: np.ndarray, parents, op: str) -> Tensor:
-    _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = False
     out.grad = None
     out._backward_ran = False
     if _grad_enabled:
+        check_finite(data, op)
         live = [(p, fn) for p, fn in parents if p.requires_grad or p._parents is not None]
         out._parents = live if live else None
     else:
@@ -382,11 +387,13 @@ def multiply(a, b) -> Tensor:
     _broadcastable(a.shape, b.shape, "multiply")
     with np.errstate(over="ignore", invalid="ignore"):
         data = a.data * b.data
+    # C-ordered products, so that ``_sum_to_shape`` reduces in the same
+    # order whether the other operand broadcasts or is a full copy
     return _result(
         data,
         [
-            (a, lambda g, o=b.data, s=a.shape: _sum_to_shape(g * o, s)),
-            (b, lambda g, o=a.data, s=b.shape: _sum_to_shape(g * o, s)),
+            (a, lambda g, o=b.data, s=a.shape: _sum_to_shape(np.multiply(g, o, order="C"), s)),
+            (b, lambda g, o=a.data, s=b.shape: _sum_to_shape(np.multiply(g, o, order="C"), s)),
         ],
         "multiply",
     )
@@ -514,11 +521,12 @@ def softplus(x) -> Tensor:
 
 
 def relu(x) -> Tensor:
+    """max(x, 0); a NaN input stays NaN in the output."""
     x = as_tensor(x)
-    kept = x.data > 0
-    trace_gate(kept)
-    data = np.where(kept, x.data, 0.0)
-    return _result(data, [(x, lambda g, k=kept: g * k)], "relu")
+    data = np.maximum(x.data, 0.0)
+    if _gate_sink is not None:
+        trace_gate(data > 0)
+    return _result(data, [(x, lambda g, d=data: g * (d > 0))], "relu")
 
 
 def softmax(x, axis: int = -1) -> Tensor:
@@ -721,6 +729,14 @@ def _gate_signature(trace: list) -> bytes:
     return b"".join(np.ascontiguousarray(t).tobytes() for t in trace)
 
 
+def _evaluate(f, trace: list | None = None) -> Tensor:
+    """``f()`` without recording; its value must be finite."""
+    with no_grad(), record_gates(trace):
+        value = f()
+    check_finite(value.data, "grad_check: f()")
+    return value
+
+
 def grad_check(
     f,
     params,
@@ -742,15 +758,14 @@ def grad_check(
       whose perturbation flips any gate decision -- across a hard gate the
       two-sided quotient estimates nothing.
 
+    Any evaluation of ``f`` that is not finite raises `NonFiniteError`.
     Relative error uses ``|fd - an| / max(|fd|, |an|, 1.0)`` so that tiny
     gradients are compared absolutely.
     """
     params = list(params)
     base_trace: list = []
-    with no_grad(), record_gates(base_trace):
-        first = f()
-    with no_grad():
-        second = f()
+    first = _evaluate(f, base_trace)
+    second = _evaluate(f)
     if first.data.tobytes() != second.data.tobytes():
         raise NonDeterministicError("f() returned different values on repeated evaluation")
 
@@ -778,15 +793,15 @@ def grad_check(
         excluded = 0
         for c in coords:
             original = flat[c]
-            flat[c] = original + step
             trace_plus: list = []
-            with no_grad(), record_gates(trace_plus):
-                f_plus = f().item()
-            flat[c] = original - step
             trace_minus: list = []
-            with no_grad(), record_gates(trace_minus):
-                f_minus = f().item()
-            flat[c] = original
+            try:
+                flat[c] = original + step
+                f_plus = _evaluate(f, trace_plus).item()
+                flat[c] = original - step
+                f_minus = _evaluate(f, trace_minus).item()
+            finally:
+                flat[c] = original
             if _gate_signature(trace_plus) != base_sig or _gate_signature(trace_minus) != base_sig:
                 excluded += 1
                 continue

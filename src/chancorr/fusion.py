@@ -53,7 +53,9 @@ class FusionParams:
     def gate(self) -> np.ndarray:
         """Current per-channel gate values in (0, 1)."""
         with ad.no_grad():
-            return ad.sigmoid(self.beta_logits).data.copy()
+            beta = ad.sigmoid(self.beta_logits).data.copy()
+        ad.check_finite(beta, "gate")
+        return beta
 
 
 def init_fusion_params(n_channels: int, n_patches: int, repr_dim: int,

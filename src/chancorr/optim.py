@@ -6,8 +6,9 @@ Standard bias-corrected Adam:
     m_hat = m / (1 - b1^t)       v_hat = v / (1 - b2^t)
     p <- p - lr * m_hat / (sqrt(v_hat) + eps)
 
-Parameters with a ``None`` gradient are treated as zero-gradient (their
-moments decay but, starting from zero, they never move).
+Parameters with a ``None`` gradient are skipped: they do not move and
+their moments do not decay.  The shared step count ``t`` still advances,
+so their next update uses that step's bias correction.
 """
 
 from __future__ import annotations

@@ -132,8 +132,7 @@ def channel_aware_project(layer: ProjectionLayerParams, x) -> Tensor:
     weights = ad.softmax(logits, axis=-1)
 
     w_shape = weights.shape[:-1] + (1, weights.shape[-1], 1)
-    w_expanded = ad.expand(ad.reshape(weights, w_shape), x.shape)
-    return ad.add(x, ad.multiply(proj, w_expanded))
+    return ad.add(x, ad.multiply(proj, ad.reshape(weights, w_shape)))
 
 
 def project_stack(layers, x) -> Tensor:

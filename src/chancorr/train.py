@@ -92,14 +92,12 @@ def _restore(state: AdapterState, snap) -> None:
         tensor.data[...] = value
 
 
-def _raw_mse(state: AdapterState, backbone: BackboneState, windows: WindowSet,
-             chunk: int = 512) -> float:
-    """Raw-space MSE of the adapter over a window set (inference path)."""
+def _raw_mse(state: AdapterState, chunks) -> float:
+    """Raw-space MSE of the adapter (inference path) over precomputed
+    ``(backbone output, target)`` chunks."""
     total, count = 0.0, 0
-    for lo in range(0, len(windows), chunk):
-        x = windows.x[lo:lo + chunk]
-        y = windows.y[lo:lo + chunk]
-        ystar = predict(state, backbone_forward(backbone, x))
+    for out, y in chunks:
+        ystar = predict(state, out)
         total += float(((ystar - y) ** 2).sum())
         count += y.size
     return total / max(count, 1)
@@ -109,11 +107,12 @@ def fit(config: TrainConfig, train: WindowSet, val: WindowSet,
         backbone: BackboneState, test: WindowSet | None = None):
     """Train an adapter on few-shot windows.  Returns (state, report).
 
-    The backbone runs once up front (it is frozen); training batches index
-    into the cached representations.  Validation MSE (raw space) drives
-    early stopping with the configured patience; the best-validation
-    parameters are restored before returning.  A non-finite loss aborts via
-    DivergenceError carrying the best finite checkpoint.
+    The backbone runs once up front on the train and val windows (it is
+    frozen); training batches index into the cached representations.
+    Validation MSE (raw space) drives early stopping with the configured
+    patience; the best-validation parameters are restored before returning.
+    A non-finite loss aborts via DivergenceError carrying the best finite
+    checkpoint.
     """
     if len(train) == 0:
         raise ValueError("empty train split")
@@ -127,6 +126,8 @@ def fit(config: TrainConfig, train: WindowSet, val: WindowSet,
 
     out_tr = backbone_forward(backbone, train.x)
     y_norm = (train.y - out_tr.mean) / out_tr.std
+    val_chunks = [(backbone_forward(backbone, val.x[lo:lo + 512]),
+                   val.y[lo:lo + 512]) for lo in range(0, len(val), 512)]
     r_cache = None
     if config.hpcl:
         r_cache = pearson_matrix(train.x)
@@ -175,7 +176,7 @@ def fit(config: TrainConfig, train: WindowSet, val: WindowSet,
             raise DivergenceError(
                 f"epoch {epoch}: {exc}", state=state, report=report) from exc
 
-        val_mse = _raw_mse(state, backbone, val)
+        val_mse = _raw_mse(state, val_chunks)
         report.epochs.append(EpochRow(
             epoch=epoch, train_mse=sums["prediction"] / seen,
             l_pos=sums["l_pos"] / seen, l_neg=sums["l_neg"] / seen,
@@ -204,7 +205,8 @@ def evaluate(state: AdapterState, backbone: BackboneState, test: WindowSet,
     """Raw-space (MSE, MAE) over all channels/horizons/windows.
 
     Runs the inference path only; the correlation-allocation counter is
-    checked before/after to enforce that no correlation matrices are built.
+    checked before/after to enforce that no correlation matrices are built
+    (a RuntimeError if one was).
     """
     if len(test) == 0:
         raise ValueError("empty test split")
@@ -222,8 +224,8 @@ def evaluate(state: AdapterState, backbone: BackboneState, test: WindowSet,
         sq += float((diff ** 2).sum())
         ab += float(np.abs(diff).sum())
         count += y.size
-    assert correlation_matrix_allocations() == allocations_before, \
-        "inference path built a correlation matrix"
+    if correlation_matrix_allocations() != allocations_before:
+        raise RuntimeError("inference path built a correlation matrix")
     return sq / count, ab / count
 
 

@@ -96,6 +96,24 @@ def test_predict_uses_no_correlation_path():
     assert correlation_matrix_allocations() == before
 
 
+def test_predict_and_branch_views_reject_non_finite_values():
+    backbone, x, _ = tiny_backbone(seed=3)
+    state = init_adapter(backbone, 4, small_config(beta_logit_init=0.0))
+    out = backbone_forward(backbone, x)
+    assert np.isfinite(predict(state, out)).all()
+
+    state.fusion.head_w.data[0, 0] = np.nan
+    with pytest.raises(ad.NonFiniteError):
+        predict(state, out)
+    state.fusion.head_w.data[0, 0] = 0.0
+
+    out.repr[0, 0, 0, 0] = np.inf
+    with pytest.raises(ad.NonFiniteError):
+        predict(state, out)
+    with pytest.raises(ad.NonFiniteError):
+        branch_views(state, out)
+
+
 def test_training_losses_keys_and_prediction_value():
     backbone, x, y = tiny_backbone(seed=4)
     state = init_adapter(backbone, 4, small_config())

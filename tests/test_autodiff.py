@@ -200,6 +200,21 @@ def test_non_finite_detection():
         ad.log(ad.constant(np.array([-1.0])))
 
 
+def test_no_grad_ops_propagate_non_finite_values():
+    # under no_grad the ops do only the arithmetic; the caller checks its
+    # final output once
+    big = ad.constant(np.array([1e308]))
+    with ad.no_grad():
+        assert np.isinf(ad.multiply(big, big).data).all()
+        out = ad.relu(ad.constant(np.array([np.nan, -1.0, 2.0])))
+    assert np.isnan(out.data[0])
+    assert np.array_equal(out.data[1:], [0.0, 2.0])
+    with pytest.raises(ad.NonFiniteError):
+        ad.check_finite(out.data, "relu")
+    with pytest.raises(ad.NonFiniteError):
+        ad.relu(ad.constant(np.array([np.nan, 1.0])))
+
+
 def test_no_grad_blocks_recording():
     x = ad.parameter(np.ones(4))
     with ad.no_grad():
@@ -250,6 +265,19 @@ def test_grad_check_flags_nondeterminism():
 
     with pytest.raises(ad.NonDeterministicError):
         ad.grad_check(noisy, [])
+
+
+def test_grad_check_rejects_non_finite_evaluations():
+    x = ad.parameter(np.array([1.0, 2.0]))
+    nan = ad.constant(np.array([np.nan, 1.0]))
+    with pytest.raises(ad.NonFiniteError):
+        ad.grad_check(lambda: ad.tensor_sum(ad.multiply(x, nan)), [("x", x)])
+    # only the x - step evaluation is NaN (sqrt of a negative number): it
+    # must raise, not yield a NaN error that compares as a pass
+    z = ad.parameter(np.array([0.0]))
+    with pytest.raises(ad.NonFiniteError):
+        ad.grad_check(lambda: ad.tensor_sum(ad.sqrt(z)), [("z", z)])
+    assert z.data[0] == 0.0
 
 
 def test_grad_check_subsampling_cap():

@@ -138,6 +138,48 @@ def test_shared_stack_produces_identical_views():
     assert all(n.startswith("hd.pos") for n in names)
 
 
+def expanded_reference(layer, x):
+    """One projection layer with the gate weights materialised by
+    ``ad.expand`` before the multiply."""
+    ln = ad.add(ad.multiply(ad.layer_norm(x), layer.ln_scale), layer.ln_shift)
+    hidden = ad.relu(ad.add(ad.matmul(ln, layer.w1), layer.b1))
+    proj = ad.add(ad.matmul(hidden, layer.w2), layer.b2)
+    squeeze = ad.relu(ad.add(ad.matmul(pj.flatten_per_channel(ln), layer.v1),
+                             layer.c1))
+    logits = ad.add(ad.matmul(squeeze, layer.v2), layer.c2)
+    weights = ad.softmax(ad.reshape(logits, logits.shape[:-1]), axis=-1)
+    w_shape = weights.shape[:-1] + (1, weights.shape[-1], 1)
+    w_expanded = ad.expand(ad.reshape(weights, w_shape), x.shape)
+    return ad.add(x, ad.multiply(proj, w_expanded))
+
+
+def test_broadcast_gate_weights_match_expanded_reference_bitwise():
+    rng = np.random.default_rng(41)
+    layer = randomized_layer(3, 4, rng)
+    x = ad.constant(rng.normal(size=(5, 3, 6, 4)))
+    target = ad.constant(rng.normal(size=(5, 6, 12)))
+
+    with ad.no_grad():
+        assert np.array_equal(pj.channel_aware_project(layer, x).data,
+                              expanded_reference(layer, x).data)
+
+    grads = []
+    for build in (pj.channel_aware_project, expanded_reference):
+        for _, t in layer.named_tensors():
+            t.grad = None
+        out = build(layer, x)
+        # flattening hands a transposed gradient back to the layer, the
+        # layout under which a broadcast multiply could change the
+        # summation order of the bias gradients
+        loss = ad.tensor_sum(ad.multiply(pj.flatten_per_channel(out), target))
+        loss.backward()
+        grads.append((out.data, [t.grad for _, t in layer.named_tensors()]))
+    (out_a, grads_a), (out_b, grads_b) = grads
+    assert np.array_equal(out_a, out_b)
+    for (name, _), ga, gb in zip(layer.named_tensors(), grads_a, grads_b):
+        assert np.array_equal(ga, gb), name
+
+
 def test_gradients_match_fd():
     rng = np.random.default_rng(39)
     layer = randomized_layer(2, 4, rng)

@@ -10,6 +10,7 @@ from chancorr.data import (SplitSpec, WindowSet, generate_synthetic,
 from chancorr.train import (ABLATION_ROWS, DivergenceError, ablate,
                             backbone_mse_mae, evaluate, export_similarity,
                             fit)
+from chancorr import train as train_module
 from chancorr.adapter import predict
 
 BB = BackboneConfig(lookback=24, horizon=6, patch_len=8, repr_dim=8, seed=0)
@@ -108,6 +109,17 @@ def test_evaluate_matches_window_loop_oracle():
         ae += float(np.abs(diff).sum())
     assert abs(mse - se / small.y.size) < 1e-12
     assert abs(mae - ae / small.y.size) < 1e-12
+
+
+def test_evaluate_raises_if_a_correlation_matrix_is_built(monkeypatch):
+    # an explicit error, not an assert, so the guard holds under python -O
+    backbone, train, val, test = scenario(seed=6)
+    state, _ = fit(quick_config(epochs=1), train, val, backbone)
+    calls = iter(range(100))
+    monkeypatch.setattr(train_module, "correlation_matrix_allocations",
+                        lambda: next(calls))
+    with pytest.raises(RuntimeError, match="correlation matrix"):
+        evaluate(state, backbone, test)
 
 
 def test_best_epoch_checkpoint_is_restored():
