@@ -70,20 +70,27 @@ def init_adapter(backbone: BackboneState, n_channels: int,
                         eps=init_epsilon(config.epsilon_init), fusion=fusion)
 
 
-def named_parameters(state: AdapterState) -> list[tuple[str, Tensor]]:
-    """Trainable tensors in a fixed, documented order.
+def state_tensors(state: AdapterState) -> list[tuple[str, Tensor]]:
+    """Every tensor a checkpoint holds, in a fixed, documented order.
 
-    The threshold joins only when HPCL is on (it has no other consumer);
-    the correlation estimator only in full ``dce_mode``.
+    The correlation estimator joins only in full ``dce_mode``; the
+    threshold is always listed, HPCL on or off.  Checkpoints and the best
+    epoch snapshot of ``fit`` read this one list.
     """
     out = []
     if state.dce is not None:
         out.extend(state.dce.named_tensors())
     out.extend(state.hd.named_tensors())
-    if state.train_config.hpcl:
-        out.extend(state.eps.named_tensors())
+    out.extend(state.eps.named_tensors())
     out.extend((f"fusion.{n}", t) for n, t in state.fusion.named_tensors())
     return out
+
+
+def named_parameters(state: AdapterState) -> list[tuple[str, Tensor]]:
+    """The trainable part of `state_tensors`: the threshold is dropped
+    when HPCL is off, since it then has no consumer."""
+    return [(n, t) for n, t in state_tensors(state)
+            if state.train_config.hpcl or t is not state.eps.raw]
 
 
 def parameter_count(state: AdapterState) -> int:
@@ -165,9 +172,7 @@ def save_adapter(state: AdapterState, path) -> None:
     cfg.update(kind="adapter", n_channels=state.n_channels,
                n_patches=state.n_patches, repr_dim=state.repr_dim,
                horizon=state.horizon)
-    arrays = {name: np.asarray(t.data) for name, t in named_parameters(state)}
-    # the threshold is part of the state even when HPCL is off
-    arrays.setdefault("hpcl.eps_raw", np.asarray(state.eps.raw.data))
+    arrays = {name: np.asarray(t.data) for name, t in state_tensors(state)}
     serialize.save_arrays(path, cfg, arrays)
 
 
@@ -178,14 +183,14 @@ def load_adapter(path, backbone: BackboneState) -> AdapterState:
             f"{path}: checkpoint kind {config.get('kind')!r}, expected 'adapter'")
     field_names = TrainConfig.__dataclass_fields__.keys()
     train_config = TrainConfig(**{k: config[k] for k in field_names if k in config})
-    state = init_adapter(backbone, int(config["n_channels"]), train_config)
-    if (state.n_patches != int(config["n_patches"])
-            or state.repr_dim != int(config["repr_dim"])
-            or state.horizon != int(config["horizon"])):
+    n_channels, n_patches, repr_dim, horizon = serialize.header_ints(
+        path, config, "n_channels", "n_patches", "repr_dim", "horizon")
+    state = init_adapter(backbone, n_channels, train_config)
+    if (state.n_patches, state.repr_dim,
+            state.horizon) != (n_patches, repr_dim, horizon):
         raise serialize.SerializationError(
             f"{path}: adapter was built for a different backbone geometry")
-    expected = dict(named_parameters(state))
-    expected.setdefault("hpcl.eps_raw", state.eps.raw)
+    expected = dict(state_tensors(state))
     for name, tensor in expected.items():
         if name not in arrays:
             raise serialize.SerializationError(f"{path}: missing array {name!r}")

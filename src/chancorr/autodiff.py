@@ -7,8 +7,6 @@ gradients into the ``.grad`` slot of every tensor that requires them.
 
 Conventions
 -----------
-* float64 by default; float32 is available (``set_default_dtype``) for
-  timing experiments where precision is irrelevant.
 * Non-finite values are an error state, never a result.  With grad
   recording on, every forward result is checked for NaN/Inf and raises
   `NonFiniteError` on violation.  Under ``no_grad`` the ops do only the
@@ -45,9 +43,6 @@ __all__ = [
     "constant",
     "parameter",
     "no_grad",
-    "grad_enabled",
-    "set_default_dtype",
-    "get_default_dtype",
     "record_gates",
     "add",
     "subtract",
@@ -70,7 +65,6 @@ __all__ = [
     "expand",
     "reshape",
     "transpose",
-    "concat",
     "take_slice",
     "cosine_similarity_matrix",
     "mse_loss",
@@ -96,21 +90,8 @@ class NonDeterministicError(RuntimeError):
     """Two evaluations of a supposedly pure function disagreed."""
 
 
-_default_dtype = np.float64
 _grad_enabled = True
 _gate_sink: list | None = None
-
-
-def set_default_dtype(dtype) -> None:
-    global _default_dtype
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dtype}")
-    _default_dtype = dtype.type
-
-
-def get_default_dtype():
-    return _default_dtype
 
 
 @contextlib.contextmanager
@@ -123,10 +104,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 @contextlib.contextmanager
@@ -162,9 +139,8 @@ def check_finite(data: np.ndarray, op: str) -> None:
 class Tensor:
     """A dense array plus the bookkeeping needed for reverse-mode AD."""
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else _default_dtype)
-        self.data = arr
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: list[tuple["Tensor", object]] | None = None
@@ -193,55 +169,6 @@ class Tensor:
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # -- operator sugar --------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return subtract(self, other)
-
-    def __rsub__(self, other):
-        return subtract(other, self)
-
-    def __mul__(self, other):
-        return multiply(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return divide(self, other)
-
-    def __rtruediv__(self, other):
-        return divide(other, self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __getitem__(self, index):
-        return take_slice(self, index)
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
 
     # -- backward --------------------------------------------------------
     def backward(self) -> None:
@@ -300,18 +227,18 @@ class Tensor:
                     grads[key] = contribution
 
 
-def as_tensor(value, dtype=None) -> Tensor:
+def as_tensor(value) -> Tensor:
     if isinstance(value, Tensor):
         return value
-    return Tensor(value, requires_grad=False, dtype=dtype)
+    return Tensor(value, requires_grad=False)
 
 
-def constant(value, dtype=None) -> Tensor:
-    return Tensor(value, requires_grad=False, dtype=dtype)
+def constant(value) -> Tensor:
+    return Tensor(value, requires_grad=False)
 
 
-def parameter(value, dtype=None) -> Tensor:
-    return Tensor(value, requires_grad=True, dtype=dtype)
+def parameter(value) -> Tensor:
+    return Tensor(value, requires_grad=True)
 
 
 def _result(data: np.ndarray, parents, op: str) -> Tensor:
@@ -439,11 +366,12 @@ def sqrt(x) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product; leading batch dimensions broadcast as in numpy."""
+    """Matrix product of (..., n, k) and (..., k, m) operands; leading batch
+    dimensions broadcast as in numpy."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim == 0 or b.ndim == 0:
-        raise ShapeMismatchError("matmul requires at least 1-d operands")
-    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeMismatchError("matmul requires at least 2-d operands")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -451,19 +379,10 @@ def matmul(a, b) -> Tensor:
     except ValueError as err:
         raise ShapeMismatchError(f"matmul: {a.shape} @ {b.shape}") from err
 
-    def grad_a(g, ad=a.data, bd=b.data, s=a.shape):
-        if bd.ndim == 1:
-            return _sum_to_shape(np.multiply.outer(g, bd) if g.ndim else g * bd, s)
+    def grad_a(g, bd=b.data, s=a.shape):
         return _sum_to_shape(g @ bd.swapaxes(-1, -2), s)
 
-    def grad_b(g, ad=a.data, bd=b.data, s=b.shape):
-        if ad.ndim == 1:
-            if bd.ndim == 1:
-                return _sum_to_shape(g * ad, s)
-            return _sum_to_shape(np.multiply.outer(ad, g), s)
-        if bd.ndim == 1:
-            # g has shape a.shape[:-1]; contribution ad^T @ g over stacked dims
-            return _sum_to_shape((ad * g[..., None]).sum(axis=tuple(range(ad.ndim - 1))), s)
+    def grad_b(g, ad=a.data, s=b.shape):
         return _sum_to_shape(ad.swapaxes(-1, -2) @ g, s)
 
     return _result(data, [(a, grad_a), (b, grad_b)], "matmul")
@@ -496,27 +415,27 @@ def tanh(x) -> Tensor:
     return _result(data, [(x, lambda g, d=data: g * (1.0 - d * d))], "tanh")
 
 
-def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    # evaluate on the non-positive side only, for overflow safety
-    xd = x.data
+def _logistic(xd: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), with ``exp`` evaluated on the non-positive side
+    only, for overflow safety."""
     out = np.empty_like(xd)
     pos = xd >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
     ex = np.exp(xd[~pos])
     out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid(x) -> Tensor:
+    x = as_tensor(x)
+    out = _logistic(x.data)
     return _result(out, [(x, lambda g, d=out: g * d * (1.0 - d))], "sigmoid")
 
 
 def softplus(x) -> Tensor:
     x = as_tensor(x)
     data = np.logaddexp(0.0, x.data)
-    xd = x.data
-    sig = np.empty_like(xd)
-    pos = xd >= 0
-    sig[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    ex = np.exp(xd[~pos])
-    sig[~pos] = ex / (1.0 + ex)
+    sig = _logistic(x.data)
     return _result(data, [(x, lambda g, s=sig: g * s)], "softplus")
 
 
@@ -545,11 +464,12 @@ def softmax(x, axis: int = -1) -> Tensor:
 def layer_norm(x, eps: float = 1e-5) -> Tensor:
     """Normalise over the last axis to zero mean / unit variance (no affine)."""
     x = as_tensor(x)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centred = x.data - mu
-    var = (centred * centred).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    norm = centred * inv
+    with np.errstate(invalid="ignore"):
+        mu = x.data.mean(axis=-1, keepdims=True)
+        centred = x.data - mu
+        var = (centred * centred).mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + eps)
+        norm = centred * inv
 
     def grad_x(g, n=norm, iv=inv):
         gm = g.mean(axis=-1, keepdims=True)
@@ -627,27 +547,6 @@ def transpose(x, axes=None) -> Tensor:
     return _result(data, [(x, lambda g, inv=inverse: np.transpose(g, inv))], "transpose")
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ShapeMismatchError("concat of an empty sequence")
-    try:
-        data = np.concatenate([t.data for t in tensors], axis=axis)
-    except ValueError as err:
-        raise ShapeMismatchError("concat: incompatible shapes") from err
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-    parents = []
-    for i, t in enumerate(tensors):
-        def grad_t(g, lo=offsets[i], hi=offsets[i + 1], ax=axis):
-            index = [slice(None)] * g.ndim
-            index[ax] = slice(lo, hi)
-            return g[tuple(index)]
-
-        parents.append((t, grad_t))
-    return _result(data, parents, "concat")
-
-
 def take_slice(x, index) -> Tensor:
     """Basic (view-style) indexing with gradient scatter on backward."""
     x = as_tensor(x)
@@ -675,7 +574,7 @@ def cosine_similarity_matrix(x, eps: float = 1e-24) -> Tensor:
     if x.ndim < 2:
         raise ShapeMismatchError("cosine_similarity_matrix expects at least 2 dims")
     sq = multiply(x, x)
-    norms = sqrt(add(tensor_sum(sq, axis=-1, keepdims=True), constant(eps, dtype=x.dtype)))
+    norms = sqrt(add(tensor_sum(sq, axis=-1, keepdims=True), constant(eps)))
     unit = divide(x, norms)
     return matmul(unit, transpose(unit, axes=tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)))
 

@@ -223,11 +223,13 @@ def load_backbone(path) -> BackboneState:
     if config.get("kind") != "backbone":
         raise serialize.SerializationError(
             f"{path}: checkpoint kind {config.get('kind')!r}, expected 'backbone'")
-    cfg = BackboneConfig(lookback=int(config["lookback"]),
-                         horizon=int(config["horizon"]),
-                         patch_len=int(config["patch_len"]),
-                         repr_dim=int(config["repr_dim"]),
-                         seed=int(config["seed"]))
+    lookback, horizon, patch_len, repr_dim, seed = serialize.header_ints(
+        path, config, "lookback", "horizon", "patch_len", "repr_dim", "seed")
+    if set(arrays) != {"embed", "head"}:
+        raise serialize.SerializationError(
+            f"{path}: arrays {sorted(arrays)}, expected embed and head")
+    cfg = BackboneConfig(lookback=lookback, horizon=horizon,
+                         patch_len=patch_len, repr_dim=repr_dim, seed=seed)
     state = BackboneState(config=cfg, embed=arrays["embed"], head=arrays["head"],
                           train_mse=float(config.get("train_mse", float("nan"))),
                           ridge=float(config.get("ridge", 0.0)))

@@ -7,9 +7,7 @@ while the inference path never touches an N x N object and scales O(N).
 median of repeated runs, and fits a least-squares slope in log-log space.
 
 Timings use synthetic random inputs and a fabricated frozen backbone (no
-ALS pretraining -- weights are irrelevant to cost).  This is the one module
-that runs in 32-bit by default: timing needs volume, not gradient-check
-headroom.
+ALS pretraining -- weights are irrelevant to cost).
 """
 
 from __future__ import annotations
@@ -20,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .adapter import (correlation_estimate, init_adapter, named_parameters,
-                      predict)
+from .adapter import (correlation_estimate, init_adapter, predict,
+                      state_tensors)
 from .backbone import BackboneConfig, BackboneOutput, BackboneState
 from .config import TrainConfig
 from .contrastive import aux_loss, threshold_masks
@@ -53,7 +51,6 @@ class BenchResult:
     medians: list[float]            # seconds per repetition
     slope: float
     reps: int
-    dtype: str
 
     def table(self) -> str:
         lines = ["n_channels,median_seconds"]
@@ -86,20 +83,14 @@ def _fabricated_backbone(repr_dim: int, rng: np.random.Generator) -> BackboneSta
     return BackboneState(config=cfg, embed=embed, head=head)
 
 
-def _cast_state(state, dtype) -> None:
-    for _, tensor in named_parameters(state):
-        tensor.data = tensor.data.astype(dtype)
-    state.eps.raw.data = state.eps.raw.data.astype(dtype)
-
-
 def _fake_output(n_channels: int, batch: int, backbone: BackboneState,
-                 rng: np.random.Generator, dtype) -> BackboneOutput:
+                 rng: np.random.Generator) -> BackboneOutput:
     cfg = backbone.config
     shape = (batch, cfg.n_patches, n_channels, cfg.repr_dim)
-    rep = rng.normal(size=shape).astype(dtype)
-    yhat_norm = rng.normal(size=(batch, n_channels, cfg.horizon)).astype(dtype)
-    mean = rng.normal(size=(batch, n_channels, 1)).astype(dtype)
-    std = (1.0 + rng.uniform(size=(batch, n_channels, 1))).astype(dtype)
+    rep = rng.normal(size=shape)
+    yhat_norm = rng.normal(size=(batch, n_channels, cfg.horizon))
+    mean = rng.normal(size=(batch, n_channels, 1))
+    std = 1.0 + rng.uniform(size=(batch, n_channels, 1))
     yhat = yhat_norm * std + mean
     return BackboneOutput(repr=rep, yhat=yhat, yhat_norm=yhat_norm,
                           mean=mean, std=std,
@@ -107,32 +98,28 @@ def _fake_output(n_channels: int, batch: int, backbone: BackboneState,
 
 
 def _adapter_config(mode: str) -> TrainConfig:
-    if mode == "train-step":
-        return TrainConfig(depth_division=1, depth_fusion=1, embed_dim=4,
-                           poly_degree=2, rank=TRAIN_RANK, hpcl=True)
     return TrainConfig(depth_division=1, depth_fusion=1, embed_dim=4,
-                       poly_degree=2, rank=TRAIN_RANK, hpcl=False)
+                       poly_degree=2, rank=TRAIN_RANK, hpcl=(mode == "train-step"))
 
 
 def bench_inference(n_list=DEFAULT_N_LIST, reps: int = 20,
-                    dtype=np.float32, seed: int = 0) -> BenchResult:
+                    seed: int = 0) -> BenchResult:
     """Median time of the full inference path (divide + fusion) per N."""
     rng = np.random.default_rng(seed)
     backbone = _fabricated_backbone(INFER_REPR_DIM, rng)
     medians = []
     for n in n_list:
         state = init_adapter(backbone, n, _adapter_config("inference"))
-        _cast_state(state, dtype)
-        out = _fake_output(n, INFER_BATCH, backbone, rng, dtype)
+        out = _fake_output(n, INFER_BATCH, backbone, rng)
         predict(state, out)                     # warm caches before timing
         medians.append(_median_time(lambda: predict(state, out), reps))
     return BenchResult(mode="inference", n_list=tuple(n_list),
                        medians=medians, slope=fit_loglog_slope(n_list, medians),
-                       reps=reps, dtype=np.dtype(dtype).name)
+                       reps=reps)
 
 
 def bench_train_step(n_list=DEFAULT_N_LIST, reps: int = 20,
-                     dtype=np.float32, seed: int = 0) -> BenchResult:
+                     seed: int = 0) -> BenchResult:
     """Median time of the training-only work in one optimization step.
 
     Training adds to the shared prediction path exactly the pieces that
@@ -148,17 +135,15 @@ def bench_train_step(n_list=DEFAULT_N_LIST, reps: int = 20,
     medians = []
     for n in n_list:
         state = init_adapter(backbone, n, _adapter_config("train-step"))
-        _cast_state(state, dtype)
-        x = rng.normal(size=(TRAIN_BATCH, n, LOOKBACK)).astype(dtype)
-        rep = rng.normal(size=(TRAIN_BATCH, cfg.n_patches, n,
-                               cfg.repr_dim)).astype(dtype)
+        x = rng.normal(size=(TRAIN_BATCH, n, LOOKBACK))
+        rep = rng.normal(size=(TRAIN_BATCH, cfg.n_patches, n, cfg.repr_dim))
         # fixed branch views: the contrastive sums still cost O(N^2 P d)
         # and backward still reaches the correlation/threshold parameters
         x_pos = ad.constant(rep)
         x_neg = ad.constant(rep[..., ::-1, :, :].copy())
         hp = state.hpcl_config()
-        params = [t for _, t in state.dce.named_tensors()]
-        params.append(state.eps.raw)
+        params = [t for name, t in state_tensors(state)
+                  if name.startswith(("dce.", "hpcl."))]
         opt = Adam(params, lr=1e-4)
 
         def step():
@@ -174,22 +159,22 @@ def bench_train_step(n_list=DEFAULT_N_LIST, reps: int = 20,
         medians.append(_median_time(step, reps))
     return BenchResult(mode="train-step", n_list=tuple(n_list),
                        medians=medians, slope=fit_loglog_slope(n_list, medians),
-                       reps=reps, dtype=np.dtype(dtype).name)
+                       reps=reps)
 
 
 def run_bench(mode: str, n_list=DEFAULT_N_LIST, reps: int = 20,
-              dtype=np.float32, seed: int = 0) -> BenchResult:
+              seed: int = 0) -> BenchResult:
     if list(n_list) != sorted(n_list) or len(n_list) < 4:
         raise ValueError("n_list must be ascending with at least 4 points")
     if mode == "inference":
-        return bench_inference(n_list, reps=reps, dtype=dtype, seed=seed)
+        return bench_inference(n_list, reps=reps, seed=seed)
     if mode == "train-step":
-        return bench_train_step(n_list, reps=reps, dtype=dtype, seed=seed)
+        return bench_train_step(n_list, reps=reps, seed=seed)
     raise ValueError(f"unknown bench mode {mode!r}")
 
 
 def repr_dim_doubling_ratio(n_channels: int = 64, repr_dim: int = 32,
-                            reps: int = 50, dtype=np.float32,
+                            reps: int = 50,
                             seed: int = 0) -> tuple[float, float, float]:
     """Inference time at repr_dim d vs 2d at fixed N.
 
@@ -201,8 +186,7 @@ def repr_dim_doubling_ratio(n_channels: int = 64, repr_dim: int = 32,
     for d in (repr_dim, 2 * repr_dim):
         backbone = _fabricated_backbone(d, rng)
         state = init_adapter(backbone, n_channels, _adapter_config("inference"))
-        _cast_state(state, dtype)
-        out = _fake_output(n_channels, DOUBLING_BATCH, backbone, rng, dtype)
+        out = _fake_output(n_channels, DOUBLING_BATCH, backbone, rng)
         predict(state, out)
         times.append(_median_time(lambda: predict(state, out), reps))
     return times[0], times[1], times[1] / times[0]

@@ -20,8 +20,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .adapter import load_adapter, parameter_count, save_adapter
 from .backbone import (BackboneConfig, load_backbone, pretrain_backbone,
                        save_backbone)
@@ -183,15 +181,14 @@ def cmd_ablate(args) -> int:
 
 def cmd_bench(args) -> int:
     n_list = _positive_int_list(args.n_list, "--n-list")
-    dtype = np.float64 if args.float64 else np.float32
     try:
         result = run_bench(args.mode, n_list=n_list, reps=args.reps,
-                           dtype=dtype, seed=args.seed)
+                           seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     sys.stdout.write(result.table())
     if args.check_doubling:
-        t1, t2, ratio = repr_dim_doubling_ratio(dtype=dtype, seed=args.seed)
+        t1, t2, ratio = repr_dim_doubling_ratio(seed=args.seed)
         print(f"repr_dim doubling: {t1:.6f}s -> {t2:.6f}s ratio {ratio:.3f}")
     if args.out:
         write_text_atomic(args.out, result.table())
@@ -294,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", default=",".join(str(n) for n in DEFAULT_N_LIST))
     p.add_argument("--reps", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--float64", action="store_true",
-                   help="time in 64-bit instead of the default 32-bit")
     p.add_argument("--check-doubling", action="store_true",
                    help="also report the repr_dim doubling ratio")
     p.add_argument("--out", default=None, help="table CSV path")

@@ -28,7 +28,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 __all__ = [
-    "CorrMatrix",
     "DceParams",
     "init_dce_params",
     "default_rank",
@@ -55,35 +54,17 @@ def _bump(count: int = 1) -> None:
     _allocations += count
 
 
-@dataclass
-class CorrMatrix:
-    """A channel-correlation matrix plus where it came from."""
-
-    values: np.ndarray
-    provenance: str  # "rule" | "learned" | "composed"
-
-    def __post_init__(self):
-        if self.provenance not in ("rule", "learned", "composed"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-
-
 def default_rank(n_channels: int) -> int:
     """Default basis rank M = min(max(2, ceil(N/4)), 16)."""
     return int(min(max(2, -(-n_channels // 4)), 16))
 
 
-def pearson_matrix(x: np.ndarray, return_flags: bool = False):
+def pearson_matrix(x: np.ndarray) -> np.ndarray:
     """Pearson correlation of channel rows over the full lookback.
 
     ``x`` is (N, L) or a stack (..., N, L) of raw windows.  Channels with
     zero variance get correlation 0 with every other channel and 1 with
-    themselves; their indices are reported when ``return_flags`` is set.
-
-    Parameters
-    ----------
-    x : array
-    return_flags : bool
-        Also return a boolean mask (..., N) marking degenerate channels.
+    themselves.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2:
@@ -103,8 +84,6 @@ def pearson_matrix(x: np.ndarray, return_flags: bool = False):
     idx = np.arange(n)
     r[..., idx, idx] = 1.0
     _bump(int(np.prod(x.shape[:-2], dtype=int)) if x.ndim > 2 else 1)
-    if return_flags:
-        return r, degenerate
     return r
 
 
@@ -197,12 +176,12 @@ def time_invariant_component(params: DceParams) -> Tensor:
     return ad.sigmoid(ad.relu(ad.matmul(params.e1, ad.transpose(params.e2))))
 
 
-def compose_correlation(r, q, v, symmetrize: bool = False) -> Tensor:
+def compose_correlation(r, q, v) -> Tensor:
     """M = R + Q V Q^T.  R is constant: no gradient flows into it.
 
     ``r`` is (..., N, N) (stacks allowed), ``q`` (..., N, M), ``v`` (M, M).
-    ``symmetrize`` averages M with its transpose; default off -- the raw
-    composition is what downstream thresholds consume.
+    M is not symmetrised: the raw composition is what downstream
+    thresholds consume.
     """
     r_const = ad.constant(r.data if isinstance(r, Tensor) else np.asarray(r))
     q = ad.as_tensor(q)
@@ -213,9 +192,6 @@ def compose_correlation(r, q, v, symmetrize: bool = False) -> Tensor:
     qt = ad.transpose(q, axes=tuple(range(q.ndim - 2)) + (q.ndim - 1, q.ndim - 2))
     learned = ad.matmul(ad.matmul(q, v), qt)
     out = ad.add(r_const, learned)
-    if symmetrize:
-        out_t = ad.transpose(out, axes=tuple(range(out.ndim - 2)) + (out.ndim - 1, out.ndim - 2))
-        out = ad.scale(ad.add(out, out_t), 0.5)
     _bump(int(np.prod(out.shape[:-2], dtype=int)) if out.ndim > 2 else 1)
     return out
 

@@ -14,13 +14,13 @@ constructed fusion module reproduces the backbone prediction almost exactly
 (gate leakage multiplies a zero head output).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeMismatchError, Tensor
-from .projection import ProjectionLayerParams, flatten_per_channel, init_projection_layer, project_stack
+from .projection import HdParams, flatten_per_channel, init_hd_params, project_stack
 
 __all__ = [
     "FusionParams",
@@ -33,18 +33,13 @@ __all__ = [
 class FusionParams:
     """Post-projection stacks, shared forecast head, and per-channel gate."""
 
-    post_pos: list = field(default_factory=list)
-    post_neg: list = field(default_factory=list)
+    post: HdParams = None
     head_w: Tensor = None    # (P*d, F)
     head_b: Tensor = None    # (F,)
     beta_logits: Tensor = None  # (N,)
 
     def named_tensors(self):
-        out = []
-        for i, layer in enumerate(self.post_pos):
-            out.extend((f"post_pos{i}.{n}", t) for n, t in layer.named_tensors())
-        for i, layer in enumerate(self.post_neg):
-            out.extend((f"post_neg{i}.{n}", t) for n, t in layer.named_tensors())
+        out = self.post.named_tensors("post_pos{}.layer", "post_neg{}.layer")
         out.append(("head_w", self.head_w))
         out.append(("head_b", self.head_b))
         out.append(("beta_logits", self.beta_logits))
@@ -69,12 +64,9 @@ def init_fusion_params(n_channels: int, n_patches: int, repr_dim: int,
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    pos = [init_projection_layer(n_patches, repr_dim, rng) for _ in range(depth)]
-    neg = [init_projection_layer(n_patches, repr_dim, rng) for _ in range(depth)]
     flat = n_patches * repr_dim
     return FusionParams(
-        post_pos=pos,
-        post_neg=neg,
+        post=init_hd_params(n_patches, repr_dim, depth, rng),
         head_w=ad.parameter(np.zeros((flat, horizon))),
         head_b=ad.parameter(np.zeros(horizon)),
         beta_logits=ad.parameter(np.full(n_channels, float(beta_logit_init))),
@@ -104,8 +96,8 @@ def fuse_predict(params: FusionParams, x_pos, x_neg, yhat) -> Tensor:
         raise ShapeMismatchError(
             f"gate sized for {params.beta_logits.shape[0]} channels, got {n}")
 
-    x_pos = project_stack(params.post_pos, x_pos)
-    x_neg = project_stack(params.post_neg, x_neg)
+    x_pos = project_stack(params.post.pos_layers, x_pos)
+    x_neg = project_stack(params.post.neg_layers, x_neg)
     flat = flatten_per_channel(ad.add(x_pos, x_neg))      # (..., N, P*d)
     head = ad.add(ad.matmul(flat, params.head_w), params.head_b)  # (..., N, F)
     if head.shape != yhat.shape:

@@ -78,32 +78,36 @@ def init_projection_layer(n_patches: int, repr_dim: int,
 
 @dataclass
 class HdParams:
-    """Dual (or shared) projection stacks for the two spaces."""
+    """A positive- and a negative-space projection stack: the two branches
+    of ``divide``, and the post-projection stacks of the fusion head."""
 
     pos_layers: list[ProjectionLayerParams]
     neg_layers: list[ProjectionLayerParams]
-    shared: bool = False
 
-    def named_tensors(self, prefix: str = "hd"):
+    def named_tensors(self, pos_name: str = "hd.pos{}", neg_name: str = "hd.neg{}"):
+        """Layer ``i`` is named ``pos_name.format(i)`` or
+        ``neg_name.format(i)``; a negative stack that aliases the positive
+        one is listed once."""
+        shared = self.neg_layers is self.pos_layers
         out = []
-        for i, layer in enumerate(self.pos_layers):
-            out.extend(layer.named_tensors(f"{prefix}.pos{i}"))
-        if not self.shared:
-            for i, layer in enumerate(self.neg_layers):
-                out.extend(layer.named_tensors(f"{prefix}.neg{i}"))
+        for name, layers in ((pos_name, self.pos_layers),
+                             (neg_name, [] if shared else self.neg_layers)):
+            for i, layer in enumerate(layers):
+                out.extend(layer.named_tensors(name.format(i)))
         return out
 
 
 def init_hd_params(n_patches: int, repr_dim: int, depth: int,
                    rng: np.random.Generator, shared: bool = False) -> HdParams:
-    """Two stacks of ``depth`` layers; with ``shared`` the negative stack
-    aliases the positive one (single-branch ablation)."""
+    """Two stacks of ``depth`` layers, drawn from ``rng`` in order: all
+    positive layers, then all negative ones.  With ``shared`` the negative
+    stack aliases the positive one (single-branch ablation)."""
     pos = [init_projection_layer(n_patches, repr_dim, rng) for _ in range(depth)]
     if shared:
         neg = pos
     else:
         neg = [init_projection_layer(n_patches, repr_dim, rng) for _ in range(depth)]
-    return HdParams(pos_layers=pos, neg_layers=neg, shared=shared)
+    return HdParams(pos_layers=pos, neg_layers=neg)
 
 
 def flatten_per_channel(x: Tensor) -> Tensor:

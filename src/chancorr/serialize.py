@@ -17,12 +17,14 @@ mid-write never leaves a truncated checkpoint behind.
 """
 
 import json
+import math
 import os
 import struct
 
 import numpy as np
 
-__all__ = ["SerializationError", "save_arrays", "load_arrays", "MAGIC", "VERSION"]
+__all__ = ["SerializationError", "save_arrays", "load_arrays", "header_ints",
+           "MAGIC", "VERSION"]
 
 MAGIC = b"CHANCORR"
 VERSION = 1
@@ -77,8 +79,11 @@ def load_arrays(path):
         header = json.loads(blob[16:16 + header_len].decode("utf-8"))
         config = header["config"]
         manifest = header["arrays"]
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise SerializationError(f"{path}: unreadable header ({exc})") from exc
+    if not isinstance(config, dict) or not isinstance(manifest, list):
+        raise SerializationError(f"{path}: header config must be an object "
+                                 "and arrays a list")
 
     arrays = {}
     cursor = 16 + header_len
@@ -89,8 +94,9 @@ def load_arrays(path):
             raise SerializationError(f"{path}: malformed manifest entry") from exc
         if dtype not in _DTYPES:
             raise SerializationError(f"{path}: array {name!r} has dtype {dtype!r}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * 8
+        if not all(type(n) is int and n >= 0 for n in shape):
+            raise SerializationError(f"{path}: array {name!r} has shape {shape}")
+        nbytes = math.prod(shape) * 8
         if cursor + nbytes > len(blob):
             raise SerializationError(f"{path}: truncated payload for {name!r}")
         flat = np.frombuffer(blob[cursor:cursor + nbytes], dtype=_DTYPES[dtype])
@@ -99,3 +105,12 @@ def load_arrays(path):
     if cursor != len(blob):
         raise SerializationError(f"{path}: {len(blob) - cursor} trailing bytes")
     return config, arrays
+
+
+def header_ints(path, config: dict, *keys: str) -> list[int]:
+    """Integer fields of a checkpoint header, in the order of ``keys``; a
+    missing or non-integer field is a `SerializationError`."""
+    bad = [key for key in keys if type(config.get(key)) is not int]
+    if bad:
+        raise SerializationError(f"{path}: header fields {bad} are not integers")
+    return [config[key] for key in keys]

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .adapter import (AdapterState, backbone_parameter_count, branch_views,
                       init_adapter, named_parameters, parameter_count,
-                      predict, training_losses)
+                      predict, state_tensors, training_losses)
 from .backbone import (BackboneConfig, BackboneState, backbone_forward,
                        pretrain_backbone)
 from .config import TrainConfig, with_updates
@@ -80,15 +80,11 @@ def write_text_atomic(path, text: str) -> None:
 
 
 def _snapshot(state: AdapterState):
-    values = [t.data.copy() for _, t in named_parameters(state)]
-    values.append(state.eps.raw.data.copy())
-    return values
+    return [t.data.copy() for _, t in state_tensors(state)]
 
 
 def _restore(state: AdapterState, snap) -> None:
-    tensors = [t for _, t in named_parameters(state)]
-    tensors.append(state.eps.raw)
-    for tensor, value in zip(tensors, snap):
+    for (_, tensor), value in zip(state_tensors(state), snap):
         tensor.data[...] = value
 
 

@@ -1,5 +1,8 @@
 """Adapter assembly: init geometry, losses, prediction path, checkpoints."""
 
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,11 +11,13 @@ from chancorr.adapter import (backbone_parameter_count, branch_views,
                               correlation_estimate, init_adapter,
                               load_adapter, named_parameters,
                               parameter_count, predict, save_adapter,
-                              training_losses)
+                              state_tensors, training_losses)
 from chancorr.backbone import BackboneConfig, backbone_forward, pretrain_backbone
 from chancorr.config import TrainConfig, with_updates
 from chancorr.correlation import correlation_matrix_allocations, pearson_matrix
-from chancorr.serialize import SerializationError
+from chancorr.serialize import SerializationError, load_arrays
+
+DATA = Path(__file__).parent / "data"
 
 
 def tiny_backbone(seed=0, n=4, b=40):
@@ -108,10 +113,12 @@ def test_predict_and_branch_views_reject_non_finite_values():
     state.fusion.head_w.data[0, 0] = 0.0
 
     out.repr[0, 0, 0, 0] = np.inf
-    with pytest.raises(ad.NonFiniteError):
-        predict(state, out)
-    with pytest.raises(ad.NonFiniteError):
-        branch_views(state, out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # the error, not a numpy warning
+        with pytest.raises(ad.NonFiniteError):
+            predict(state, out)
+        with pytest.raises(ad.NonFiniteError):
+            branch_views(state, out)
 
 
 def test_training_losses_keys_and_prediction_value():
@@ -177,16 +184,33 @@ def test_save_load_round_trip(tmp_path, overrides):
     rng = np.random.default_rng(11)
     for _, t in named_parameters(state):
         t.data += rng.normal(0, 0.05, size=t.data.shape)
+    state.eps.raw.data[...] = 0.125     # not the init value, HPCL on or off
     path = tmp_path / "adapter.npz"
     save_adapter(state, path)
     loaded = load_adapter(path, backbone)
     assert loaded.train_config == cfg
-    for (na, ta), (nb, tb) in zip(named_parameters(state),
-                                  named_parameters(loaded)):
-        assert na == nb
+    saved, restored = state_tensors(state), state_tensors(loaded)
+    assert [n for n, _ in saved] == [n for n, _ in restored]
+    for (_, ta), (_, tb) in zip(saved, restored):
         assert np.array_equal(ta.data, tb.data)
     out = backbone_forward(backbone, x)
     assert np.array_equal(predict(state, out), predict(loaded, out))
+
+
+@pytest.mark.parametrize("name", ["adapter_v1_hpcl.ckpt", "adapter_v1_nohpcl.ckpt"])
+def test_loads_v1_checkpoints(name):
+    """Checkpoints written before `state_tensors` existed (HPCL on and off,
+    ``small_config()`` geometry): every stored array is a state tensor, and
+    it loads bit for bit."""
+    backbone, x, _ = tiny_backbone(seed=10)
+    _, arrays = load_arrays(DATA / name)
+    state = load_adapter(DATA / name, backbone)
+    tensors = state_tensors(state)
+    assert sorted(n for n, _ in tensors) == sorted(arrays)
+    for n, t in tensors:
+        assert np.array_equal(t.data, arrays[n])
+    assert arrays["hpcl.eps_raw"] == 0.125
+    assert np.isfinite(predict(state, backbone_forward(backbone, x))).all()
 
 
 def test_load_rejects_wrong_geometry(tmp_path):

@@ -1,10 +1,15 @@
 """Backbone surrogate: fitting, forward oracle, normalization, checkpoints."""
 
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from chancorr import backbone as bb
 from chancorr import serialize
+from chancorr.adapter import load_adapter
 
 
 CFG = bb.BackboneConfig(lookback=32, horizon=8, patch_len=8, repr_dim=4, seed=3)
@@ -55,6 +60,65 @@ def test_load_rejects_corruption(tmp_path):
     trailing.write_bytes(blob + b"\x00" * 8)
     with pytest.raises(serialize.SerializationError):
         serialize.load_arrays(trailing)
+
+
+def _raw_checkpoint(path, header, payload=b""):
+    body = json.dumps(header).encode("utf-8")
+    path.write_bytes(serialize.MAGIC + struct.pack("<II", serialize.VERSION, len(body))
+                     + body + payload)
+
+
+def _without(path, source, key=None, array=None):
+    config, arrays = serialize.load_arrays(source)
+    config.pop(key, None)
+    arrays.pop(array, None)
+    serialize.save_arrays(path, config, arrays)
+
+
+V1_ADAPTER = Path(__file__).parent / "data" / "adapter_v1_hpcl.ckpt"
+ADAPTER_BACKBONE = bb.BackboneState(
+    config=bb.BackboneConfig(lookback=24, horizon=6, patch_len=8, repr_dim=8),
+    embed=np.zeros((8, 8)), head=np.zeros((24, 6)))
+
+
+def _entry(name, shape):
+    return {"name": name, "shape": shape, "dtype": "float64"}
+
+
+@pytest.mark.parametrize("case", [
+    "negative-dim", "non-integer-dim", "arrays-not-a-list",
+    "config-not-an-object", "adapter-without-n_channels",
+    "backbone-without-lookback", "backbone-without-head"])
+def test_loaders_reject_malformed_headers(tmp_path, case):
+    """Every malformed header is a SerializationError, never another
+    exception or header bytes returned as payload."""
+    path = tmp_path / "bad.ckpt"
+    good = tmp_path / "good.ckpt"
+    bb.save_backbone(bb.BackboneState(config=CFG, embed=np.zeros((8, 4)),
+                                      head=np.zeros((16, 8))), good)
+    if case == "negative-dim":
+        _raw_checkpoint(path, {"config": {}, "arrays": [
+            _entry("a", [-2]), _entry("b", [4])]}, bytes(16))
+    elif case == "non-integer-dim":
+        _raw_checkpoint(path, {"config": {}, "arrays": [_entry("a", [2.5])]},
+                        bytes(16))
+    elif case == "arrays-not-a-list":
+        _raw_checkpoint(path, {"config": {}, "arrays": 5})
+    elif case == "config-not-an-object":
+        _raw_checkpoint(path, {"config": [1], "arrays": []})
+    elif case == "adapter-without-n_channels":
+        _without(path, V1_ADAPTER, key="n_channels")
+    elif case == "backbone-without-lookback":
+        _without(path, good, key="lookback")
+    else:
+        _without(path, good, array="head")
+    with pytest.raises(serialize.SerializationError):
+        if case.endswith("dim") or case == "arrays-not-a-list":
+            serialize.load_arrays(path)
+        elif case.startswith("adapter"):
+            load_adapter(path, ADAPTER_BACKBONE)
+        else:
+            bb.load_backbone(path)
 
 
 def test_save_is_atomic_no_tmp_left(tmp_path):

@@ -21,7 +21,7 @@ def test_loglog_slope_of_constant_times_is_zero():
 def test_table_layout():
     res = BenchResult(mode="inference", n_list=(2, 4, 8, 16),
                       medians=[1e-3, 2e-3, 4e-3, 8e-3], slope=1.0,
-                      reps=3, dtype="float32")
+                      reps=3)
     lines = res.table().splitlines()
     assert lines[0] == "n_channels,median_seconds"
     assert lines[1] == "2,0.001000000"
@@ -46,14 +46,7 @@ def test_run_bench_smoke_both_modes():
         assert res.n_list == (2, 3, 4, 5)
         assert len(res.medians) == 4
         assert all(t > 0.0 for t in res.medians)
-        assert res.dtype == "float32"
         assert np.isfinite(res.slope)
-
-
-def test_run_bench_records_requested_dtype():
-    res = run_bench("inference", n_list=(2, 3, 4, 5), reps=1,
-                    dtype=np.float64)
-    assert res.dtype == "float64"
 
 
 def test_doubling_ratio_smoke():

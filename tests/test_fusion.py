@@ -18,7 +18,7 @@ def warmed_params(rng, n=4, p=3, d=5, f=6, depth=2, logit=0.0):
     params.head_w.data = rng.normal(0, 0.3, size=params.head_w.shape)
     params.head_b.data = rng.normal(0, 0.3, size=params.head_b.shape)
     params.beta_logits.data = rng.normal(logit, 1.0, size=n)
-    for layer in (*params.post_pos, *params.post_neg):
+    for layer in (*params.post.pos_layers, *params.post.neg_layers):
         layer.w2.data = rng.normal(0, 0.2, size=layer.w2.shape)
         layer.v2.data = rng.normal(0, 0.2, size=layer.v2.shape)
     return params
@@ -28,8 +28,8 @@ def head_only(params, x_pos, x_neg):
     """What the head branch alone predicts (beta = 1 oracle)."""
     from chancorr.projection import flatten_per_channel, project_stack
     with ad.no_grad():
-        a = project_stack(params.post_pos, ad.constant(x_pos))
-        b = project_stack(params.post_neg, ad.constant(x_neg))
+        a = project_stack(params.post.pos_layers, ad.constant(x_pos))
+        b = project_stack(params.post.neg_layers, ad.constant(x_neg))
         flat = flatten_per_channel(ad.add(a, b))
         return (flat.data @ params.head_w.data) + params.head_b.data
 

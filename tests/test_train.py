@@ -11,7 +11,7 @@ from chancorr.train import (ABLATION_ROWS, DivergenceError, ablate,
                             backbone_mse_mae, evaluate, export_similarity,
                             fit)
 from chancorr import train as train_module
-from chancorr.adapter import predict
+from chancorr.adapter import init_adapter, predict, state_tensors
 
 BB = BackboneConfig(lookback=24, horizon=6, patch_len=8, repr_dim=8, seed=0)
 
@@ -131,6 +131,20 @@ def test_best_epoch_checkpoint_is_restored():
     assert report.best_epoch == int(np.argmin(vals)) + 1
     mse, _ = evaluate(state, backbone, val)
     assert abs(mse - min(vals)) < 1e-12
+
+
+@pytest.mark.parametrize("hpcl", [True, False])
+def test_snapshot_restore_covers_every_state_tensor(hpcl):
+    backbone, _, _, _ = scenario(seed=9)
+    state = init_adapter(backbone, 4, quick_config(hpcl=hpcl))
+    snap = train_module._snapshot(state)
+    before = [t.data.copy() for _, t in state_tensors(state)]
+    for _, t in state_tensors(state):
+        t.data += 1.0
+    train_module._restore(state, snap)
+    assert len(snap) == len(before)
+    for value, (_, t) in zip(before, state_tensors(state)):
+        assert np.array_equal(t.data, value)
 
 
 def test_patience_stops_early():
