@@ -25,7 +25,7 @@ from .contrastive import (EpsilonParam, HpclConfig, MaskPair, aux_loss,
 from .correlation import (DceParams, compose_correlation, init_dce_params,
                           time_invariant_component, time_varying_component)
 from .fusion import FusionParams, fuse_predict, init_fusion_params
-from .projection import HdParams, divide, init_hd_params
+from .projection import HdParams, divide, flatten_per_channel, init_hd_params
 
 
 @dataclass
@@ -45,7 +45,7 @@ class AdapterState:
     def hpcl_config(self) -> HpclConfig:
         cfg = self.train_config
         return HpclConfig(tau=cfg.tau, gate_temp=cfg.gate_temp,
-                          soft_gate=cfg.soft_gate, binarize=cfg.binarize)
+                          soft_gate=cfg.soft_gate)
 
 
 def init_adapter(backbone: BackboneState, n_channels: int,
@@ -157,14 +157,11 @@ def branch_views(state: AdapterState, out: BackboneOutput):
     (for similarity export)."""
     with ad.no_grad():
         x_pos, x_neg = divide(state.hd, ad.constant(out.repr))
-    ad.check_finite(x_pos.data, "branch_views")
-    ad.check_finite(x_neg.data, "branch_views")
-    nd = x_pos.ndim
-    axes = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)
-    pos = np.transpose(x_pos.data, axes)
-    neg = np.transpose(x_neg.data, axes)
-    flat = pos.shape[:-2] + (pos.shape[-2] * pos.shape[-1],)
-    return pos.reshape(flat), neg.reshape(flat)
+        pos = flatten_per_channel(x_pos).data
+        neg = flatten_per_channel(x_neg).data
+    ad.check_finite(pos, "branch_views")
+    ad.check_finite(neg, "branch_views")
+    return pos, neg
 
 
 def save_adapter(state: AdapterState, path) -> None:
@@ -177,31 +174,22 @@ def save_adapter(state: AdapterState, path) -> None:
 
 
 def load_adapter(path, backbone: BackboneState) -> AdapterState:
-    config, arrays = serialize.load_arrays(path)
-    if config.get("kind") != "adapter":
-        raise serialize.SerializationError(
-            f"{path}: checkpoint kind {config.get('kind')!r}, expected 'adapter'")
+    config, arrays, (n_channels, n_patches, repr_dim, horizon) = \
+        serialize.load_checkpoint(path, "adapter", "n_channels", "n_patches",
+                                  "repr_dim", "horizon")
     field_names = TrainConfig.__dataclass_fields__.keys()
-    train_config = TrainConfig(**{k: config[k] for k in field_names if k in config})
-    n_channels, n_patches, repr_dim, horizon = serialize.header_ints(
-        path, config, "n_channels", "n_patches", "repr_dim", "horizon")
+    try:
+        train_config = TrainConfig(**{k: config[k] for k in field_names if k in config})
+    except (TypeError, ValueError) as exc:
+        raise serialize.SerializationError(
+            f"{path}: bad header value ({exc})") from exc
     state = init_adapter(backbone, n_channels, train_config)
     if (state.n_patches, state.repr_dim,
             state.horizon) != (n_patches, repr_dim, horizon):
         raise serialize.SerializationError(
             f"{path}: adapter was built for a different backbone geometry")
-    expected = dict(state_tensors(state))
-    for name, tensor in expected.items():
-        if name not in arrays:
-            raise serialize.SerializationError(f"{path}: missing array {name!r}")
-        stored = arrays[name]
-        if stored.shape != tensor.data.shape:
-            raise serialize.SerializationError(
-                f"{path}: array {name!r} has shape {stored.shape}, "
-                f"expected {tensor.data.shape}")
-        tensor.data[...] = stored
-    extra = set(arrays) - set(expected)
-    if extra:
-        raise serialize.SerializationError(
-            f"{path}: unexpected arrays {sorted(extra)}")
+    tensors = state_tensors(state)
+    serialize.check_arrays(path, arrays, {n: t.shape for n, t in tensors})
+    for name, tensor in tensors:
+        tensor.data[...] = arrays[name]
     return state

@@ -13,7 +13,7 @@ Conventions
   arithmetic and let NaN/Inf propagate; each caller that evaluates under
   ``no_grad`` checks its final output once with `check_finite`.
 * ``softmax`` subtracts the per-slice maximum before exponentiation;
-  ``layer_norm`` normalises over the last axis with eps 1e-5.
+  ``layer_norm`` normalises over the last axis with eps `LAYER_NORM_EPS`.
 * Hard gates (``relu`` here, threshold masks downstream) follow the
   subgradient convention: gradient 1 on kept entries, 0 on dropped ones.
   Gate decisions can be traced (see ``record_gates``) so the finite
@@ -90,6 +90,9 @@ class NonDeterministicError(RuntimeError):
     """Two evaluations of a supposedly pure function disagreed."""
 
 
+LAYER_NORM_EPS = 1e-5
+COSINE_EPS = 1e-24  # added to squared row norms in cosine similarity
+
 _grad_enabled = True
 _gate_sink: list | None = None
 
@@ -158,10 +161,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def item(self) -> float:
         return float(self.data.reshape(()))
@@ -354,11 +353,12 @@ def power(x, p: float) -> Tensor:
     p = float(p)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         data = x.data**p
-    return _result(
-        data,
-        [(x, lambda g, xd=x.data: g * p * xd ** (p - 1.0))],
-        "power",
-    )
+
+    def grad_x(g, xd=x.data):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return g * p * xd ** (p - 1.0)
+
+    return _result(data, [(x, grad_x)], "power")
 
 
 def sqrt(x) -> Tensor:
@@ -461,14 +461,14 @@ def softmax(x, axis: int = -1) -> Tensor:
     return _result(data, [(x, grad_x)], "softmax")
 
 
-def layer_norm(x, eps: float = 1e-5) -> Tensor:
+def layer_norm(x) -> Tensor:
     """Normalise over the last axis to zero mean / unit variance (no affine)."""
     x = as_tensor(x)
     with np.errstate(invalid="ignore"):
         mu = x.data.mean(axis=-1, keepdims=True)
         centred = x.data - mu
         var = (centred * centred).mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
         norm = centred * inv
 
     def grad_x(g, n=norm, iv=inv):
@@ -483,39 +483,28 @@ def layer_norm(x, eps: float = 1e-5) -> Tensor:
 # reductions and structure
 
 
+def _unreduce(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarray:
+    """Spread the gradient of a reduction over ``axis`` back to ``shape``."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape).copy()
+
+
 def tensor_sum(x, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
-    data = x.data.sum(axis=axis, keepdims=keepdims)
-
-    def grad_x(g, shape=x.shape, ax=axis, kd=keepdims):
-        if ax is None:
-            return np.broadcast_to(g, shape).copy() if np.ndim(g) == 0 else np.full(shape, g)
-        if not kd:
-            g = np.expand_dims(g, ax)
-        return np.broadcast_to(g, shape).copy()
-
-    return _result(np.asarray(data), [(x, grad_x)], "sum")
+    data = np.asarray(x.data.sum(axis=axis, keepdims=keepdims))
+    return _result(
+        data, [(x, lambda g, s=x.shape: _unreduce(g, s, axis, keepdims))], "sum")
 
 
 def mean(x, axis=None, keepdims: bool = False) -> Tensor:
     """Mean pooling over ``axis`` (all axes when None)."""
     x = as_tensor(x)
-    data = x.data.mean(axis=axis, keepdims=keepdims)
-    if axis is None:
-        count = x.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([x.shape[a] for a in axis]))
-    else:
-        count = x.shape[axis]
-
-    def grad_x(g, shape=x.shape, ax=axis, kd=keepdims, c=count):
-        if ax is None:
-            return np.full(shape, np.asarray(g) / c)
-        if not kd:
-            g = np.expand_dims(g, ax)
-        return np.broadcast_to(g / c, shape).copy()
-
-    return _result(np.asarray(data), [(x, grad_x)], "mean")
+    data = np.asarray(x.data.mean(axis=axis, keepdims=keepdims))
+    count = x.size // max(data.size, 1)
+    return _result(
+        data, [(x, lambda g, s=x.shape: _unreduce(g / count, s, axis, keepdims))],
+        "mean")
 
 
 def expand(x, shape: tuple) -> Tensor:
@@ -564,17 +553,17 @@ def take_slice(x, index) -> Tensor:
 # composite helpers
 
 
-def cosine_similarity_matrix(x, eps: float = 1e-24) -> Tensor:
+def cosine_similarity_matrix(x) -> Tensor:
     """Pairwise cosine similarity of the rows of a 2-d (or stacked) tensor.
 
     For input (..., N, D) returns (..., N, N).  Zero rows get similarity 0
-    thanks to the eps guard inside the norm.
+    thanks to the `COSINE_EPS` guard inside the norm.
     """
     x = as_tensor(x)
     if x.ndim < 2:
         raise ShapeMismatchError("cosine_similarity_matrix expects at least 2 dims")
     sq = multiply(x, x)
-    norms = sqrt(add(tensor_sum(sq, axis=-1, keepdims=True), constant(eps)))
+    norms = sqrt(add(tensor_sum(sq, axis=-1, keepdims=True), constant(COSINE_EPS)))
     unit = divide(x, norms)
     return matmul(unit, transpose(unit, axes=tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)))
 

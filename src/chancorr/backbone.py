@@ -15,7 +15,7 @@ can reach them.  All channels share the same matrices (channel-independent
 convention).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 NORM_EPS = 1e-8
+# alternating least squares: round cap, and relative gain that ends it early
+ALS_ROUNDS = 30
+ALS_REL_TOL = 1e-9
 
 
 @dataclass
@@ -76,15 +79,13 @@ class BackboneOutput:
     yhat_norm: np.ndarray      # (..., N, F) normalized space
     mean: np.ndarray           # (..., N, 1)
     std: np.ndarray            # (..., N, 1) after epsilon floor
-    constant_mask: np.ndarray = field(default=None)  # (..., N) bool
 
 
 def _normalize(x):
     mean = x.mean(axis=-1, keepdims=True)
     std = np.sqrt(((x - mean) ** 2).mean(axis=-1, keepdims=True))
-    constant = std[..., 0] < NORM_EPS
     std = np.maximum(std, NORM_EPS)
-    return (x - mean) / std, mean, std, constant
+    return (x - mean) / std, mean, std
 
 
 def _patchify(xn, config):
@@ -109,15 +110,15 @@ def _solve_ridge(gram, rhs, ridge, what):
     raise FloatingPointError(f"{what}: normal equations singular even at ridge {lam}")
 
 
-def pretrain_backbone(x, y, config: BackboneConfig, ridge: float = 1e-6,
-                      als_rounds: int = 30, rel_tol: float = 1e-9) -> BackboneState:
+def pretrain_backbone(x, y, config: BackboneConfig,
+                      ridge: float = 1e-6) -> BackboneState:
     """Fit embed and head by alternating ridge least squares, then freeze.
 
     x: (B, N, L) lookback windows; y: (B, N, F) continuation targets.
     Every (window, channel) pair is one training instance; targets are
     normalized with the statistics of their own input window.  Alternation
-    stops after ``als_rounds`` rounds or when the fit error stalls
-    (relative improvement below ``rel_tol``).
+    stops after ``ALS_ROUNDS`` rounds or when the fit error stalls
+    (relative improvement below ``ALS_REL_TOL``).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -130,7 +131,7 @@ def pretrain_backbone(x, y, config: BackboneConfig, ridge: float = 1e-6,
         raise ShapeMismatchError(
             f"targets {y.shape} do not match windows {x.shape} at horizon {config.horizon}")
 
-    xn, mean, std, _ = _normalize(x)
+    xn, mean, std = _normalize(x)
     yn = (y - mean) / std
     p_count, l, d, f = config.n_patches, config.patch_len, config.repr_dim, config.horizon
     patches = _patchify(xn, config).reshape(-1, p_count, l)   # (n_inst, P, l)
@@ -148,12 +149,12 @@ def pretrain_backbone(x, y, config: BackboneConfig, ridge: float = 1e-6,
         return sol, lam, z
 
     prev_mse = None
-    for round_idx in range(max(1, als_rounds)):
+    for round_idx in range(ALS_ROUNDS):
         head, lam_used, z = fit_head(embed)
         mse = float(((z @ head - targets) ** 2).mean())
-        stalled = prev_mse is not None and prev_mse - mse <= rel_tol * prev_mse
+        stalled = prev_mse is not None and prev_mse - mse <= ALS_REL_TOL * prev_mse
         prev_mse = mse
-        if stalled or round_idx == als_rounds - 1:
+        if stalled or round_idx == ALS_ROUNDS - 1:
             break
         # embed fit: y[n, f] = sum_ij embed[i, j] * G[n, i*d+j, f] with
         # G[n, i*d+j, f] = sum_p patches[n, p, i] * head_p[j, f]
@@ -192,7 +193,7 @@ def backbone_forward(state: BackboneState, x) -> BackboneOutput:
         raise ShapeMismatchError(
             f"window length {x.shape[-1]} != backbone lookback {cfg.lookback}")
 
-    xn, mean, std, constant = _normalize(x)
+    xn, mean, std = _normalize(x)
     patches = _patchify(xn, cfg)                       # (..., N, P, l)
     per_patch = patches @ state.embed                  # (..., N, P, d)
     rep = np.swapaxes(per_patch, -3, -2)               # (..., P, N, d)
@@ -200,8 +201,7 @@ def backbone_forward(state: BackboneState, x) -> BackboneOutput:
     yhat_norm = flat @ state.head                      # (..., N, F)
     yhat = yhat_norm * std + mean
     return BackboneOutput(repr=np.ascontiguousarray(rep), yhat=yhat,
-                          yhat_norm=yhat_norm, mean=mean, std=std,
-                          constant_mask=constant)
+                          yhat_norm=yhat_norm, mean=mean, std=std)
 
 
 def save_backbone(state: BackboneState, path) -> None:
@@ -219,22 +219,19 @@ def save_backbone(state: BackboneState, path) -> None:
 
 
 def load_backbone(path) -> BackboneState:
-    config, arrays = serialize.load_arrays(path)
-    if config.get("kind") != "backbone":
+    config, arrays, (lookback, horizon, patch_len, repr_dim, seed) = \
+        serialize.load_checkpoint(path, "backbone", "lookback", "horizon",
+                                  "patch_len", "repr_dim", "seed")
+    try:
+        cfg = BackboneConfig(lookback=lookback, horizon=horizon,
+                             patch_len=patch_len, repr_dim=repr_dim, seed=seed)
+        train_mse = float(config.get("train_mse", float("nan")))
+        ridge = float(config.get("ridge", 0.0))
+    except (TypeError, ValueError) as exc:
         raise serialize.SerializationError(
-            f"{path}: checkpoint kind {config.get('kind')!r}, expected 'backbone'")
-    lookback, horizon, patch_len, repr_dim, seed = serialize.header_ints(
-        path, config, "lookback", "horizon", "patch_len", "repr_dim", "seed")
-    if set(arrays) != {"embed", "head"}:
-        raise serialize.SerializationError(
-            f"{path}: arrays {sorted(arrays)}, expected embed and head")
-    cfg = BackboneConfig(lookback=lookback, horizon=horizon,
-                         patch_len=patch_len, repr_dim=repr_dim, seed=seed)
-    state = BackboneState(config=cfg, embed=arrays["embed"], head=arrays["head"],
-                          train_mse=float(config.get("train_mse", float("nan"))),
-                          ridge=float(config.get("ridge", 0.0)))
-    if state.embed.shape != (cfg.patch_len, cfg.repr_dim):
-        raise serialize.SerializationError(f"{path}: embed shape {state.embed.shape}")
-    if state.head.shape != (cfg.n_patches * cfg.repr_dim, cfg.horizon):
-        raise serialize.SerializationError(f"{path}: head shape {state.head.shape}")
-    return state
+            f"{path}: bad header value ({exc})") from exc
+    serialize.check_arrays(path, arrays, {
+        "embed": (cfg.patch_len, cfg.repr_dim),
+        "head": (cfg.n_patches * cfg.repr_dim, cfg.horizon)})
+    return BackboneState(config=cfg, embed=arrays["embed"], head=arrays["head"],
+                         train_mse=train_mse, ridge=ridge)

@@ -50,7 +50,6 @@ class BenchResult:
     n_list: tuple[int, ...]
     medians: list[float]            # seconds per repetition
     slope: float
-    reps: int
 
     def table(self) -> str:
         lines = ["n_channels,median_seconds"]
@@ -93,8 +92,7 @@ def _fake_output(n_channels: int, batch: int, backbone: BackboneState,
     std = 1.0 + rng.uniform(size=(batch, n_channels, 1))
     yhat = yhat_norm * std + mean
     return BackboneOutput(repr=rep, yhat=yhat, yhat_norm=yhat_norm,
-                          mean=mean, std=std,
-                          constant_mask=np.zeros((batch, n_channels), bool))
+                          mean=mean, std=std)
 
 
 def _adapter_config(mode: str) -> TrainConfig:
@@ -102,20 +100,24 @@ def _adapter_config(mode: str) -> TrainConfig:
                        poly_degree=2, rank=TRAIN_RANK, hpcl=(mode == "train-step"))
 
 
+def _predict_time(backbone: BackboneState, n_channels: int, batch: int,
+                  rng: np.random.Generator, reps: int) -> float:
+    """Median time of the full inference path (divide + fusion)."""
+    state = init_adapter(backbone, n_channels, _adapter_config("inference"))
+    out = _fake_output(n_channels, batch, backbone, rng)
+    predict(state, out)                         # warm caches before timing
+    return _median_time(lambda: predict(state, out), reps)
+
+
 def bench_inference(n_list=DEFAULT_N_LIST, reps: int = 20,
                     seed: int = 0) -> BenchResult:
     """Median time of the full inference path (divide + fusion) per N."""
     rng = np.random.default_rng(seed)
     backbone = _fabricated_backbone(INFER_REPR_DIM, rng)
-    medians = []
-    for n in n_list:
-        state = init_adapter(backbone, n, _adapter_config("inference"))
-        out = _fake_output(n, INFER_BATCH, backbone, rng)
-        predict(state, out)                     # warm caches before timing
-        medians.append(_median_time(lambda: predict(state, out), reps))
+    medians = [_predict_time(backbone, n, INFER_BATCH, rng, reps)
+               for n in n_list]
     return BenchResult(mode="inference", n_list=tuple(n_list),
-                       medians=medians, slope=fit_loglog_slope(n_list, medians),
-                       reps=reps)
+                       medians=medians, slope=fit_loglog_slope(n_list, medians))
 
 
 def bench_train_step(n_list=DEFAULT_N_LIST, reps: int = 20,
@@ -158,8 +160,7 @@ def bench_train_step(n_list=DEFAULT_N_LIST, reps: int = 20,
         step()                                  # warm-up outside timing
         medians.append(_median_time(step, reps))
     return BenchResult(mode="train-step", n_list=tuple(n_list),
-                       medians=medians, slope=fit_loglog_slope(n_list, medians),
-                       reps=reps)
+                       medians=medians, slope=fit_loglog_slope(n_list, medians))
 
 
 def run_bench(mode: str, n_list=DEFAULT_N_LIST, reps: int = 20,
@@ -182,11 +183,7 @@ def repr_dim_doubling_ratio(n_channels: int = 64, repr_dim: int = 32,
     than double the time.  Returns (t_d, t_2d, ratio).
     """
     rng = np.random.default_rng(seed)
-    times = []
-    for d in (repr_dim, 2 * repr_dim):
-        backbone = _fabricated_backbone(d, rng)
-        state = init_adapter(backbone, n_channels, _adapter_config("inference"))
-        out = _fake_output(n_channels, DOUBLING_BATCH, backbone, rng)
-        predict(state, out)
-        times.append(_median_time(lambda: predict(state, out), reps))
-    return times[0], times[1], times[1] / times[0]
+    t1, t2 = (_predict_time(_fabricated_backbone(d, rng), n_channels,
+                            DOUBLING_BATCH, rng, reps)
+              for d in (repr_dim, 2 * repr_dim))
+    return t1, t2, t2 / t1

@@ -17,7 +17,6 @@ still written).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .adapter import load_adapter, parameter_count, save_adapter
@@ -46,10 +45,14 @@ def _positive_int_list(text: str, what: str) -> list[int]:
     return values
 
 
-def _split_spec(args) -> SplitSpec:
-    return SplitSpec(train_frac=args.train_frac, val_frac=args.val_frac,
+def _windows(args, backbone):
+    """``(series, train, val, test)`` of ``--data`` at the backbone's shape."""
+    series = load_csv(args.data)
+    spec = SplitSpec(train_frac=args.train_frac, val_frac=args.val_frac,
                      test_frac=args.test_frac, few_shot_frac=args.few_shot,
                      stride=args.stride)
+    cfg = backbone.config
+    return (series, *make_windows(series, spec, cfg.lookback, cfg.horizon))
 
 
 def _add_split_args(p: argparse.ArgumentParser) -> None:
@@ -68,12 +71,6 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
                    metavar="KEY=VALUE", help="override one config key")
 
 
-def _atomic(write, path) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    write(tmp)
-    os.replace(tmp, path)
-
-
 def cmd_synth(args) -> int:
     structure = planted_regime(args.regime, n_channels=args.channels,
                                segment_len=args.segment_len)
@@ -81,12 +78,12 @@ def cmd_synth(args) -> int:
                                            noise_std=args.noise_std,
                                            seed=args.seed,
                                            season_amp=args.season_amp)
-    _atomic(lambda p: save_csv(p, series), args.out)
+    save_csv(args.out, series)
     print(f"wrote {args.out}: {series.n_channels} channels x "
           f"{series.length} steps ({args.regime})")
     if args.truth:
-        _atomic(lambda p: save_truth(p, structure, noise_std=args.noise_std,
-                                     seed=args.seed), args.truth)
+        save_truth(args.truth, structure, noise_std=args.noise_std,
+                   seed=args.seed)
         print(f"wrote {args.truth}")
     return 0
 
@@ -110,10 +107,7 @@ def cmd_pretrain(args) -> int:
 def cmd_fit(args) -> int:
     config = load_train_config(args.config, args.overrides)
     backbone = load_backbone(args.backbone)
-    series = load_csv(args.data)
-    cfg = backbone.config
-    train, val, test = make_windows(series, _split_spec(args),
-                                    cfg.lookback, cfg.horizon)
+    _, train, val, test = _windows(args, backbone)
     try:
         state, report = fit(config, train, val, backbone, test=test)
     except DivergenceError as err:
@@ -136,19 +130,11 @@ def cmd_fit(args) -> int:
 
 def cmd_eval(args) -> int:
     backbone = load_backbone(args.backbone)
-    series = load_csv(args.data)
-    cfg = backbone.config
-    _, _, test = make_windows(series, _split_spec(args),
-                              cfg.lookback, cfg.horizon)
-    if len(test) == 0:
-        raise DataError("test split has no windows")
-    rows = []
-    base_mse, base_mae = backbone_mse_mae(backbone, test)
-    rows.append(("backbone", base_mse, base_mae))
+    *_, test = _windows(args, backbone)
+    rows = [("backbone", *backbone_mse_mae(backbone, test))]
     if args.adapter:
         state = load_adapter(args.adapter, backbone)
-        mse, mae = evaluate(state, backbone, test)
-        rows.append(("adapter", mse, mae))
+        rows.append(("adapter", *evaluate(state, backbone, test)))
     for name, mse, mae in rows:
         print(f"{name}: test_mse={mse:.6g} test_mae={mae:.6g}")
     if args.out:
@@ -199,19 +185,9 @@ def cmd_bench(args) -> int:
 def cmd_export_sim(args) -> int:
     backbone = load_backbone(args.backbone)
     state = load_adapter(args.adapter, backbone)
-    series = load_csv(args.data)
-    cfg = backbone.config
-    train, val, test = make_windows(series, _split_spec(args),
-                                    cfg.lookback, cfg.horizon)
+    series, train, val, test = _windows(args, backbone)
     windows = {"train": train, "val": val, "test": test}[args.split]
-    if len(windows) == 0:
-        raise DataError(f"{args.split} split has no windows")
     indices = _positive_int_list(args.windows, "--windows")
-    bad = [i for i in indices if not 0 <= i < len(windows)]
-    if bad:
-        raise DataError(f"window indices {bad} out of range "
-                        f"[0, {len(windows)})")
-    os.makedirs(args.out_dir, exist_ok=True)
     paths = export_similarity(state, backbone, windows, args.out_dir,
                               channel_names=series.channel_names,
                               indices=indices)

@@ -44,7 +44,6 @@ class TrainConfig:
     soft_gate: bool = False
     gate_temp: float = 0.05
     gate_lr_scale: float = 1.0
-    binarize: bool = False
     beta_logit_init: float = -5.0
 
     def __post_init__(self):

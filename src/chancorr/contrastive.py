@@ -49,7 +49,6 @@ class HpclConfig:
     tau: float = 0.5
     soft_gate: bool = False
     gate_temp: float = 0.05
-    binarize: bool = False
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -92,7 +91,9 @@ class MaskPair:
 def threshold_masks(m, eps: EpsilonParam, config: HpclConfig | None = None) -> MaskPair:
     """Split a correlation estimate into positive / negative pair masks.
 
-    ``m`` is (..., N, N).  Supports are disjoint by construction (eps > 0).
+    ``m`` is (..., N, N).  Off the diagonal the supports are disjoint
+    (eps > 0); the diagonal is always in the positive support, and also in
+    the negative one where it falls below -eps.
     In hard mode the indicator is a constant: gradient w.r.t. m is 1 on
     kept entries and 0 on dropped entries, and none reaches eps.
     """
@@ -116,12 +117,8 @@ def threshold_masks(m, eps: EpsilonParam, config: HpclConfig | None = None) -> M
     else:
         ad.trace_gate(pos_support)
         ad.trace_gate(neg_support)
-        pos = ad.multiply(m, ad.constant(pos_support.astype(m.dtype)))
-        neg = ad.multiply(m, ad.constant(neg_support.astype(m.dtype)))
-
-    if config.binarize:
-        pos = ad.constant(pos_support.astype(m.dtype))
-        neg = ad.constant(neg_support.astype(m.dtype))
+        pos = ad.multiply(m, ad.constant(pos_support))
+        neg = ad.multiply(m, ad.constant(neg_support))
 
     return MaskPair(pos=pos, neg=neg, pos_support=pos_support, neg_support=neg_support)
 
@@ -158,7 +155,7 @@ def contrastive_loss(x, mask, tau: float = 0.5,
         keep = (np.abs(mask.data) > 0).any(axis=-1)
     else:
         keep = np.broadcast_to(row_support, num.shape)
-    keep_f = keep.astype(x.dtype)
+    keep_f = keep.astype(np.float64)
     counts = np.maximum(keep_f.sum(axis=-1), 1.0)        # (...,)
 
     # dropped rows: make log well-defined there, then weight them out

@@ -41,6 +41,9 @@ __all__ = [
     "correlation_matrix_allocations",
 ]
 
+CURVE_DOMAIN = (-1.0, 1.0)
+CURVE_GRID_POINTS = 201
+
 _allocations = 0
 
 
@@ -62,9 +65,11 @@ def default_rank(n_channels: int) -> int:
 def pearson_matrix(x: np.ndarray) -> np.ndarray:
     """Pearson correlation of channel rows over the full lookback.
 
-    ``x`` is (N, L) or a stack (..., N, L) of raw windows.  Channels with
-    zero variance get correlation 0 with every other channel and 1 with
-    themselves.
+    ``x`` is (N, L) or a stack (..., N, L) of raw windows.  Constant
+    channels get correlation 0 with every other channel and 1 with
+    themselves.  They are found by value, not by variance: a constant
+    whose mean is inexact in floating point leaves a rounding residue
+    whose variance is positive.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2:
@@ -73,7 +78,7 @@ def pearson_matrix(x: np.ndarray) -> np.ndarray:
     centred = x - x.mean(axis=-1, keepdims=True)
     cov = centred @ centred.swapaxes(-1, -2)
     var = np.einsum("...ii->...i", cov)
-    degenerate = var <= 0.0
+    degenerate = (var <= 0.0) | (x.max(axis=-1) == x.min(axis=-1))
     std = np.sqrt(np.where(degenerate, 1.0, var))
     denom = std[..., :, None] * std[..., None, :]
     r = cov / denom
@@ -128,24 +133,15 @@ class DceParams:
             ("dce.e2", self.e2),
         ]
 
-    @property
-    def degree(self) -> int:
-        return self.coef_w.shape[-1] - 1
-
-    @property
-    def rank(self) -> int:
-        return self.q.shape[-1]
-
 
 def init_dce_params(n_channels: int, repr_dim: int, degree: int = 3,
-                    rank: int | None = None, embed_dim: int = 8,
-                    rng: np.random.Generator | None = None) -> DceParams:
+                    rank: int | None = None, embed_dim: int = 8, *,
+                    rng: np.random.Generator) -> DceParams:
     """Initialise so the learned part starts near zero (M starts at R).
 
     q ~ U(-0.5, 0.5); E1, E2 ~ N(0, 0.1); the coefficient affine starts
     small so tanh outputs (and hence Q) are near zero at initialisation.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
     m = rank if rank is not None else default_rank(n_channels)
     return DceParams(
         q=ad.parameter(rng.uniform(-0.5, 0.5, size=(n_channels, m))),
@@ -220,23 +216,20 @@ def low_rank_additive_split(q_static: np.ndarray, q_resid: np.ndarray,
     return static_term, varying_term, residual
 
 
-def polynomial_degree_error_curve(target, degrees, domain=(-1.0, 1.0),
-                                  grid_points: int = 201):
+def polynomial_degree_error_curve(target, degrees):
     """Least-squares polynomial fit error of ``target`` per degree.
 
-    For each degree K a polynomial is fitted on a uniform grid over
-    ``domain`` by least squares; reported is the max abs error on that grid
-    together with the design-matrix condition number (large = the fit is
-    numerically fragile and the error floor is conditioning-limited).
+    For each degree K a polynomial is fitted by least squares on
+    `CURVE_GRID_POINTS` uniform points over `CURVE_DOMAIN`; reported is the
+    max abs error on that grid together with the design-matrix condition
+    number (large = the fit is numerically fragile and the error floor is
+    conditioning-limited).
 
     Returns a list of ``(degree, max_abs_error, condition)`` tuples in the
     order given.  Adding a degree can only shrink (never grow) the error,
     up to that floor.
     """
-    lo, hi = float(domain[0]), float(domain[1])
-    if not hi > lo:
-        raise ValueError("domain must be an increasing interval")
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(*CURVE_DOMAIN, CURVE_GRID_POINTS)
     values = np.asarray([float(target(t)) for t in grid])
     curve = []
     for k in degrees:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correlation import pearson_matrix
+from .serialize import atomic_open
 
 __all__ = [
     "DataError",
@@ -49,6 +50,9 @@ __all__ = [
 AR_COEFF = 0.7
 SEASON_PERIOD = 24
 SEASON_AMP = 0.3
+# planted regimes: correlation within a channel block, |correlation| across
+BLOCK_CORR = 0.75
+CROSS_CORR = 0.6
 
 
 class DataError(ValueError):
@@ -60,8 +64,8 @@ class MultivariateSeries:
     values: np.ndarray                  # (N, T)
     channel_names: list = None
     timestamps: list = None             # optional, length T
-    freq: str = ""
     dropped_rows: tuple = ()            # 1-based data-row indices removed at load
+    gaps: tuple = ()                    # ascending t: dropped rows lie between t-1 and t
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -116,18 +120,18 @@ class PlantedStructure:
         return self.matrices[0].shape[0]
 
 
-def _block_matrix(n, block_corr, cross_corr):
+def _block_matrix(n, cross_corr):
     """Two equicorrelated blocks (first ceil(n/2) channels vs the rest)."""
     b1 = (n + 1) // 2
     c = np.full((n, n), cross_corr, dtype=np.float64)
-    c[:b1, :b1] = block_corr
-    c[b1:, b1:] = block_corr
+    c[:b1, :b1] = BLOCK_CORR
+    c[b1:, b1:] = BLOCK_CORR
     np.fill_diagonal(c, 1.0)
     return c
 
 
-def planted_regime(kind: str, n_channels: int = 8, segment_len: int = 1024,
-                   block_corr: float = 0.75, cross_corr: float = 0.6) -> PlantedStructure:
+def planted_regime(kind: str, n_channels: int = 8,
+                   segment_len: int = 1024) -> PlantedStructure:
     """Preset structures realizing the three correlation regimes.
 
     partial        one matrix, two correlated blocks, zero across -> small |c|
@@ -138,14 +142,14 @@ def planted_regime(kind: str, n_channels: int = 8, segment_len: int = 1024,
     if n_channels < 3:
         raise DataError("regimes need at least 3 channels")
     if kind == "partial":
-        mats = [_block_matrix(n_channels, block_corr, 0.0)]
+        mats = [_block_matrix(n_channels, 0.0)]
         tags = {"dynamic": False, "heterogeneous": False, "partial": True}
     elif kind == "heterogeneous":
-        mats = [_block_matrix(n_channels, block_corr, -cross_corr)]
+        mats = [_block_matrix(n_channels, -CROSS_CORR)]
         tags = {"dynamic": False, "heterogeneous": True, "partial": False}
     elif kind == "dynamic":
-        mats = [_block_matrix(n_channels, block_corr, cross_corr),
-                _block_matrix(n_channels, block_corr, -cross_corr)]
+        mats = [_block_matrix(n_channels, CROSS_CORR),
+                _block_matrix(n_channels, -CROSS_CORR)]
         tags = {"dynamic": True, "heterogeneous": True, "partial": False}
     else:
         raise DataError(f"unknown regime {kind!r} "
@@ -210,7 +214,7 @@ def generate_synthetic(structure: PlantedStructure, t_total: int,
         s[:, t] = AR_COEFF * s[:, t - 1] + innov[:, t]
 
     values = s * _seasonal(np.arange(t_total), season_amp) + eta
-    series = MultivariateSeries(values=values, freq="synthetic")
+    series = MultivariateSeries(values=values)
     return series, structure
 
 
@@ -291,7 +295,7 @@ def verify_regime(series: MultivariateSeries, segment_len: int,
 def save_csv(path, series: MultivariateSeries) -> None:
     """Header ``date,<channels>``; values printed with 17 significant digits
     so a reload is bit-identical."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["date"] + list(series.channel_names))
         stamps = series.timestamps or range(series.length)
@@ -299,65 +303,68 @@ def save_csv(path, series: MultivariateSeries) -> None:
             writer.writerow([stamp] + [format(v, ".17g") for v in series.values[:, t]])
 
 
-def load_csv(path, date_column: str = "date", channels=None,
-             min_rows: int = None) -> MultivariateSeries:
-    """Parse an ETT-style CSV: header row, a date column, numeric channels.
+def load_csv(path) -> MultivariateSeries:
+    """Parse an ETT-style CSV: header row, a ``date`` column, and numeric
+    channels in every other column.
 
-    Rows whose cells are empty or NaN are dropped and reported via
-    ``dropped_rows`` (1-based data-row indices).  A cell that is neither
-    numeric nor empty is an error naming its row and column.
+    Rows with an empty, NaN or infinite cell are dropped and reported via
+    ``dropped_rows`` (1-based data-row indices); where they sat between
+    kept rows, ``gaps`` marks the break so that no window spans it.  Blank
+    lines are skipped and break nothing.  A cell that is neither numeric
+    nor empty is an error naming its row and column.
     """
     try:
-        fh = open(path, "r", newline="", encoding="utf-8")
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            lines = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip() for h in header]
-        if date_column not in header:
-            raise DataError(f"{path}: no {date_column!r} column in header {header}")
-        date_idx = header.index(date_column)
-        if channels is None:
-            channels = [h for i, h in enumerate(header) if i != date_idx]
-        missing = [c for c in channels if c not in header]
-        if missing:
-            raise DataError(f"{path}: missing channel columns {missing}")
-        col_idx = [header.index(c) for c in channels]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not a readable CSV ({exc})") from exc
+    if not lines:
+        raise DataError(f"{path}: empty file, expected a header row")
+    header = [h.strip() for h in lines[0]]
+    if "date" not in header:
+        raise DataError(f"{path}: no 'date' column in header {header}")
+    date_idx = header.index("date")
+    col_idx = [i for i in range(len(header)) if i != date_idx]
+    channels = [header[i] for i in col_idx]
+    if not channels:
+        raise DataError(f"{path}: no channel columns")
 
-        stamps, rows, dropped = [], [], []
-        for row_no, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
+    stamps, rows, dropped, gaps = [], [], [], []
+    gap = False
+    for row_no, row in enumerate(lines[1:], start=1):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        parsed, drop = [], False
+        for c, name in zip(col_idx, channels):
+            cell = row[c].strip() if c < len(row) else ""
+            if cell == "" or cell.lower() == "nan":
+                drop = True
                 continue
-            parsed, drop = [], False
-            for c, name in zip(col_idx, channels):
-                cell = row[c].strip() if c < len(row) else ""
-                if cell == "" or cell.lower() == "nan":
-                    drop = True
-                    continue
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path}: unparseable cell at row {row_no}, "
-                        f"column {name!r}: {row[c]!r}") from None
-                if not math.isfinite(parsed[-1]):
-                    drop = True
-            if drop:
-                dropped.append(row_no)
-            else:
-                stamps.append(row[date_idx])
-                rows.append(parsed)
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                raise DataError(
+                    f"{path}: unparseable cell at row {row_no}, "
+                    f"column {name!r}: {row[c]!r}") from None
+            if not math.isfinite(parsed[-1]):
+                drop = True
+        if drop:
+            dropped.append(row_no)
+            gap = True
+            continue
+        if gap and rows:
+            gaps.append(len(rows))
+        gap = False
+        stamps.append(row[date_idx] if date_idx < len(row) else "")
+        rows.append(parsed)
     if not rows:
         raise DataError(f"{path}: no usable data rows")
-    if min_rows is not None and len(rows) < min_rows:
-        raise DataError(f"{path}: {len(rows)} usable rows, need at least {min_rows}")
     values = np.asarray(rows, dtype=np.float64).T
     return MultivariateSeries(values=values, channel_names=list(channels),
-                              timestamps=stamps, dropped_rows=tuple(dropped))
+                              timestamps=stamps, dropped_rows=tuple(dropped),
+                              gaps=tuple(gaps))
 
 
 def save_truth(path, structure: PlantedStructure, noise_std: float = None,
@@ -371,7 +378,7 @@ def save_truth(path, structure: PlantedStructure, noise_std: float = None,
         doc["noise_std"] = noise_std
     if seed is not None:
         doc["seed"] = seed
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, indent=1)
 
 
@@ -417,21 +424,27 @@ class WindowSet:
         return self.x.shape[0]
 
 
-def _region_windows(values, lo, hi, lookback, horizon, stride):
-    span = hi - lo - lookback - horizon
-    if span < 0:
+def _region_windows(values, lo, hi, lookback, horizon, stride, gaps):
+    width = lookback + horizon
+    starts = np.arange(lo, hi - width + 1, stride, dtype=np.int64)
+    # keep a start only if the first gap after it comes at or past the
+    # window's end (the series length stands in for "no gap")
+    ends = np.append(np.asarray(gaps, dtype=np.int64), values.shape[1])
+    starts = starts[ends[np.searchsorted(ends, starts, side="right")]
+                    >= starts + width]
+    if len(starts) == 0:
         return WindowSet(x=np.zeros((0, values.shape[0], lookback)),
                          y=np.zeros((0, values.shape[0], horizon)),
-                         starts=np.zeros(0, dtype=np.int64))
-    starts = np.arange(lo, lo + span + 1, stride, dtype=np.int64)
+                         starts=starts)
     x = np.stack([values[:, s:s + lookback] for s in starts])
-    y = np.stack([values[:, s + lookback:s + lookback + horizon] for s in starts])
+    y = np.stack([values[:, s + lookback:s + width] for s in starts])
     return WindowSet(x=x, y=y, starts=starts)
 
 
 def make_windows(series: MultivariateSeries, spec: SplitSpec,
                  lookback: int, horizon: int):
-    """Chronological train/val/test windows; no window crosses a boundary.
+    """Chronological train/val/test windows; no window crosses a split
+    boundary or one of the series' ``gaps``.
 
     Few-shot keeps the chronologically LAST round(frac * count) train windows
     (at least one).  Returns (train, val, test) WindowSets.
@@ -444,10 +457,11 @@ def make_windows(series: MultivariateSeries, spec: SplitSpec,
     fracs = [spec.train_frac, spec.val_frac, spec.test_frac]
     out = []
     for name, frac, (lo, hi) in zip(names, fracs, regions):
-        ws = _region_windows(series.values, lo, hi, lookback, horizon, spec.stride)
+        ws = _region_windows(series.values, lo, hi, lookback, horizon,
+                             spec.stride, series.gaps)
         if frac > 0 and len(ws) == 0:
             raise DataError(
-                f"{name} region [{lo}, {hi}) too short for one window "
+                f"{name} region [{lo}, {hi}) holds no gap-free window "
                 f"(lookback {lookback} + horizon {horizon})")
         out.append(ws)
     train, val, test = out

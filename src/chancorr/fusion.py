@@ -45,16 +45,9 @@ class FusionParams:
         out.append(("beta_logits", self.beta_logits))
         return out
 
-    def gate(self) -> np.ndarray:
-        """Current per-channel gate values in (0, 1)."""
-        with ad.no_grad():
-            beta = ad.sigmoid(self.beta_logits).data.copy()
-        ad.check_finite(beta, "gate")
-        return beta
-
 
 def init_fusion_params(n_channels: int, n_patches: int, repr_dim: int,
-                       horizon: int, depth: int = 3, rng=None,
+                       horizon: int, rng: np.random.Generator, depth: int = 3,
                        beta_logit_init: float = -5.0) -> FusionParams:
     """Fresh fusion parameters.
 
@@ -62,8 +55,6 @@ def init_fusion_params(n_channels: int, n_patches: int, repr_dim: int,
     fuse_predict initially returns (1 - sigmoid(beta_logit_init)) * yhat plus
     exactly nothing from the head branch.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     flat = n_patches * repr_dim
     return FusionParams(
         post=init_hd_params(n_patches, repr_dim, depth, rng),

@@ -11,11 +11,12 @@ Layout (all integers little-endian):
                      "arrays": [{"name": str, "shape": [...], "dtype": str}, ...]}
     16+H    --    array payloads, C-order, little-endian, in manifest order
 
-Only 64-bit payload dtypes are stored ("float64", "int64").  Writes go to a
-temporary file in the same directory and are renamed into place, so a crash
-mid-write never leaves a truncated checkpoint behind.
+Only 64-bit payload dtypes are stored ("float64", "int64").  Writes go
+through `atomic_open`, so a crash mid-write never leaves a truncated
+checkpoint behind.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -23,8 +24,8 @@ import struct
 
 import numpy as np
 
-__all__ = ["SerializationError", "save_arrays", "load_arrays", "header_ints",
-           "MAGIC", "VERSION"]
+__all__ = ["SerializationError", "atomic_open", "save_arrays", "load_arrays",
+           "load_checkpoint", "check_arrays", "MAGIC", "VERSION"]
 
 MAGIC = b"CHANCORR"
 VERSION = 1
@@ -33,6 +34,26 @@ _DTYPES = {"float64": np.dtype("<f8"), "int64": np.dtype("<i8")}
 
 class SerializationError(ValueError):
     """Corrupt, truncated, or unsupported checkpoint file."""
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Write ``path`` all at once or not at all.
+
+    Yields the sibling file ``<path>.tmp.<pid>`` opened in ``mode`` (text
+    modes as UTF-8, newlines untranslated).  On success it is renamed over
+    ``path``; if the body raises, it is removed and ``path`` is untouched.
+    """
+    tmp = f"{path}.tmp.{os.getpid()}"
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def save_arrays(path, config: dict, arrays: dict) -> None:
@@ -51,14 +72,12 @@ def save_arrays(path, config: dict, arrays: dict) -> None:
         manifest.append({"name": str(name), "shape": list(arr.shape), "dtype": dtype})
     header = json.dumps({"config": config, "arrays": manifest}).encode("utf-8")
 
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(header)))
         fh.write(header)
         for block in payloads:
             fh.write(block.tobytes())
-    os.replace(tmp, path)
 
 
 def load_arrays(path):
@@ -92,7 +111,9 @@ def load_arrays(path):
             name, shape, dtype = entry["name"], tuple(entry["shape"]), entry["dtype"]
         except (KeyError, TypeError) as exc:
             raise SerializationError(f"{path}: malformed manifest entry") from exc
-        if dtype not in _DTYPES:
+        if type(name) is not str or name in arrays:
+            raise SerializationError(f"{path}: bad or repeated array name {name!r}")
+        if type(dtype) is not str or dtype not in _DTYPES:
             raise SerializationError(f"{path}: array {name!r} has dtype {dtype!r}")
         if not all(type(n) is int and n >= 0 for n in shape):
             raise SerializationError(f"{path}: array {name!r} has shape {shape}")
@@ -107,10 +128,27 @@ def load_arrays(path):
     return config, arrays
 
 
-def header_ints(path, config: dict, *keys: str) -> list[int]:
-    """Integer fields of a checkpoint header, in the order of ``keys``; a
-    missing or non-integer field is a `SerializationError`."""
-    bad = [key for key in keys if type(config.get(key)) is not int]
+def load_checkpoint(path, kind: str, *int_keys: str):
+    """`load_arrays` plus the header checks every typed checkpoint shares:
+    its ``kind`` must match, and each of ``int_keys`` must hold an integer
+    >= 0.
+    Returns ``(config, arrays, [the int_keys values])``."""
+    config, arrays = load_arrays(path)
+    if config.get("kind") != kind:
+        raise SerializationError(f"{path}: checkpoint kind "
+                                 f"{config.get('kind')!r}, expected {kind!r}")
+    bad = [key for key in int_keys
+           if type(config.get(key)) is not int or config[key] < 0]
     if bad:
-        raise SerializationError(f"{path}: header fields {bad} are not integers")
-    return [config[key] for key in keys]
+        raise SerializationError(f"{path}: header fields {bad} must be integers >= 0")
+    return config, arrays, [config[key] for key in int_keys]
+
+
+def check_arrays(path, arrays: dict, shapes: dict) -> None:
+    """A checkpoint must hold exactly the arrays named in ``shapes``
+    (name -> expected shape tuple); anything else is a `SerializationError`."""
+    bad = sorted(name for name in shapes.keys() | arrays.keys()
+                 if name not in arrays or arrays[name].shape != shapes.get(name))
+    if bad:
+        raise SerializationError(
+            f"{path}: arrays {bad} are missing, unexpected or misshapen")

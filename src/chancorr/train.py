@@ -21,9 +21,10 @@ from .backbone import (BackboneConfig, BackboneState, backbone_forward,
                        pretrain_backbone)
 from .config import TrainConfig, with_updates
 from .correlation import correlation_matrix_allocations, pearson_matrix
-from .data import (SplitSpec, WindowSet, generate_synthetic, make_windows,
-                   planted_regime)
+from .data import (DataError, SplitSpec, WindowSet, generate_synthetic,
+                   make_windows, planted_regime)
 from .optim import Adam
+from .serialize import atomic_open
 
 
 class DivergenceError(RuntimeError):
@@ -73,10 +74,8 @@ class MetricsReport:
 
 
 def write_text_atomic(path, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         fh.write(text)
-    os.replace(tmp, path)
 
 
 def _snapshot(state: AdapterState):
@@ -88,15 +87,29 @@ def _restore(state: AdapterState, snap) -> None:
         tensor.data[...] = value
 
 
+def _chunks(windows: WindowSet, chunk: int):
+    for lo in range(0, len(windows), chunk):
+        yield windows.x[lo:lo + chunk], windows.y[lo:lo + chunk]
+
+
+def _mse_mae(pairs):
+    """Raw-space (MSE, MAE) over ``(forecast, target)`` pairs, pooled over
+    every channel, horizon step and window; no pairs is a `DataError`."""
+    sq, ab, count = 0.0, 0.0, 0
+    for forecast, y in pairs:
+        diff = forecast - y
+        sq += float((diff ** 2).sum())
+        ab += float(np.abs(diff).sum())
+        count += y.size
+    if count == 0:
+        raise DataError("no windows to score")
+    return sq / count, ab / count
+
+
 def _raw_mse(state: AdapterState, chunks) -> float:
     """Raw-space MSE of the adapter (inference path) over precomputed
     ``(backbone output, target)`` chunks."""
-    total, count = 0.0, 0
-    for out, y in chunks:
-        ystar = predict(state, out)
-        total += float(((ystar - y) ** 2).sum())
-        count += y.size
-    return total / max(count, 1)
+    return _mse_mae((predict(state, out), y) for out, y in chunks)[0]
 
 
 def fit(config: TrainConfig, train: WindowSet, val: WindowSet,
@@ -122,8 +135,8 @@ def fit(config: TrainConfig, train: WindowSet, val: WindowSet,
 
     out_tr = backbone_forward(backbone, train.x)
     y_norm = (train.y - out_tr.mean) / out_tr.std
-    val_chunks = [(backbone_forward(backbone, val.x[lo:lo + 512]),
-                   val.y[lo:lo + 512]) for lo in range(0, len(val), 512)]
+    val_chunks = [(backbone_forward(backbone, x), y)
+                  for x, y in _chunks(val, 512)]
     r_cache = None
     if config.hpcl:
         r_cache = pearson_matrix(train.x)
@@ -204,38 +217,23 @@ def evaluate(state: AdapterState, backbone: BackboneState, test: WindowSet,
     checked before/after to enforce that no correlation matrices are built
     (a RuntimeError if one was).
     """
-    if len(test) == 0:
-        raise ValueError("empty test split")
     if test.x.shape[1] != state.n_channels:
         raise ad.ShapeMismatchError(
             f"adapter built for {state.n_channels} channels, "
             f"got {test.x.shape[1]}")
     allocations_before = correlation_matrix_allocations()
-    sq, ab, count = 0.0, 0.0, 0
-    for lo in range(0, len(test), chunk):
-        x = test.x[lo:lo + chunk]
-        y = test.y[lo:lo + chunk]
-        ystar = predict(state, backbone_forward(backbone, x))
-        diff = ystar - y
-        sq += float((diff ** 2).sum())
-        ab += float(np.abs(diff).sum())
-        count += y.size
+    scores = _mse_mae((predict(state, backbone_forward(backbone, x)), y)
+                      for x, y in _chunks(test, chunk))
     if correlation_matrix_allocations() != allocations_before:
         raise RuntimeError("inference path built a correlation matrix")
-    return sq / count, ab / count
+    return scores
 
 
 def backbone_mse_mae(backbone: BackboneState, test: WindowSet,
                      chunk: int = 512):
     """Raw-space (MSE, MAE) of the frozen backbone alone."""
-    sq, ab, count = 0.0, 0.0, 0
-    for lo in range(0, len(test), chunk):
-        out = backbone_forward(backbone, test.x[lo:lo + chunk])
-        diff = out.yhat - test.y[lo:lo + chunk]
-        sq += float((diff ** 2).sum())
-        ab += float(np.abs(diff).sum())
-        count += test.y[lo:lo + chunk].size
-    return sq / count, ab / count
+    return _mse_mae((backbone_forward(backbone, x).yhat, y)
+                    for x, y in _chunks(test, chunk))
 
 
 ABLATION_ROWS = (
@@ -287,8 +285,7 @@ def few_shot_scenario(regime: str, seed: int, n_channels: int = 8,
                       segment_len: int = 1024, pre_length: int = 3072,
                       pre_noise: float = 0.1, pre_stride: int = 7,
                       length: int = 8192, noise_std: float = 0.7,
-                      few_shot: float = 0.05,
-                      backbone_config: BackboneConfig | None = None):
+                      few_shot: float = 0.05):
     """Planted-regime few-shot setup: (backbone, train, val, test).
 
     The backbone is ridge-pretrained on a separate low-noise realisation of
@@ -298,9 +295,8 @@ def few_shot_scenario(regime: str, seed: int, n_channels: int = 8,
     This mirrors the deployment story: a capable frozen forecaster meeting
     a small, distribution-shifted target.
     """
-    bb_cfg = backbone_config or BackboneConfig(lookback=96, horizon=24,
-                                               patch_len=16, repr_dim=32,
-                                               seed=seed)
+    bb_cfg = BackboneConfig(lookback=96, horizon=24, patch_len=16,
+                            repr_dim=32, seed=seed)
     structure = planted_regime(regime, n_channels=n_channels,
                                segment_len=segment_len)
     pre_series, _ = generate_synthetic(structure, pre_length,
@@ -336,12 +332,6 @@ def few_shot_protocol(**overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
-def _cosine_matrix(views: np.ndarray) -> np.ndarray:
-    norms = np.sqrt((views ** 2).sum(axis=-1, keepdims=True))
-    unit = views / np.maximum(norms, 1e-24)
-    return unit @ unit.T
-
-
 def export_similarity(state: AdapterState, backbone: BackboneState,
                       windows: WindowSet, out_dir, channel_names=None,
                       indices=(0,)):
@@ -349,24 +339,26 @@ def export_similarity(state: AdapterState, backbone: BackboneState,
 
     Files land in ``out_dir`` as sim_w{index}_pos.csv / _neg.csv with a
     channel-name header row and a leading label column.  Returns the list
-    of written paths.
+    of written paths; an index outside ``windows`` is a `DataError`, raised
+    before any file is written.
     """
-    if len(windows) == 0:
-        raise ValueError("no windows to export")
     n = windows.x.shape[1]
     names = list(channel_names) if channel_names else [
         f"ch{i}" for i in range(n)]
     if len(names) != n:
         raise ValueError(f"{len(names)} channel names for {n} channels")
+    bad = [i for i in indices if not 0 <= i < len(windows)]
+    if bad:
+        raise DataError(f"window indices {bad} out of range "
+                        f"[0, {len(windows)})")
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for index in indices:
-        if not 0 <= index < len(windows):
-            raise IndexError(f"window {index} out of range 0..{len(windows)-1}")
         out = backbone_forward(backbone, windows.x[index])
         pos, neg = branch_views(state, out)
         for tag, views in (("pos", pos), ("neg", neg)):
-            sim = _cosine_matrix(views)
+            with ad.no_grad():
+                sim = ad.cosine_similarity_matrix(ad.constant(views)).data
             lines = ["," + ",".join(names)]
             for i, row in enumerate(sim):
                 lines.append(names[i] + "," + ",".join("%.17g" % v for v in row))

@@ -15,6 +15,7 @@ from chancorr.adapter import (backbone_parameter_count, branch_views,
 from chancorr.backbone import BackboneConfig, backbone_forward, pretrain_backbone
 from chancorr.config import TrainConfig, with_updates
 from chancorr.correlation import correlation_matrix_allocations, pearson_matrix
+from chancorr.projection import divide
 from chancorr.serialize import SerializationError, load_arrays
 
 DATA = Path(__file__).parent / "data"
@@ -161,14 +162,34 @@ def test_correlation_estimate_full_blends_components():
     assert np.all(np.isfinite(m.data))
 
 
+def _transposed_views(state, out):
+    """Reference: the (..., P, N, d) branch outputs moved to (..., N, P*d)
+    by a plain numpy transpose and reshape."""
+    with ad.no_grad():
+        views = divide(state.hd, ad.constant(out.repr))
+    flat = []
+    for v in views:
+        nd = v.ndim
+        moved = np.transpose(v.data, tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1))
+        flat.append(moved.reshape(moved.shape[:-2] + (-1,)))
+    return flat
+
+
 def test_branch_views_shapes():
     backbone, x, _ = tiny_backbone(seed=8)
     state = init_adapter(backbone, 4, small_config())
-    out = backbone_forward(backbone, x)
-    pos, neg = branch_views(state, out)
-    assert pos.shape == (40, 4, 3 * 8)
-    assert neg.shape == pos.shape
-    assert np.all(np.isfinite(pos)) and np.all(np.isfinite(neg))
+    rng = np.random.default_rng(9)
+    for _, t in named_parameters(state):
+        t.data[...] += rng.normal(0.0, 0.1, size=t.shape)
+    for windows in (x, x[5]):
+        out = backbone_forward(backbone, windows)
+        pos, neg = branch_views(state, out)
+        assert pos.shape == windows.shape[:-1] + (3 * 8,)
+        assert neg.shape == pos.shape
+        ref_pos, ref_neg = _transposed_views(state, out)
+        assert pos.tobytes() == ref_pos.tobytes()
+        assert neg.tobytes() == ref_neg.tobytes()
+        assert not np.array_equal(pos, neg)
 
 
 @pytest.mark.parametrize("overrides", [

@@ -268,6 +268,7 @@ def test_grad_check_flags_nondeterminism():
         ad.grad_check(noisy, [])
 
 
+@pytest.mark.filterwarnings("error")
 def test_grad_check_rejects_non_finite_evaluations():
     x = ad.parameter(np.array([1.0, 2.0]))
     nan = ad.constant(np.array([np.nan, 1.0]))

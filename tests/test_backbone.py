@@ -68,10 +68,13 @@ def _raw_checkpoint(path, header, payload=b""):
                      + body + payload)
 
 
-def _without(path, source, key=None, array=None):
+def _edited(path, source, key=None, array=None, **updates):
+    """Copy of ``source`` without header field ``key`` and array ``array``,
+    and with the header ``updates`` applied."""
     config, arrays = serialize.load_arrays(source)
     config.pop(key, None)
     arrays.pop(array, None)
+    config.update(updates)
     serialize.save_arrays(path, config, arrays)
 
 
@@ -88,7 +91,9 @@ def _entry(name, shape):
 @pytest.mark.parametrize("case", [
     "negative-dim", "non-integer-dim", "arrays-not-a-list",
     "config-not-an-object", "adapter-without-n_channels",
-    "backbone-without-lookback", "backbone-without-head"])
+    "adapter-with-zero-epochs", "adapter-with-negative-n_channels",
+    "backbone-without-lookback",
+    "backbone-without-head", "backbone-with-patch_len-7"])
 def test_loaders_reject_malformed_headers(tmp_path, case):
     """Every malformed header is a SerializationError, never another
     exception or header bytes returned as payload."""
@@ -107,11 +112,17 @@ def test_loaders_reject_malformed_headers(tmp_path, case):
     elif case == "config-not-an-object":
         _raw_checkpoint(path, {"config": [1], "arrays": []})
     elif case == "adapter-without-n_channels":
-        _without(path, V1_ADAPTER, key="n_channels")
+        _edited(path, V1_ADAPTER, key="n_channels")
+    elif case == "adapter-with-zero-epochs":
+        _edited(path, V1_ADAPTER, epochs=0)
+    elif case == "adapter-with-negative-n_channels":
+        _edited(path, V1_ADAPTER, n_channels=-2)
     elif case == "backbone-without-lookback":
-        _without(path, good, key="lookback")
+        _edited(path, good, key="lookback")
+    elif case == "backbone-with-patch_len-7":
+        _edited(path, good, patch_len=7)
     else:
-        _without(path, good, array="head")
+        _edited(path, good, array="head")
     with pytest.raises(serialize.SerializationError):
         if case.endswith("dim") or case == "arrays-not-a-list":
             serialize.load_arrays(path)
@@ -125,6 +136,18 @@ def test_save_is_atomic_no_tmp_left(tmp_path):
     path = tmp_path / "blob.bin"
     serialize.save_arrays(path, {}, {"a": np.zeros(3)})
     assert [p.name for p in tmp_path.iterdir()] == ["blob.bin"]
+
+
+@pytest.mark.parametrize("mode", ["w", "wb"])
+def test_failed_atomic_write_leaves_old_file_and_no_tmp(tmp_path, mode):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old contents")
+    with pytest.raises(RuntimeError, match="disk full"):
+        with serialize.atomic_open(path, mode) as fh:
+            fh.write("partial" if mode == "w" else b"partial")
+            raise RuntimeError("disk full")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    assert path.read_bytes() == b"old contents"
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +245,6 @@ def test_zero_variance_channel_predicts_its_level():
     x = rng.normal(size=(3, CFG.lookback))
     x[1] = 4.25
     out = bb.backbone_forward(state, x)
-    assert out.constant_mask.tolist() == [False, True, False]
     assert np.abs(out.yhat[1] - 4.25).max() < 1e-12
 
 

@@ -20,8 +20,7 @@ def test_loglog_slope_of_constant_times_is_zero():
 
 def test_table_layout():
     res = BenchResult(mode="inference", n_list=(2, 4, 8, 16),
-                      medians=[1e-3, 2e-3, 4e-3, 8e-3], slope=1.0,
-                      reps=3)
+                      medians=[1e-3, 2e-3, 4e-3, 8e-3], slope=1.0)
     lines = res.table().splitlines()
     assert lines[0] == "n_channels,median_seconds"
     assert lines[1] == "2,0.001000000"

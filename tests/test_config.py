@@ -75,6 +75,7 @@ def test_parse_rank_auto_and_int():
 
 @pytest.mark.parametrize("line,fragment", [
     ("mystery = 1", "unknown key"),
+    ("binarize = on", "unknown key"),
     ("lr 0.01", "expected key = value"),
     ("epochs = three", "expected an integer"),
     ("lr = fast", "expected a number"),

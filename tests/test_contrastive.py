@@ -206,13 +206,6 @@ def test_soft_gate_trains_epsilon():
     assert m.grad is not None
 
 
-def test_binarize_flag_uses_indicators():
-    m = np.array([[1.0, 0.6], [0.6, 1.0]])
-    eps = ct.init_epsilon(0.3)
-    masks = ct.threshold_masks(ad.constant(m), eps, ct.HpclConfig(binarize=True))
-    assert set(np.unique(masks.pos.data)) <= {0.0, 1.0}
-
-
 def test_empty_negative_mask_contributes_zero():
     rng = np.random.default_rng(61)
     x = rng.normal(size=(2, 3, 4))

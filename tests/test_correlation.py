@@ -261,7 +261,7 @@ def test_additive_split_zero_residual_part():
 
 
 def test_degree_error_curve_exponential():
-    curve = corr.polynomial_degree_error_curve(math.exp, range(5), (-1.0, 1.0))
+    curve = corr.polynomial_degree_error_curve(math.exp, range(5))
     errs = [e for _, e, _ in curve]
     # strictly better with every added degree, and the Maclaurin remainder
     # bound e/(K+1)! dominates each least-squares error
@@ -273,9 +273,9 @@ def test_degree_error_curve_exponential():
 
 
 def test_degree_error_curve_reports_conditioning():
-    curve = corr.polynomial_degree_error_curve(math.sin, [2, 12], (-8.0, 8.0))
+    curve = corr.polynomial_degree_error_curve(math.sin, [2, 20])
     (k_lo, err_lo, cond_lo), (k_hi, err_hi, cond_hi) = curve
-    assert cond_hi > cond_lo            # wide domain, high degree: fragile
+    assert cond_hi > cond_lo            # high degree: fragile
     assert cond_hi > 1e6
     assert err_hi <= err_lo             # but more degrees still never hurt
     assert math.isfinite(err_hi)
@@ -283,7 +283,7 @@ def test_degree_error_curve_reports_conditioning():
 
 def test_degree_error_curve_non_increasing_other_targets():
     for target in (math.sin, lambda t: 1.0 / (1.0 + t * t)):
-        curve = corr.polynomial_degree_error_curve(target, range(7), (-1.0, 1.0))
+        curve = corr.polynomial_degree_error_curve(target, range(7))
         errs = [e for _, e, _ in curve]
         for k in range(1, len(errs)):
             assert errs[k] <= errs[k - 1] + 1e-12

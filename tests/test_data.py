@@ -188,15 +188,9 @@ def test_csv_missing_columns(tmp_path):
     path.write_text("time,a\n1,2.0\n")
     with pytest.raises(dt.DataError):
         dt.load_csv(path)                       # no 'date' column
-    with pytest.raises(dt.DataError):
-        dt.load_csv(path, date_column="time", channels=["a", "zzz"])
-
-
-def test_csv_min_rows(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text("date,a\n1,2.0\n2,3.0\n")
-    with pytest.raises(dt.DataError):
-        dt.load_csv(path, min_rows=5)
+    path.write_text("date\n1\n2\n")
+    with pytest.raises(dt.DataError, match="no channel columns"):
+        dt.load_csv(path)
 
 
 def test_csv_round_trip_bit_identical(tmp_path):
@@ -284,6 +278,37 @@ def test_insufficient_split_raises():
     spec = dt.SplitSpec(train_frac=0.7, val_frac=0.1, test_frac=0.2)
     with pytest.raises(dt.DataError):
         dt.make_windows(series_of_length(100), spec, 24, 8)  # val region ~10
+
+
+def _gapped_csv(path, blank_lines=False):
+    """12 rows, 2 channels, NaN in data row 6; channel ``a`` holds the
+    row's time index, so a window is gap-free when ``a`` steps by 1."""
+    rows = [f"{t},{'nan' if t == 5 else t},{2 * t}" for t in range(12)]
+    if blank_lines:
+        rows.insert(5, "")          # just before the NaN row
+        rows.insert(2, ",")
+    path.write_text("date,a,b\n" + "\n".join(rows) + "\n")
+    return dt.load_csv(path)
+
+
+@pytest.mark.parametrize("blank_lines", [False, True])
+def test_windows_never_span_dropped_rows(tmp_path, blank_lines):
+    series = _gapped_csv(tmp_path / "g.csv", blank_lines)
+    assert series.gaps == (5,)
+    spec = dt.SplitSpec(train_frac=1.0, val_frac=0.0, test_frac=0.0)
+    train, _, _ = dt.make_windows(series, spec, 3, 2)
+    # 7 windows fit in 11 kept rows; the 4 that start at 1..4 cross the gap
+    assert train.starts.tolist() == [0, 5, 6]
+    for x, y in zip(train.x, train.y):
+        assert np.all(np.diff(np.concatenate([x[0], y[0]])) == 1.0)
+
+
+def test_gap_free_series_records_no_gaps(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("date,a\n1,nan\n2,1.0\n\n3,2.0\n4,nan\n")
+    series = dt.load_csv(path)
+    assert series.dropped_rows == (1, 5)
+    assert series.gaps == ()        # leading/trailing drops and blanks
 
 
 def test_split_spec_validation():

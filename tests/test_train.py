@@ -5,12 +5,14 @@ import pytest
 
 from chancorr.backbone import BackboneConfig, backbone_forward, pretrain_backbone
 from chancorr.config import TrainConfig, with_updates
-from chancorr.data import (SplitSpec, WindowSet, generate_synthetic,
-                           make_windows, planted_regime)
+from chancorr.data import (DataError, SplitSpec, WindowSet,
+                           generate_synthetic, make_windows, planted_regime)
 from chancorr.train import (ABLATION_ROWS, DivergenceError, ablate,
                             backbone_mse_mae, evaluate, export_similarity,
                             fit)
+from chancorr import autodiff as ad
 from chancorr import train as train_module
+from chancorr.projection import divide
 from chancorr.adapter import init_adapter, predict, state_tensors
 
 BB = BackboneConfig(lookback=24, horizon=6, patch_len=8, repr_dim=8, seed=0)
@@ -194,6 +196,43 @@ def test_ablation_rows_and_csv():
     for row in rows:
         assert len(row["per_seed"]) == 2
         assert np.isfinite(row["mean_mse"])
+
+
+def test_export_similarity_matches_numpy_reference(tmp_path):
+    """The exported CSVs equal, digit for digit, cosine similarities of
+    views flattened by a numpy transpose."""
+    backbone, train, val, test = scenario(seed=12)
+    state = init_adapter(backbone, 4, quick_config())
+    rng = np.random.default_rng(13)
+    for _, t in state_tensors(state):
+        t.data[...] += rng.normal(0.0, 0.1, size=t.shape)
+    export_similarity(state, backbone, test, tmp_path, indices=(0, 2))
+    with ad.no_grad():
+        for index in (0, 2):
+            rep = backbone_forward(backbone, test.x[index]).repr
+            views = divide(state.hd, ad.constant(rep))
+            for tag, v in zip(("pos", "neg"), views):
+                flat = np.transpose(v.data, (1, 0, 2)).reshape(4, -1)
+                norms = np.sqrt((flat ** 2).sum(axis=-1, keepdims=True))
+                unit = flat / np.maximum(norms, 1e-24)
+                sim = unit @ unit.T
+                text = (tmp_path / f"sim_w{index}_{tag}.csv").read_text()
+                rows = [line.split(",")[1:] for line in text.splitlines()[1:]]
+                assert rows == [["%.17g" % c for c in row] for row in sim]
+    with pytest.raises(DataError):      # checked before anything is written
+        export_similarity(state, backbone, test, tmp_path / "none",
+                          indices=(0, len(test)))
+    assert not (tmp_path / "none").exists()
+
+
+def test_scoring_an_empty_split_is_a_data_error():
+    backbone, train, val, test = scenario(seed=0)
+    empty = WindowSet(x=test.x[:0], y=test.y[:0], starts=test.starts[:0])
+    state = init_adapter(backbone, 4, quick_config())
+    with pytest.raises(DataError):
+        evaluate(state, backbone, empty)
+    with pytest.raises(DataError):
+        backbone_mse_mae(backbone, empty)
 
 
 def test_export_similarity_zero_init_branches_agree(tmp_path):
