@@ -12,13 +12,15 @@ Conventions
   `NonFiniteError` on violation.  Under ``no_grad`` the ops do only the
   arithmetic and let NaN/Inf propagate; each caller that evaluates under
   ``no_grad`` checks its final output once with `check_finite`.
-* ``softmax`` subtracts the per-slice maximum before exponentiation;
-  ``layer_norm`` normalises over the last axis with eps `LAYER_NORM_EPS`.
-* Hard gates (``relu`` here, threshold masks downstream) follow the
-  subgradient convention: gradient 1 on kept entries, 0 on dropped ones.
-  Gate decisions can be traced (see ``record_gates``) so the finite
-  difference checker can exclude coordinates whose perturbation flips a
-  gate, where a two-sided difference quotient is meaningless.
+* ``softmax`` and ``log_mass_ratio`` subtract the per-slice maximum
+  before exponentiation; ``layer_norm`` normalises over the last axis
+  with eps `LAYER_NORM_EPS`.
+* Hard gates (``relu``, and ``gate`` behind the threshold masks
+  downstream) follow the subgradient convention: gradient 1 on kept
+  entries, 0 on dropped ones.  Gate decisions can be traced (see
+  ``record_gates``) so the finite difference checker can exclude
+  coordinates whose perturbation flips a gate, where a two-sided
+  difference quotient is meaningless.
 * Graph recording is single-threaded.  Tensors with ``requires_grad=False``
   are immutable constants as far as the engine is concerned and may be
   shared freely; inference over independent inputs may run on separate
@@ -57,8 +59,11 @@ __all__ = [
     "tanh",
     "sigmoid",
     "softplus",
+    "absolute",
+    "gate",
     "relu",
     "softmax",
+    "log_mass_ratio",
     "layer_norm",
     "tensor_sum",
     "mean",
@@ -111,7 +116,7 @@ def no_grad():
 
 @contextlib.contextmanager
 def record_gates(sink: list | None):
-    """Collect gate decisions (relu / threshold supports) into ``sink``.
+    """Collect gate decisions (``relu`` / ``gate``) into ``sink``.
 
     Each gated op appends a packed boolean array describing which entries
     were kept.  Comparing sinks from two forward passes tells the gradient
@@ -439,6 +444,27 @@ def softplus(x) -> Tensor:
     return _result(data, [(x, lambda g, s=sig: g * s)], "softplus")
 
 
+def absolute(x) -> Tensor:
+    """|x|, with gradient ``g * sign(x)`` (0 where x == 0)."""
+    x = as_tensor(x)
+    return _result(np.abs(x.data),
+                   [(x, lambda g, xd=x.data: g * np.sign(xd))], "absolute")
+
+
+def gate(x, kept: np.ndarray) -> Tensor:
+    """``x`` on the entries a boolean ``kept`` marks, 0 elsewhere.
+
+    A hard gate: gradient 1 on kept entries, 0 on dropped ones.  The
+    decision is reported to the active `record_gates` sink.
+    """
+    x = as_tensor(x)
+    if kept.shape != x.shape:
+        raise ShapeMismatchError(f"gate: kept {kept.shape} does not match {x.shape}")
+    trace_gate(kept)
+    return _result(x.data * kept,
+                   [(x, lambda g: np.multiply(g, kept, order="C"))], "gate")
+
+
 def relu(x) -> Tensor:
     """max(x, 0); a NaN input stays NaN in the output."""
     x = as_tensor(x)
@@ -459,6 +485,49 @@ def softmax(x, axis: int = -1) -> Tensor:
         return s * (g - dot)
 
     return _result(data, [(x, grad_x)], "softmax")
+
+
+def log_mass_ratio(sims, weights, pad: np.ndarray, inv_tau: float) -> Tensor:
+    """Per-row ``log(sum_j w_ij e_ij + pad_i) - log(sum_k e_ik)`` with
+    ``e = exp((sims - rowmax) * inv_tau)``: the log ratio of a weighted
+    InfoNCE row, one (..., N) value per row of (..., N, N) operands.
+
+    ``pad`` is a constant (..., N) added to each numerator.  The row-max
+    shift is held constant; it cancels between numerator and denominator
+    on rows with zero pad, so a caller weights padded rows out.  Only
+    ``e`` is kept for backward, which forms the similarity gradient in one
+    buffer.  A non-positive numerator raises `NonFiniteError`, as in `log`.
+    """
+    sims, weights = as_tensor(sims), as_tensor(weights)
+    if sims.ndim < 2 or sims.shape != weights.shape or sims.shape[-1] != sims.shape[-2]:
+        raise ShapeMismatchError(
+            f"log_mass_ratio: sims {sims.shape} and weights {weights.shape} "
+            "must be equal (..., N, N)")
+    inv_tau = float(inv_tau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = sims.data - sims.data.max(axis=-1, keepdims=True)
+        e *= inv_tau
+        np.exp(e, out=e)
+        num = (weights.data * e).sum(axis=-1) + pad
+        den = e.sum(axis=-1)
+    with np.errstate(divide="raise", invalid="raise"):
+        try:
+            data = np.log(num) - np.log(den)
+        except FloatingPointError as err:
+            raise NonFiniteError("log of a non-positive value") from err
+
+    def grad_sims(g, w=weights.data):
+        out = np.multiply((g / num)[..., None], w)
+        out += (-g / den)[..., None]
+        out *= e
+        out *= inv_tau
+        return out
+
+    return _result(
+        data,
+        [(sims, grad_sims),
+         (weights, lambda g: np.multiply((g / num)[..., None], e))],
+        "log_mass_ratio")
 
 
 def layer_norm(x) -> Tensor:

@@ -20,6 +20,12 @@ skipped).  Batched inputs average the loss over the batch.
 Gating is hard by default: gradients pass through retained entries
 unchanged and are zero elsewhere and into eps.  A soft mode replaces the
 indicator with sigmoid((|m| - eps) / temp), making eps trainable.
+
+Cost on (..., N, N) data: a hard mask is one ``ad.gate`` pass over m with
+the boolean support, and its magnitude one ``ad.absolute`` pass.  From
+the similarities to the per-row log ratio, each branch records a single
+``ad.log_mass_ratio`` op, which keeps one N x N array (the exponentials)
+for backward.
 """
 
 from __future__ import annotations
@@ -115,10 +121,8 @@ def threshold_masks(m, eps: EpsilonParam, config: HpclConfig | None = None) -> M
         pos = ad.multiply(m, gate_pos)
         neg = ad.multiply(m, gate_neg)
     else:
-        ad.trace_gate(pos_support)
-        ad.trace_gate(neg_support)
-        pos = ad.multiply(m, ad.constant(pos_support))
-        neg = ad.multiply(m, ad.constant(neg_support))
+        pos = ad.gate(m, pos_support)
+        neg = ad.gate(m, neg_support)
 
     return MaskPair(pos=pos, neg=neg, pos_support=pos_support, neg_support=neg_support)
 
@@ -146,22 +150,17 @@ def contrastive_loss(x, mask, tau: float = 0.5,
         raise ad.ShapeMismatchError(
             f"mask shape {mask.shape} does not match similarity {sims.shape}")
 
-    shift = ad.constant(sims.data.max(axis=-1, keepdims=True))
-    e = ad.exp(ad.scale(ad.subtract(sims, shift), 1.0 / tau))
-    num = ad.tensor_sum(ad.multiply(mask, e), axis=-1)   # (..., N)
-    den = ad.tensor_sum(e, axis=-1)
-
     if row_support is None:
         keep = (np.abs(mask.data) > 0).any(axis=-1)
     else:
-        keep = np.broadcast_to(row_support, num.shape)
-    keep_f = keep.astype(np.float64)
+        keep = np.broadcast_to(row_support, sims.shape[:-1])
+    keep_f = keep.astype(np.float64)                     # (..., N)
     counts = np.maximum(keep_f.sum(axis=-1), 1.0)        # (...,)
 
-    # dropped rows: make log well-defined there, then weight them out
-    safe_num = ad.add(num, ad.constant(1.0 - keep_f))
-    terms = ad.multiply(ad.subtract(ad.log(safe_num), ad.log(den)),
-                        ad.constant(keep_f))
+    # dropped rows: pad the numerator so the log is defined there, then
+    # weight them out
+    ratio = ad.log_mass_ratio(sims, mask, 1.0 - keep_f, 1.0 / tau)
+    terms = ad.multiply(ratio, ad.constant(keep_f))
     per_window = ad.divide(ad.tensor_sum(terms, axis=-1), ad.constant(counts))
     return ad.scale(ad.mean(per_window), -1.0)
 
@@ -173,10 +172,14 @@ def aux_loss(x_pos, x_neg, masks: MaskPair, config: HpclConfig | None = None):
     weights enter by absolute value so the log arguments stay positive;
     the sign pattern is constant inside one forward pass, so the gradient
     convention on retained entries is just the sign.
+
+    Each branch's loss is one ``ad.log_mass_ratio`` op.  Per branch the
+    tape holds four N x N arrays: the mask, its magnitude, the
+    cosine similarities and the exponentials ``log_mass_ratio`` keeps.
     """
     config = config or HpclConfig()
-    pos_w = _magnitude(masks.pos)
-    neg_w = _magnitude(masks.neg)
+    pos_w = ad.absolute(masks.pos)
+    neg_w = ad.absolute(masks.neg)
     pos_rows = masks.pos_support.any(axis=-1)
     neg_rows = masks.neg_support.any(axis=-1)
     l_pos = contrastive_loss(x_pos, pos_w, tau=config.tau, row_support=pos_rows)
@@ -185,8 +188,3 @@ def aux_loss(x_pos, x_neg, masks: MaskPair, config: HpclConfig | None = None):
     else:
         l_neg = ad.constant(0.0)
     return l_pos, l_neg, ad.add(l_pos, l_neg)
-
-
-def _magnitude(mask: Tensor) -> Tensor:
-    sign = np.sign(mask.data)
-    return ad.multiply(mask, ad.constant(sign))

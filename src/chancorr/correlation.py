@@ -69,16 +69,22 @@ def pearson_matrix(x: np.ndarray) -> np.ndarray:
     channels get correlation 0 with every other channel and 1 with
     themselves.  They are found by value, not by variance: a constant
     whose mean is inexact in floating point leaves a rounding residue
-    whose variance is positive.
+    whose variance is positive.  Any finite magnitude is accepted: each
+    row is scaled by a power of two before its squares are formed.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2:
         raise ValueError("pearson_matrix expects (..., N, L)")
     n = x.shape[-2]
+    hi, lo = x.max(axis=-1), x.min(axis=-1)
+    # scale each row by a power of two to a max-abs in [0.5, 1): exact
+    # (short of subnormals), so r is unchanged, and no square overflows
+    _, exponent = np.frexp(np.maximum(hi, -lo))
+    x = np.ldexp(x, -exponent[..., None])
     centred = x - x.mean(axis=-1, keepdims=True)
     cov = centred @ centred.swapaxes(-1, -2)
     var = np.einsum("...ii->...i", cov)
-    degenerate = (var <= 0.0) | (x.max(axis=-1) == x.min(axis=-1))
+    degenerate = (var <= 0.0) | (hi == lo)
     std = np.sqrt(np.where(degenerate, 1.0, var))
     denom = std[..., :, None] * std[..., None, :]
     r = cov / denom

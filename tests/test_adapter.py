@@ -143,6 +143,52 @@ def test_training_losses_requires_correlation_when_hpcl():
         training_losses(state, out.repr, out.yhat_norm, y_norm, None)
 
 
+def _nxn_buffers_on_tape(roots, n):
+    """Distinct float buffers of (..., n, n) arrays that the recorded graph
+    of ``roots`` keeps alive: node values and backward-closure captures.
+    Broadcast views of smaller arrays do not count."""
+    buffers, seen, stack = {}, set(), list(roots)
+
+    def note(a):
+        if not (isinstance(a, np.ndarray) and a.dtype.kind == "f"
+                and a.ndim >= 2 and a.shape[-2:] == (n, n)):
+            return
+        owner = a
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        if owner.nbytes >= a.nbytes:
+            buffers[id(owner)] = owner
+
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        note(node.data)
+        for parent, fn in node._parents or ():
+            for cell in fn.__closure__ or ():
+                note(cell.cell_contents)
+            for default in fn.__defaults__ or ():
+                note(default)
+            stack.append(parent)
+    return len(buffers)
+
+
+def test_training_tape_holds_few_nxn_buffers():
+    # pins the N x N memory of one training step: M, Q V Q^T, and per
+    # branch the similarities, the gated mask, its magnitude and the one
+    # exp buffer of log_mass_ratio (the generic-op chain kept 20)
+    n = 7
+    backbone, x, y = tiny_backbone(seed=4, n=n, b=6)
+    state = init_adapter(backbone, n, small_config())
+    out = backbone_forward(backbone, x)
+    r = pearson_matrix(x)
+    losses = training_losses(state, out.repr, out.yhat_norm,
+                             (y - out.mean) / out.std, r)
+    assert losses["l_neg"]._parents is not None   # both branches recorded
+    assert _nxn_buffers_on_tape([losses["prediction"], losses["aux"]], n) == 10
+
+
 def test_correlation_estimate_pearson_only_passthrough():
     backbone, x, _ = tiny_backbone(seed=6)
     state = init_adapter(backbone, 4, small_config(dce_mode="pearson-only"))

@@ -104,6 +104,55 @@ def test_relu_subgradient_convention():
     assert np.array_equal(x.grad, np.array([0.0, 0.0, 0.0, 1.0, 1.0]))
 
 
+def test_absolute_backward_is_sign_with_zero_at_zero():
+    m = ad.parameter(np.array([-2.0, -0.0, 0.0, 0.5, 3.0]))
+    upstream = np.array([0.3, -1.5, 2.0, -0.7, 1.1])
+    out = ad.absolute(m)
+    assert np.array_equal(out.data, [2.0, 0.0, 0.0, 0.5, 3.0])
+    ad.tensor_sum(ad.multiply(out, ad.constant(upstream))).backward()
+    assert m.grad.tobytes() == (upstream * np.sign(m.data)).tobytes()
+    assert not m.grad[1:3].any()
+
+
+def test_gate_keeps_marked_entries_and_traces_the_decision():
+    x = ad.parameter(np.array([[1.5, -2.0], [0.5, -0.25]]))
+    kept = np.array([[True, False], [False, True]])
+    sink = []
+    with ad.record_gates(sink):
+        out = ad.gate(x, kept)
+    assert np.array_equal(out.data, np.where(kept, x.data, 0.0))
+    ad.tensor_sum(out).backward()
+    assert np.array_equal(x.grad, kept.astype(float))
+    assert len(sink) == 1
+    assert np.array_equal(np.unpackbits(sink[0])[:4].astype(bool), kept.ravel())
+
+
+def test_log_mass_ratio_values_and_grad_check():
+    rng = np.random.default_rng(70)
+    tau = 0.5
+    sims = ad.parameter(rng.uniform(-1.0, 1.0, size=(2, 4, 4)))
+    weights = ad.parameter(rng.uniform(0.1, 1.0, size=(2, 4, 4)))
+    pad = np.zeros((2, 4))
+    pad[1, 2] = 1.0
+    # the pad adds to the shifted numerator, so the shift is part of the value
+    e = np.exp((sims.data - sims.data.max(axis=-1, keepdims=True)) / tau)
+    want = np.log((weights.data * e).sum(-1) + pad) - np.log(e.sum(-1))
+    got = ad.log_mass_ratio(sims, weights, pad, 1.0 / tau)
+    assert np.allclose(got.data, want, rtol=0.0, atol=1e-14)
+
+    # the shift is held constant, so a padded row's value is not shift
+    # invariant: like the contrastive loss, weight that row out
+    upstream = rng.normal(size=(2, 4))
+    upstream[1, 2] = 0.0
+    upstream = ad.constant(upstream)
+    report = ad.grad_check(
+        lambda: ad.tensor_sum(ad.multiply(
+            ad.log_mass_ratio(sims, weights, pad, 1.0 / tau), upstream)),
+        [("sims", sims), ("weights", weights)], tol=1e-6)
+    assert report.passed, str(report)
+    assert all(r.checked == 32 for r in report.results)
+
+
 def test_sigmoid_known_values():
     x = ad.parameter(np.array(0.0))
     y = ad.sigmoid(x)
@@ -189,6 +238,11 @@ def test_shape_mismatch_raises():
         ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
     with pytest.raises(ad.ShapeMismatchError):
         ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones(3)))
+    with pytest.raises(ad.ShapeMismatchError):
+        ad.log_mass_ratio(ad.constant(np.ones((3, 3))),
+                          ad.constant(np.ones((2, 3, 3))), np.zeros(3), 1.0)
+    with pytest.raises(ad.ShapeMismatchError):
+        ad.gate(ad.constant(np.ones((2, 3))), np.ones(3, dtype=bool))
 
 
 def test_non_finite_detection():
@@ -199,6 +253,9 @@ def test_non_finite_detection():
         ad.log(ad.constant(np.array([0.0])))
     with pytest.raises(ad.NonFiniteError):
         ad.log(ad.constant(np.array([-1.0])))
+    with pytest.raises(ad.NonFiniteError):   # a zero numerator, no pad
+        ad.log_mass_ratio(ad.constant(np.eye(2)), ad.constant(np.zeros((2, 2))),
+                          np.zeros(2), 1.0)
 
 
 def test_no_grad_ops_propagate_non_finite_values():

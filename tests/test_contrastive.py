@@ -264,3 +264,130 @@ def test_aux_loss_gradients_match_fd_through_masks():
     params = dce.named_tensors() + hd.named_tensors()
     report = ad.grad_check(loss, params, tol=1e-4, max_entries_per_param=20)
     assert report.passed, str(report)
+
+
+# ---------------------------------------------------------------------------
+# fused ops against the generic-op composite they replace
+
+
+def reference_threshold_masks(m, eps, config):
+    """Masks built from generic ops only: float supports via ``constant``."""
+    pos_support = (m.data > eps.numeric()) | np.eye(m.shape[-1], dtype=bool)
+    neg_support = m.data < -eps.numeric()
+    if config.soft_gate:
+        eps_t, inv_temp = eps.value, 1.0 / config.gate_temp
+        gate_pos = ad.sigmoid(ad.scale(ad.subtract(m, eps_t), inv_temp))
+        gate_neg = ad.sigmoid(ad.scale(ad.subtract(ad.scale(m, -1.0), eps_t),
+                                       inv_temp))
+        pos, neg = ad.multiply(m, gate_pos), ad.multiply(m, gate_neg)
+    else:
+        pos = ad.multiply(m, ad.constant(pos_support))
+        neg = ad.multiply(m, ad.constant(neg_support))
+    return ct.MaskPair(pos=pos, neg=neg, pos_support=pos_support,
+                       neg_support=neg_support)
+
+
+def reference_contrastive_loss(x, mask, tau, row_support=None):
+    """subtract -> scale -> exp -> two row sums -> two logs, op by op."""
+    sims = ad.cosine_similarity_matrix(pj.flatten_per_channel(x))
+    shift = ad.constant(sims.data.max(axis=-1, keepdims=True))
+    e = ad.exp(ad.scale(ad.subtract(sims, shift), 1.0 / tau))
+    num = ad.tensor_sum(ad.multiply(mask, e), axis=-1)
+    den = ad.tensor_sum(e, axis=-1)
+    if row_support is None:
+        keep = (np.abs(mask.data) > 0).any(axis=-1)
+    else:
+        keep = np.broadcast_to(row_support, num.shape)
+    keep_f = keep.astype(np.float64)
+    counts = np.maximum(keep_f.sum(axis=-1), 1.0)
+    safe_num = ad.add(num, ad.constant(1.0 - keep_f))
+    terms = ad.multiply(ad.subtract(ad.log(safe_num), ad.log(den)),
+                        ad.constant(keep_f))
+    per_window = ad.divide(ad.tensor_sum(terms, axis=-1), ad.constant(counts))
+    return ad.scale(ad.mean(per_window), -1.0)
+
+
+def reference_aux_loss(x_pos, x_neg, masks, config):
+    def magnitude(w):
+        return ad.multiply(w, ad.constant(np.sign(w.data)))
+
+    l_pos = reference_contrastive_loss(x_pos, magnitude(masks.pos), config.tau,
+                                       masks.pos_support.any(axis=-1))
+    l_neg = reference_contrastive_loss(x_neg, magnitude(masks.neg), config.tau,
+                                       masks.neg_support.any(axis=-1))
+    return l_pos, l_neg, ad.add(l_pos, l_neg)
+
+
+def _run(build, arrays):
+    """Loss bytes and gradient bytes of ``build(*params)``; a fresh set of
+    parameters per call."""
+    params = [ad.parameter(a.copy()) for a in arrays]
+    loss = build(*params)
+    loss.backward()
+    return loss.data.tobytes(), [None if p.grad is None else p.grad.tobytes()
+                                 for p in params]
+
+
+def _views_and_corr(rng, batch, n=6, p=2, d=3):
+    lead = (batch,) if batch else ()
+    x_pos = rng.normal(size=lead + (p, n, d))
+    x_neg = rng.normal(size=lead + (p, n, d))
+    m = np.clip(rng.normal(scale=0.6, size=lead + (n, n)), -1.0, 1.0)
+    m[..., np.arange(n), np.arange(n)] = 1.0
+    return x_pos, x_neg, m
+
+
+@pytest.mark.parametrize("batch", [0, 3])
+@pytest.mark.parametrize("soft_gate", [False, True])
+def test_fused_aux_loss_bit_identical_to_generic_composite(soft_gate, batch):
+    rng = np.random.default_rng(64 + batch + soft_gate)
+    x_pos, x_neg, m = _views_and_corr(rng, batch)
+    config = ct.HpclConfig(soft_gate=soft_gate)
+
+    def fused(xp, xn, mt, raw):
+        masks = ct.threshold_masks(mt, ct.EpsilonParam(raw=raw), config)
+        assert masks.neg_support.any()
+        return ct.aux_loss(xp, xn, masks, config)[2]
+
+    def generic(xp, xn, mt, raw):
+        masks = reference_threshold_masks(mt, ct.EpsilonParam(raw=raw), config)
+        return reference_aux_loss(xp, xn, masks, config)[2]
+
+    raw = np.array(math.log(math.expm1(0.3)))
+    want = _run(generic, [x_pos, x_neg, m, raw])
+    assert _run(fused, [x_pos, x_neg, m, raw]) == want
+    assert (want[1][3] is None) == (not soft_gate)   # eps trains only if soft
+
+
+@pytest.mark.parametrize("batch", [0, 3])
+@pytest.mark.parametrize("given_rows", [False, True])
+def test_fused_contrastive_loss_bit_identical_to_generic_composite(given_rows, batch):
+    rng = np.random.default_rng(65 + batch + given_rows)
+    x, _, _ = _views_and_corr(rng, batch)
+    mask = rng.uniform(0.0, 1.0, size=x.shape[:-3] + (6, 6))
+    mask[rng.uniform(size=mask.shape) < 0.4] = 0.0
+    mask[..., 2, :] = 0.0                       # one empty row per window
+    rows = (mask > 0).any(axis=-1) if given_rows else None
+    want = _run(lambda a, w: reference_contrastive_loss(a, w, 0.5, rows), [x, mask])
+    got = _run(lambda a, w: ct.contrastive_loss(a, w, 0.5, rows), [x, mask])
+    assert got == want
+
+
+def test_nan_similarity_raises():
+    sims = np.array([[1.0, np.nan], [0.2, 1.0]])
+    with pytest.raises(ad.NonFiniteError):
+        ad.log_mass_ratio(ad.constant(sims), ad.constant(np.eye(2)),
+                          np.zeros(2), 2.0)
+
+
+def test_kept_row_with_underflowing_numerator_raises():
+    # orthogonal channels: row 0 weights only its pair at similarity 0,
+    # whose exp((0 - 1) / tau) underflows to 0 at tiny tau
+    x = np.eye(3, 4)[None]
+    mask = np.zeros((3, 3))
+    mask[0, 1] = 1.0
+    with pytest.raises(ad.NonFiniteError):
+        ct.contrastive_loss(ad.constant(x), ad.constant(mask), tau=1e-4)
+    # the same row is fine at an ordinary tau
+    assert np.isfinite(
+        ct.contrastive_loss(ad.constant(x), ad.constant(mask), tau=0.5).item())

@@ -93,6 +93,22 @@ def test_pearson_invariants():
         assert np.abs(r - r2).max() < 1e-12
 
 
+def test_pearson_large_magnitudes_do_not_overflow():
+    # squares of 1e160 overflow float64; the row scaling keeps r exact
+    x = np.array([[1e160, -1e160, 3e160], [1.0, 2.0, 0.5]])
+    r = corr.pearson_matrix(x)
+    assert r[0, 1] == r[1, 0] == pytest.approx(-0.9819805060619655, abs=1e-15)
+    assert np.allclose(r, pearson_two_pass(x * [[1e-160], [1.0]]), atol=1e-15)
+
+
+def test_pearson_is_exact_under_power_of_two_row_scaling():
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(3, 6, 40)) * rng.uniform(0.1, 10.0, size=(3, 6, 1))
+    shifts = rng.integers(-900, 900, size=(3, 6, 1))
+    assert np.array_equal(corr.pearson_matrix(x),
+                          corr.pearson_matrix(np.ldexp(x, shifts)))
+
+
 def test_pearson_perfect_and_anti():
     t = np.linspace(0.0, 1.0, 50)
     x = np.stack([t, 2 * t + 1, -3 * t + 4])
