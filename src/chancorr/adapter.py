@@ -7,10 +7,14 @@ turns a correlation estimate into contrastive masks, and the fusion head
 that blends an adapter forecast with the frozen backbone's.
 
 Training runs through the autodiff graph (``training_losses``); inference
-(``predict``) runs only the projection + fusion path under ``no_grad``, with
-no correlation matrices built, and checks its forecast for NaN/Inf once.
+(``predict``, ``branch_views``) runs only the projection + fusion path under
+``no_grad``, with no correlation matrices built.  It runs over blocks of
+windows whose largest intermediate fits in ``BLOCK_BYTES``, checks each
+block's result for NaN/Inf once, and returns the same bits whatever the
+block size.
 """
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -26,6 +30,12 @@ from .correlation import (DceParams, compose_correlation, init_dce_params,
                           time_invariant_component, time_varying_component)
 from .fusion import FusionParams, fuse_predict, init_fusion_params
 from .projection import HdParams, divide, flatten_per_channel, init_hd_params
+
+# Bytes of one (b, P, N, d) float64 intermediate of the inference path.
+# Blocks this size keep each op's operands in a per-core L2 cache of a few
+# MB instead of streaming every intermediate through DRAM (a block-size
+# sweep picked it; see BENCH_6.json).
+BLOCK_BYTES = 3 << 19
 
 
 @dataclass
@@ -140,28 +150,58 @@ def training_losses(state: AdapterState, rep: np.ndarray, yhat_norm: np.ndarray,
             "ystar": ystar}
 
 
+def _in_blocks(fn, rep: np.ndarray, *rest: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``fn(rep, *rest)`` run over blocks of windows, its results joined.
+
+    A block holds as many windows as keep one (b, P, N, d) float64
+    intermediate within `BLOCK_BYTES`, and at least one, so the working set
+    of each block stays in cache; an unbatched (P, N, d) input is one block.
+    Every op of the inference path acts on each window alone, so the
+    results do not depend on the block size.
+    """
+    size = max(1, BLOCK_BYTES // max(1, 8 * math.prod(rep.shape[1:])))
+    if rep.ndim < 4 or len(rep) <= size:
+        return fn(rep, *rest)
+    outs = None
+    for lo in range(0, len(rep), size):
+        block = fn(*(a[lo:lo + size] for a in (rep, *rest)))
+        if outs is None:
+            outs = tuple(np.empty((len(rep),) + b.shape[1:], b.dtype) for b in block)
+        for o, b in zip(outs, block):
+            o[lo:lo + size] = b
+    return outs
+
+
 def predict(state: AdapterState, out: BackboneOutput) -> np.ndarray:
     """Raw-space adapter forecast.  Inference path: projections + fusion
-    only — no correlation estimate, no contrastive terms."""
-    with ad.no_grad():
-        x_pos, x_neg = divide(state.hd, ad.constant(out.repr))
-        ystar_norm = fuse_predict(state.fusion, x_pos, x_neg,
-                                  ad.constant(out.yhat_norm))
-    ystar = ystar_norm.data * out.std + out.mean
-    ad.check_finite(ystar, "predict")
-    return ystar
+    only — no correlation estimate, no contrastive terms.  It runs over
+    blocks of windows bounded by `BLOCK_BYTES`; the forecast does not
+    depend on the block size."""
+    def forecast(rep, yhat_norm, std, mean):
+        with ad.no_grad():
+            x_pos, x_neg = divide(state.hd, ad.constant(rep))
+            ystar_norm = fuse_predict(state.fusion, x_pos, x_neg,
+                                      ad.constant(yhat_norm))
+        ystar = ystar_norm.data * std + mean
+        ad.check_finite(ystar, "predict")
+        return (ystar,)
+
+    return _in_blocks(forecast, out.repr, out.yhat_norm, out.std, out.mean)[0]
 
 
 def branch_views(state: AdapterState, out: BackboneOutput):
     """Positive/negative per-channel views as plain (..., N, P*d) arrays
-    (for similarity export)."""
-    with ad.no_grad():
-        x_pos, x_neg = divide(state.hd, ad.constant(out.repr))
-        pos = flatten_per_channel(x_pos).data
-        neg = flatten_per_channel(x_neg).data
-    ad.check_finite(pos, "branch_views")
-    ad.check_finite(neg, "branch_views")
-    return pos, neg
+    (for similarity export), computed in the blocks of `predict`."""
+    def views(rep):
+        with ad.no_grad():
+            x_pos, x_neg = divide(state.hd, ad.constant(rep))
+            pos = flatten_per_channel(x_pos).data
+            neg = flatten_per_channel(x_neg).data
+        ad.check_finite(pos, "branch_views")
+        ad.check_finite(neg, "branch_views")
+        return pos, neg
+
+    return _in_blocks(views, out.repr)
 
 
 def save_adapter(state: AdapterState, path) -> None:

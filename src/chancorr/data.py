@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlation import pearson_matrix
 from .serialize import atomic_open
 
 __all__ = [
@@ -33,13 +32,11 @@ __all__ = [
     "PlantedStructure",
     "SplitSpec",
     "WindowSet",
-    "RegimeReport",
     "AR_COEFF",
     "SEASON_PERIOD",
     "SEASON_AMP",
     "planted_regime",
     "generate_synthetic",
-    "verify_regime",
     "load_csv",
     "save_csv",
     "save_truth",
@@ -216,76 +213,6 @@ def generate_synthetic(structure: PlantedStructure, t_total: int,
     values = s * _seasonal(np.arange(t_total), season_amp) + eta
     series = MultivariateSeries(values=values)
     return series, structure
-
-
-@dataclass
-class RegimeReport:
-    dynamic: bool
-    heterogeneous: bool
-    partial: bool
-    n_segments: int
-    max_change_score: float = 0.0   # Definition 2 statistic, in standard errors
-
-    def tags(self) -> dict:
-        return {"dynamic": self.dynamic, "heterogeneous": self.heterogeneous,
-                "partial": self.partial}
-
-
-def verify_regime(series: MultivariateSeries, segment_len: int,
-                  eps: float = 0.2) -> RegimeReport:
-    """Test Definitions 2-4 on per-segment Pearson matrices.
-
-    Definition 2 (dynamic) compares every pair of segments entrywise with a
-    noise-aware margin: two standard errors plus a max-of-Gaussians allowance
-    sqrt(2 ln(#comparisons)) so that noise alone does not trip it.  The
-    standard error carries Bartlett's autocorrelation inflation
-    sqrt((1 + r1_i * r1_j) / (1 - r1_i * r1_j)), with r1 the per-channel
-    lag-1 autocorrelation, because persistent series estimate correlations
-    less precisely than i.i.d. ones.  Definitions 3-4 call an entry
-    positive/negative/absent only beyond the significance threshold ``eps``.
-    """
-    n, t_total = series.n_channels, series.length
-    if segment_len < 8 * n:
-        raise DataError(f"segment length {segment_len} too short for {n} channels "
-                        f"(need at least {8 * n})")
-    k = t_total // segment_len
-    if k < 1:
-        raise DataError("series shorter than one segment")
-    segments = series.values[:, :k * segment_len].reshape(n, k, segment_len)
-    mats = pearson_matrix(np.swapaxes(segments, 0, 1))       # (k, N, N)
-
-    off = ~np.eye(n, dtype=bool)
-    heterogeneous = False
-    partial = False
-    if n >= 2:
-        partial = bool((np.abs(mats[:, off]) < eps).any())
-    if n >= 3:
-        pos = mats > eps
-        neg = mats < -eps
-        np.einsum("kii->ki", pos)[...] = False
-        heterogeneous = bool((pos.any(axis=-1) & neg.any(axis=-1)).any())
-
-    dynamic = False
-    max_score = 0.0
-    if k >= 2 and n >= 2:
-        lead = segments[:, :, :-1] - segments[:, :, :-1].mean(axis=-1, keepdims=True)
-        lag = segments[:, :, 1:] - segments[:, :, 1:].mean(axis=-1, keepdims=True)
-        denom = np.sqrt((lead ** 2).sum(axis=-1) * (lag ** 2).sum(axis=-1))
-        r1 = (lead * lag).sum(axis=-1) / np.maximum(denom, 1e-12)   # (N, k)
-        prod = np.clip(r1.T[:, :, None] * r1.T[:, None, :], -0.99, 0.99)
-        inflation = np.sqrt((1.0 + prod) / (1.0 - prod))            # (k, N, N)
-        se = (1.0 - mats ** 2) / math.sqrt(segment_len) * inflation
-        n_tests = k * (k - 1) // 2 * int(off.sum())
-        margin = 2.0 + math.sqrt(2.0 * math.log(max(n_tests, 2)))
-        for m in range(k):
-            for nn in range(m + 1, k):
-                denom = np.sqrt(se[m] ** 2 + se[nn] ** 2)
-                denom = np.maximum(denom, 1e-12)
-                score = np.abs(mats[m] - mats[nn]) / denom
-                max_score = max(max_score, float(score[off].max()))
-        dynamic = max_score > margin
-    return RegimeReport(dynamic=dynamic, heterogeneous=heterogeneous,
-                        partial=partial, n_segments=k, max_change_score=max_score)
 
 
 # ---------------------------------------------------------------------------

@@ -215,7 +215,9 @@ def evaluate(state: AdapterState, backbone: BackboneState, test: WindowSet,
 
     Runs the inference path only; the correlation-allocation counter is
     checked before/after to enforce that no correlation matrices are built
-    (a RuntimeError if one was).
+    (a RuntimeError if one was).  ``chunk`` fixes the order in which the
+    per-chunk errors are pooled, and so the last bits of the score; memory
+    is bounded by the block budget of `predict`, not by ``chunk``.
     """
     if test.x.shape[1] != state.n_channels:
         raise ad.ShapeMismatchError(

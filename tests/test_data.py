@@ -2,11 +2,13 @@
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from chancorr import data as dt
+from chancorr.correlation import pearson_matrix
 
 
 def gen(kind, t_total=4096, noise=0.4, seed=0, segment_len=1024, n=8):
@@ -107,13 +109,85 @@ def test_structure_validation():
 
 
 # ---------------------------------------------------------------------------
-# regime verification
+# regime verification (oracle: the paper's Definitions 2-4 tested on
+# per-segment Pearson matrices)
+
+
+@dataclass
+class RegimeReport:
+    dynamic: bool
+    heterogeneous: bool
+    partial: bool
+    n_segments: int
+    max_change_score: float = 0.0   # Definition 2 statistic, in standard errors
+
+    def tags(self) -> dict:
+        return {"dynamic": self.dynamic, "heterogeneous": self.heterogeneous,
+                "partial": self.partial}
+
+
+def verify_regime(series: dt.MultivariateSeries, segment_len: int,
+                  eps: float = 0.2) -> RegimeReport:
+    """Test Definitions 2-4 on per-segment Pearson matrices.
+
+    Definition 2 (dynamic) compares every pair of segments entrywise with a
+    noise-aware margin: two standard errors plus a max-of-Gaussians allowance
+    sqrt(2 ln(#comparisons)) so that noise alone does not trip it.  The
+    standard error carries Bartlett's autocorrelation inflation
+    sqrt((1 + r1_i * r1_j) / (1 - r1_i * r1_j)), with r1 the per-channel
+    lag-1 autocorrelation, because persistent series estimate correlations
+    less precisely than i.i.d. ones.  Definitions 3-4 call an entry
+    positive/negative/absent only beyond the significance threshold ``eps``.
+    """
+    n, t_total = series.n_channels, series.length
+    if segment_len < 8 * n:
+        raise dt.DataError(f"segment length {segment_len} too short for {n} channels "
+                        f"(need at least {8 * n})")
+    k = t_total // segment_len
+    if k < 1:
+        raise dt.DataError("series shorter than one segment")
+    segments = series.values[:, :k * segment_len].reshape(n, k, segment_len)
+    mats = pearson_matrix(np.swapaxes(segments, 0, 1))       # (k, N, N)
+
+    off = ~np.eye(n, dtype=bool)
+    heterogeneous = False
+    partial = False
+    if n >= 2:
+        partial = bool((np.abs(mats[:, off]) < eps).any())
+    if n >= 3:
+        pos = mats > eps
+        neg = mats < -eps
+        np.einsum("kii->ki", pos)[...] = False
+        heterogeneous = bool((pos.any(axis=-1) & neg.any(axis=-1)).any())
+
+    dynamic = False
+    max_score = 0.0
+    if k >= 2 and n >= 2:
+        lead = segments[:, :, :-1] - segments[:, :, :-1].mean(axis=-1, keepdims=True)
+        lag = segments[:, :, 1:] - segments[:, :, 1:].mean(axis=-1, keepdims=True)
+        denom = np.sqrt((lead ** 2).sum(axis=-1) * (lag ** 2).sum(axis=-1))
+        r1 = (lead * lag).sum(axis=-1) / np.maximum(denom, 1e-12)   # (N, k)
+        prod = np.clip(r1.T[:, :, None] * r1.T[:, None, :], -0.99, 0.99)
+        inflation = np.sqrt((1.0 + prod) / (1.0 - prod))            # (k, N, N)
+        se = (1.0 - mats ** 2) / math.sqrt(segment_len) * inflation
+        n_tests = k * (k - 1) // 2 * int(off.sum())
+        margin = 2.0 + math.sqrt(2.0 * math.log(max(n_tests, 2)))
+        for m in range(k):
+            for nn in range(m + 1, k):
+                denom = np.sqrt(se[m] ** 2 + se[nn] ** 2)
+                denom = np.maximum(denom, 1e-12)
+                score = np.abs(mats[m] - mats[nn]) / denom
+                max_score = max(max_score, float(score[off].max()))
+        dynamic = max_score > margin
+    return RegimeReport(dynamic=dynamic, heterogeneous=heterogeneous,
+                        partial=partial, n_segments=k, max_change_score=max_score)
+
 
 
 def test_iid_channels_are_partial_only():
     rng = np.random.default_rng(16)
     series = dt.MultivariateSeries(values=rng.normal(size=(4, 4096)))
-    report = dt.verify_regime(series, 1024, eps=0.2)
+    report = verify_regime(series, 1024, eps=0.2)
     assert not report.dynamic
     assert not report.heterogeneous
     assert report.partial
@@ -122,14 +196,14 @@ def test_iid_channels_are_partial_only():
 def test_single_channel_has_no_regime():
     rng = np.random.default_rng(17)
     series = dt.MultivariateSeries(values=rng.normal(size=(1, 2048)))
-    report = dt.verify_regime(series, 512)
+    report = verify_regime(series, 512)
     assert not (report.dynamic or report.heterogeneous or report.partial)
 
 
 def test_verify_matches_planted_tags_for_each_preset():
     for kind in ("dynamic", "heterogeneous", "partial"):
         series, truth = gen(kind, seed=18)
-        report = dt.verify_regime(series, truth.segment_len)
+        report = verify_regime(series, truth.segment_len)
         assert report.tags() == truth.tags, kind
 
 
@@ -139,7 +213,7 @@ def test_verify_agreement_rate_over_seeds():
     for trial in range(100):
         kind = kinds[trial % 3]
         series, truth = gen(kind, seed=1000 + trial)
-        if dt.verify_regime(series, truth.segment_len).tags() == truth.tags:
+        if verify_regime(series, truth.segment_len).tags() == truth.tags:
             hits += 1
     assert hits >= 95
 
@@ -148,7 +222,7 @@ def test_verify_rejects_short_segments():
     rng = np.random.default_rng(19)
     series = dt.MultivariateSeries(values=rng.normal(size=(8, 256)))
     with pytest.raises(dt.DataError):
-        dt.verify_regime(series, 32)
+        verify_regime(series, 32)
 
 
 # ---------------------------------------------------------------------------
