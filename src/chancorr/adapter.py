@@ -9,7 +9,7 @@ that blends an adapter forecast with the frozen backbone's.
 Training runs through the autodiff graph (``training_losses``); inference
 (``predict``, ``branch_views``) runs only the projection + fusion path under
 ``no_grad``, with no correlation matrices built.  It runs over blocks of
-windows whose largest intermediate fits in ``BLOCK_BYTES``, checks each
+windows whose largest intermediate fits in ``ad.BLOCK_BYTES``, checks each
 block's result for NaN/Inf once, and returns the same bits whatever the
 block size.
 """
@@ -24,19 +24,12 @@ from . import serialize
 from .autodiff import Tensor
 from .backbone import BackboneOutput, BackboneState
 from .config import TrainConfig
-from .contrastive import (EpsilonParam, HpclConfig, MaskPair, aux_loss,
+from .contrastive import (EpsilonParam, HpclConfig, aux_loss,
                           init_epsilon, threshold_masks)
 from .correlation import (DceParams, compose_correlation, init_dce_params,
                           time_invariant_component, time_varying_component)
 from .fusion import FusionParams, fuse_predict, init_fusion_params
 from .projection import HdParams, divide, flatten_per_channel, init_hd_params
-
-# Bytes of one (b, P, N, d) float64 intermediate of the inference path.
-# Blocks this size keep each op's operands in a per-core L2 cache of a few
-# MB instead of streaming every intermediate through DRAM (a block-size
-# sweep picked it; see BENCH_6.json).
-BLOCK_BYTES = 3 << 19
-
 
 @dataclass
 class AdapterState:
@@ -154,12 +147,12 @@ def _in_blocks(fn, rep: np.ndarray, *rest: np.ndarray) -> tuple[np.ndarray, ...]
     """``fn(rep, *rest)`` run over blocks of windows, its results joined.
 
     A block holds as many windows as keep one (b, P, N, d) float64
-    intermediate within `BLOCK_BYTES`, and at least one, so the working set
+    intermediate within ``ad.BLOCK_BYTES``, and at least one, so the working set
     of each block stays in cache; an unbatched (P, N, d) input is one block.
     Every op of the inference path acts on each window alone, so the
     results do not depend on the block size.
     """
-    size = max(1, BLOCK_BYTES // max(1, 8 * math.prod(rep.shape[1:])))
+    size = max(1, ad.BLOCK_BYTES // max(1, 8 * math.prod(rep.shape[1:])))
     if rep.ndim < 4 or len(rep) <= size:
         return fn(rep, *rest)
     outs = None
@@ -175,7 +168,7 @@ def _in_blocks(fn, rep: np.ndarray, *rest: np.ndarray) -> tuple[np.ndarray, ...]
 def predict(state: AdapterState, out: BackboneOutput) -> np.ndarray:
     """Raw-space adapter forecast.  Inference path: projections + fusion
     only — no correlation estimate, no contrastive terms.  It runs over
-    blocks of windows bounded by `BLOCK_BYTES`; the forecast does not
+    blocks of windows bounded by ``ad.BLOCK_BYTES``; the forecast does not
     depend on the block size."""
     def forecast(rep, yhat_norm, std, mean):
         with ad.no_grad():

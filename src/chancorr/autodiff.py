@@ -12,15 +12,15 @@ Conventions
   `NonFiniteError` on violation.  Under ``no_grad`` the ops do only the
   arithmetic and let NaN/Inf propagate; each caller that evaluates under
   ``no_grad`` checks its final output once with `check_finite`.
-* ``softmax`` and ``log_mass_ratio`` subtract the per-slice maximum
-  before exponentiation; ``layer_norm`` normalises over the last axis
-  with eps `LAYER_NORM_EPS`.
-* Hard gates (``relu``, and ``gate`` behind the threshold masks
-  downstream) follow the subgradient convention: gradient 1 on kept
-  entries, 0 on dropped ones.  Gate decisions can be traced (see
-  ``record_gates``) so the finite difference checker can exclude
-  coordinates whose perturbation flips a gate, where a two-sided
-  difference quotient is meaningless.
+* ``softmax`` and ``hpcl_loss`` subtract the per-row maximum before
+  exponentiation; ``layer_norm`` normalises over the last axis with eps
+  `LAYER_NORM_EPS`.
+* Hard gates (``relu``, and the boolean supports of ``hpcl_loss``)
+  follow the subgradient convention: gradient 1 on kept entries, 0 on
+  dropped ones.  Gate decisions can be traced (see ``record_gates``) so
+  the finite difference checker can exclude coordinates whose
+  perturbation flips a gate, where a two-sided difference quotient is
+  meaningless.
 * Graph recording is single-threaded.  Tensors with ``requires_grad=False``
   are immutable constants as far as the engine is concerned and may be
   shared freely; inference over independent inputs may run on separate
@@ -53,17 +53,13 @@ __all__ = [
     "matmul",
     "scale",
     "power",
-    "exp",
-    "log",
     "sqrt",
     "tanh",
     "sigmoid",
     "softplus",
-    "absolute",
-    "gate",
     "relu",
     "softmax",
-    "log_mass_ratio",
+    "hpcl_loss",
     "layer_norm",
     "tensor_sum",
     "mean",
@@ -98,6 +94,11 @@ class NonDeterministicError(RuntimeError):
 LAYER_NORM_EPS = 1e-5
 COSINE_EPS = 1e-24  # added to squared row norms in cosine similarity
 
+# Bytes one block of windows may occupy in a blocked op, so that its
+# operands stay in a per-core L2 cache instead of streaming through DRAM
+# (block-size sweeps picked it; see BENCH_6.json and BENCH_7.json).
+BLOCK_BYTES = 3 << 19
+
 _grad_enabled = True
 _gate_sink: list | None = None
 
@@ -116,7 +117,7 @@ def no_grad():
 
 @contextlib.contextmanager
 def record_gates(sink: list | None):
-    """Collect gate decisions (``relu`` / ``gate``) into ``sink``.
+    """Collect gate decisions (``relu``, threshold supports) into ``sink``.
 
     Each gated op appends a packed boolean array describing which entries
     were kept.  Comparing sinks from two forward passes tells the gradient
@@ -397,23 +398,6 @@ def matmul(a, b) -> Tensor:
 # nonlinearities
 
 
-def exp(x) -> Tensor:
-    x = as_tensor(x)
-    with np.errstate(over="ignore"):
-        data = np.exp(x.data)
-    return _result(data, [(x, lambda g, d=data: g * d)], "exp")
-
-
-def log(x) -> Tensor:
-    x = as_tensor(x)
-    with np.errstate(divide="raise", invalid="raise"):
-        try:
-            data = np.log(x.data)
-        except FloatingPointError as err:
-            raise NonFiniteError("log of a non-positive value") from err
-    return _result(data, [(x, lambda g, xd=x.data: g / xd)], "log")
-
-
 def tanh(x) -> Tensor:
     x = as_tensor(x)
     data = np.tanh(x.data)
@@ -444,27 +428,6 @@ def softplus(x) -> Tensor:
     return _result(data, [(x, lambda g, s=sig: g * s)], "softplus")
 
 
-def absolute(x) -> Tensor:
-    """|x|, with gradient ``g * sign(x)`` (0 where x == 0)."""
-    x = as_tensor(x)
-    return _result(np.abs(x.data),
-                   [(x, lambda g, xd=x.data: g * np.sign(xd))], "absolute")
-
-
-def gate(x, kept: np.ndarray) -> Tensor:
-    """``x`` on the entries a boolean ``kept`` marks, 0 elsewhere.
-
-    A hard gate: gradient 1 on kept entries, 0 on dropped ones.  The
-    decision is reported to the active `record_gates` sink.
-    """
-    x = as_tensor(x)
-    if kept.shape != x.shape:
-        raise ShapeMismatchError(f"gate: kept {kept.shape} does not match {x.shape}")
-    trace_gate(kept)
-    return _result(x.data * kept,
-                   [(x, lambda g: np.multiply(g, kept, order="C"))], "gate")
-
-
 def relu(x) -> Tensor:
     """max(x, 0); a NaN input stays NaN in the output."""
     x = as_tensor(x)
@@ -485,49 +448,6 @@ def softmax(x, axis: int = -1) -> Tensor:
         return s * (g - dot)
 
     return _result(data, [(x, grad_x)], "softmax")
-
-
-def log_mass_ratio(sims, weights, pad: np.ndarray, inv_tau: float) -> Tensor:
-    """Per-row ``log(sum_j w_ij e_ij + pad_i) - log(sum_k e_ik)`` with
-    ``e = exp((sims - rowmax) * inv_tau)``: the log ratio of a weighted
-    InfoNCE row, one (..., N) value per row of (..., N, N) operands.
-
-    ``pad`` is a constant (..., N) added to each numerator.  The row-max
-    shift is held constant; it cancels between numerator and denominator
-    on rows with zero pad, so a caller weights padded rows out.  Only
-    ``e`` is kept for backward, which forms the similarity gradient in one
-    buffer.  A non-positive numerator raises `NonFiniteError`, as in `log`.
-    """
-    sims, weights = as_tensor(sims), as_tensor(weights)
-    if sims.ndim < 2 or sims.shape != weights.shape or sims.shape[-1] != sims.shape[-2]:
-        raise ShapeMismatchError(
-            f"log_mass_ratio: sims {sims.shape} and weights {weights.shape} "
-            "must be equal (..., N, N)")
-    inv_tau = float(inv_tau)
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = sims.data - sims.data.max(axis=-1, keepdims=True)
-        e *= inv_tau
-        np.exp(e, out=e)
-        num = (weights.data * e).sum(axis=-1) + pad
-        den = e.sum(axis=-1)
-    with np.errstate(divide="raise", invalid="raise"):
-        try:
-            data = np.log(num) - np.log(den)
-        except FloatingPointError as err:
-            raise NonFiniteError("log of a non-positive value") from err
-
-    def grad_sims(g, w=weights.data):
-        out = np.multiply((g / num)[..., None], w)
-        out += (-g / den)[..., None]
-        out *= e
-        out *= inv_tau
-        return out
-
-    return _result(
-        data,
-        [(sims, grad_sims),
-         (weights, lambda g: np.multiply((g / num)[..., None], e))],
-        "log_mass_ratio")
 
 
 def layer_norm(x) -> Tensor:
@@ -598,10 +518,7 @@ def reshape(x, shape) -> Tensor:
 def transpose(x, axes=None) -> Tensor:
     x = as_tensor(x)
     data = np.transpose(x.data, axes)
-    if axes is None:
-        inverse = None
-    else:
-        inverse = np.argsort(axes)
+    inverse = None if axes is None else np.argsort(axes)
     return _result(data, [(x, lambda g, inv=inverse: np.transpose(g, inv))], "transpose")
 
 
@@ -641,6 +558,89 @@ def mse_loss(pred, target) -> Tensor:
     pred, target = as_tensor(pred), as_tensor(target)
     diff = subtract(pred, target)
     return mean(multiply(diff, diff))
+
+
+def hpcl_loss(views, m, gate, rows: np.ndarray, inv_tau: float) -> Tensor:
+    """Per-window contrastive loss of one branch, weighted by ``|m * gate|``.
+
+    ``views`` (..., N, D) holds one row per channel, ``m`` the (..., N, N)
+    correlation, ``gate`` a boolean support or a `Tensor` of soft gates,
+    ``rows`` the (..., N) rows to average.  With ``e_ij = exp((cos_ij -
+    max_k cos_ik) * inv_tau)`` a window's loss is
+
+        -1/max(1, #rows) sum_{i in rows} log(sum_j |m_ij gate_ij| e_ij / sum_k e_ik)
+
+    It runs over blocks of windows whose three N x N arrays fit in
+    `BLOCK_BYTES`, keeps only per-row statistics and recomputes each
+    block in backward; results do not depend on the block size.  A kept
+    row with a non-positive numerator raises `NonFiniteError`.
+    """
+    views, m = as_tensor(views), as_tensor(m)
+    gd = gate.data if (soft := isinstance(gate, Tensor)) else gate
+    if views.ndim < 2 or m.shape != views.shape[:-1] + m.shape[-1:] or gd.shape != m.shape:
+        raise ShapeMismatchError(f"hpcl_loss: views {views.shape}, m {m.shape} and "
+                                 f"gate {gd.shape} must be (..., N, D) and (..., N, N)")
+    x, md, inv_tau = views.data, m.data, float(inv_tau)
+    keep = np.broadcast_to(rows, x.shape[:-1]).astype(np.float64)
+    counts = np.maximum(keep.sum(axis=-1), 1.0)
+    size = max(1, BLOCK_BYTES // (24 * md[0].size))
+    blocks = [slice(lo, lo + size) for lo in range(0, len(md), size)] if md.ndim > 2 else [...]
+    top, num, den = np.empty(x.shape[:-1] + (1,)), np.empty(keep.shape), np.empty(keep.shape)
+
+    def exps(k, e, p, forward=False):   # block k's rows, exponentials, m * gate
+        u, e, p = unit[k], e[:len(md[k])], p[:len(md[k])]
+        np.matmul(u, np.swapaxes(u, -1, -2), out=e)
+        if forward:
+            top[k] = e.max(axis=-1, keepdims=True)
+        e -= top[k]
+        e *= inv_tau
+        np.copyto(p, gd[k])
+        p *= md[k]
+        return u, np.exp(e, out=e), p
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        s2 = (x * x).sum(axis=-1, keepdims=True) + COSINE_EPS
+        norms = s2 ** 0.5
+        unit = x / norms
+        buffers = [np.empty(md[blocks[0]].shape) for _ in range(2)]
+        for k in blocks:
+            _, e, prod = exps(k, *buffers, forward=True)
+            den[k] = e.sum(axis=-1)
+            num[k] = np.multiply(np.abs(prod, out=prod), e, out=prod).sum(axis=-1)
+    num += 1.0 - keep
+    if (num <= 0).any():            # a NaN is left to the finite checks
+        raise NonFiniteError("log of a non-positive value")
+    ratio, grads = np.log(num) - np.log(den), {}
+
+    def backward(name, g):
+        if not grads:           # one pass over the blocks serves every input
+            a = np.multiply((-g / counts)[..., None], keep)
+            b, a = (-a / den)[..., None], (a / num)[..., None]
+            gu, gm = np.empty_like(unit), np.empty_like(md)
+            gg = np.empty_like(md) if soft else None
+            buffers = [np.empty(md[blocks[0]].shape) for _ in range(3)]
+            for k in blocks:        # reused buffers: an allocation costs a pass
+                u, e, prod = exps(k, *buffers[:2])
+                gs = np.abs(prod, out=buffers[2][:len(prod)])
+                gs *= a[k]
+                gs += b[k]
+                gs *= e
+                gs *= inv_tau
+                gu[k] = gs @ u + np.swapaxes(np.swapaxes(u, -1, -2) @ gs, -1, -2)
+                e *= a[k]                       # d loss / d |m * gate|
+                np.sign(prod, out=gm[k])        # (in place, sign runs 10x slower)
+                gm[k] *= e                      # d/dm; a boolean gate alters no bit
+                if soft:
+                    np.multiply(gm[k], md[k], out=gg[k])
+                    gm[k] *= gd[k]
+            gn = (-gu * x / (norms * norms)).sum(axis=-1, keepdims=True)
+            gs = np.broadcast_to(gn * 0.5 * s2 ** -0.5, x.shape) * x
+            grads.update(views=gu / norms + gs + gs, m=gm, gate=gg)
+        return grads.pop(name)
+
+    parents = [(views, lambda g: backward("views", g)), (m, lambda g: backward("m", g))]
+    parents += [(gate, lambda g: backward("gate", g))] if soft else []
+    return _result(-((ratio * keep).sum(axis=-1) / counts), parents, "hpcl_loss")
 
 
 # ---------------------------------------------------------------------------

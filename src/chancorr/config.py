@@ -8,6 +8,8 @@ parsed by the field's type.  Command-line overrides use the same
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, fields, replace
 
 
@@ -17,6 +19,9 @@ class ConfigError(ValueError):
 
 DCE_MODES = ("full", "pearson-only")
 HD_MODES = ("dual", "single-branch")
+# init_epsilon inverts the threshold's softplus, log(expm1(x)), which
+# overflows from here on
+_EPSILON_INIT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass
@@ -47,6 +52,10 @@ class TrainConfig:
     beta_logit_init: float = -5.0
 
     def __post_init__(self):
+        # NaN passes every comparison below, so finiteness is checked first
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.epochs <= 0:
@@ -74,8 +83,9 @@ class TrainConfig:
             raise ConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
         if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
-        if self.epsilon_init <= 0:
-            raise ConfigError(f"epsilon_init must be positive, got {self.epsilon_init}")
+        if not 0 < self.epsilon_init < _EPSILON_INIT_MAX:
+            raise ConfigError("epsilon_init must be positive and below "
+                              f"{_EPSILON_INIT_MAX:.2f}, got {self.epsilon_init}")
         if self.depth_division < 1 or self.depth_fusion < 1:
             raise ConfigError("projection depths must be >= 1, got "
                               f"{self.depth_division}/{self.depth_fusion}")

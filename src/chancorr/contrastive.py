@@ -21,11 +21,12 @@ Gating is hard by default: gradients pass through retained entries
 unchanged and are zero elsewhere and into eps.  A soft mode replaces the
 indicator with sigmoid((|m| - eps) / temp), making eps trainable.
 
-Cost on (..., N, N) data: a hard mask is one ``ad.gate`` pass over m with
-the boolean support, and its magnitude one ``ad.absolute`` pass.  From
-the similarities to the per-row log ratio, each branch records a single
-``ad.log_mass_ratio`` op, which keeps one N x N array (the exponentials)
-for backward.
+Cost on (..., N, N) data: the hard supports are two boolean arrays.
+Each branch records one ``ad.hpcl_loss`` op from (m, its gate, the
+views) to the per-window loss.  It forms the similarities, exponentials
+and weights ``|m * gate|`` over cache-sized blocks of windows, keeps only
+per-row statistics and recomputes the blocks in backward, so with hard
+gates the tape holds no float N x N array besides m.
 """
 
 from __future__ import annotations
@@ -88,10 +89,11 @@ def init_epsilon(init: float = 0.3) -> EpsilonParam:
 
 @dataclass
 class MaskPair:
-    pos: Tensor                 # retained values (or soft-gated values)
-    neg: Tensor
-    pos_support: np.ndarray     # hard boolean supports (bookkeeping)
+    m: Tensor                   # the correlation estimate that was split
+    pos_support: np.ndarray     # hard boolean supports
     neg_support: np.ndarray
+    pos_gate: Tensor | np.ndarray   # what weights m: the support, or in
+    neg_gate: Tensor | np.ndarray   # soft mode the sigmoid gate tensor
 
 
 def threshold_masks(m, eps: EpsilonParam, config: HpclConfig | None = None) -> MaskPair:
@@ -100,8 +102,9 @@ def threshold_masks(m, eps: EpsilonParam, config: HpclConfig | None = None) -> M
     ``m`` is (..., N, N).  Off the diagonal the supports are disjoint
     (eps > 0); the diagonal is always in the positive support, and also in
     the negative one where it falls below -eps.
-    In hard mode the indicator is a constant: gradient w.r.t. m is 1 on
-    kept entries and 0 on dropped entries, and none reaches eps.
+    In hard mode the gates are the supports, constant indicators: the
+    loss's gradient w.r.t. m is zero on dropped entries and none reaches
+    eps.  Their decisions go to the active ``ad.record_gates`` sink.
     """
     config = config or HpclConfig()
     m = ad.as_tensor(m)
@@ -116,75 +119,55 @@ def threshold_masks(m, eps: EpsilonParam, config: HpclConfig | None = None) -> M
     if config.soft_gate:
         eps_t = eps.value
         inv_temp = 1.0 / config.gate_temp
-        gate_pos = ad.sigmoid(ad.scale(ad.subtract(m, eps_t), inv_temp))
-        gate_neg = ad.sigmoid(ad.scale(ad.subtract(ad.scale(m, -1.0), eps_t), inv_temp))
-        pos = ad.multiply(m, gate_pos)
-        neg = ad.multiply(m, gate_neg)
+        pos_gate = ad.sigmoid(ad.scale(ad.subtract(m, eps_t), inv_temp))
+        neg_gate = ad.sigmoid(ad.scale(ad.subtract(ad.scale(m, -1.0), eps_t), inv_temp))
     else:
-        pos = ad.gate(m, pos_support)
-        neg = ad.gate(m, neg_support)
-
-    return MaskPair(pos=pos, neg=neg, pos_support=pos_support, neg_support=neg_support)
+        pos_gate, neg_gate = pos_support, neg_support
+        ad.trace_gate(pos_support)
+        ad.trace_gate(neg_support)
+    return MaskPair(m, pos_support, neg_support, pos_gate, neg_gate)
 
 
 def contrastive_loss(x, mask, tau: float = 0.5,
-                     row_support: np.ndarray | None = None) -> Tensor:
-    """InfoNCE-style loss of views ``x`` under nonnegative pair weights.
+                     row_support: np.ndarray | None = None, gate=None) -> Tensor:
+    """InfoNCE-style loss of views ``x`` under pair weights ``|mask * gate|``.
 
-    ``x``: (..., P, N, d) views; ``mask``: (..., N, N) weights (tensor, may
-    carry gradients).  ``row_support`` optionally marks rows to include;
-    by default rows whose weights are identically zero are skipped and the
-    averaging count shrinks accordingly.
-
-    Row-max subtraction keeps the exponentials tame; since the same shift
-    enters numerator and denominator the ratio -- and its gradient -- is
-    unchanged.
+    ``x``: (..., P, N, d) views; ``mask``: (..., N, N) tensor (may carry
+    gradients); ``gate``: a boolean support or a soft-gate tensor of the
+    same shape, by default the nonzero entries of ``mask``.
+    ``row_support`` optionally marks rows to include; by default rows
+    whose mask is identically zero are skipped and the averaging count
+    shrinks accordingly.  Batched inputs average over the windows.
     """
     x = ad.as_tensor(x)
     mask = ad.as_tensor(mask)
     if x.ndim < 3:
         raise ad.ShapeMismatchError("views must be (..., P, N, d)")
-    views = flatten_per_channel(x)                     # (..., N, P*d)
-    sims = ad.cosine_similarity_matrix(views)          # (..., N, N)
-    if sims.shape != mask.shape:
-        raise ad.ShapeMismatchError(
-            f"mask shape {mask.shape} does not match similarity {sims.shape}")
-
+    if gate is None:
+        gate = mask.data != 0
     if row_support is None:
-        keep = (np.abs(mask.data) > 0).any(axis=-1)
-    else:
-        keep = np.broadcast_to(row_support, sims.shape[:-1])
-    keep_f = keep.astype(np.float64)                     # (..., N)
-    counts = np.maximum(keep_f.sum(axis=-1), 1.0)        # (...,)
-
-    # dropped rows: pad the numerator so the log is defined there, then
-    # weight them out
-    ratio = ad.log_mass_ratio(sims, mask, 1.0 - keep_f, 1.0 / tau)
-    terms = ad.multiply(ratio, ad.constant(keep_f))
-    per_window = ad.divide(ad.tensor_sum(terms, axis=-1), ad.constant(counts))
-    return ad.scale(ad.mean(per_window), -1.0)
+        row_support = (mask.data != 0).any(axis=-1)
+    return ad.mean(ad.hpcl_loss(flatten_per_channel(x), mask, gate,
+                                row_support, 1.0 / tau))
 
 
 def aux_loss(x_pos, x_neg, masks: MaskPair, config: HpclConfig | None = None):
     """Total contrastive objective: l_pos + l_neg on magnitude weights.
 
-    Returns ``(l_pos, l_neg, l_total)`` tensors.  Negative-correlation
-    weights enter by absolute value so the log arguments stay positive;
-    the sign pattern is constant inside one forward pass, so the gradient
-    convention on retained entries is just the sign.
+    Returns ``(l_pos, l_neg, l_total)`` tensors.  Both branches weight
+    pairs by ``|m * gate|``, so negative correlations enter by magnitude
+    and the log arguments stay positive.
 
-    Each branch's loss is one ``ad.log_mass_ratio`` op.  Per branch the
-    tape holds four N x N arrays: the mask, its magnitude, the
-    cosine similarities and the exponentials ``log_mass_ratio`` keeps.
+    Each branch's loss is one ``ad.hpcl_loss`` op, which recomputes its
+    N x N blocks in backward: with hard gates the tape holds no float
+    N x N array besides m.
     """
     config = config or HpclConfig()
-    pos_w = ad.absolute(masks.pos)
-    neg_w = ad.absolute(masks.neg)
-    pos_rows = masks.pos_support.any(axis=-1)
-    neg_rows = masks.neg_support.any(axis=-1)
-    l_pos = contrastive_loss(x_pos, pos_w, tau=config.tau, row_support=pos_rows)
+    l_pos = contrastive_loss(x_pos, masks.m, config.tau,
+                             masks.pos_support.any(axis=-1), masks.pos_gate)
     if masks.neg_support.any():
-        l_neg = contrastive_loss(x_neg, neg_w, tau=config.tau, row_support=neg_rows)
+        l_neg = contrastive_loss(x_neg, masks.m, config.tau,
+                                 masks.neg_support.any(axis=-1), masks.neg_gate)
     else:
         l_neg = ad.constant(0.0)
     return l_pos, l_neg, ad.add(l_pos, l_neg)

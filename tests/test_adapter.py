@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chancorr import adapter
 from chancorr import autodiff as ad
 from chancorr.adapter import (backbone_parameter_count, branch_views,
                               correlation_estimate, init_adapter,
@@ -144,7 +143,7 @@ def serving_state(n, seed=0, batch=1):
 
 
 def windows_per_block(out):
-    return adapter.BLOCK_BYTES // (8 * math.prod(out.repr.shape[1:]))
+    return ad.BLOCK_BYTES // (8 * math.prod(out.repr.shape[1:]))
 
 
 @pytest.mark.parametrize("n, batch", [(8, 300), (256, 10)])
@@ -157,7 +156,7 @@ def test_blocked_inference_is_bit_identical_to_one_batch(monkeypatch, n, batch):
     blocked = (predict(state, out), *branch_views(state, out))
     unbatched = (predict(state, single), *branch_views(state, single))
 
-    monkeypatch.setattr(adapter, "BLOCK_BYTES", 1 << 62)   # one block
+    monkeypatch.setattr(ad, "BLOCK_BYTES", 1 << 62)   # one block
     whole = (predict(state, out), *branch_views(state, out))
     for got, want in zip(blocked, whole):
         assert got.shape == want.shape
@@ -195,7 +194,7 @@ def test_predict_peak_memory_is_bounded_by_the_block_budget():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12 * adapter.BLOCK_BYTES + forecast.nbytes, peak
+    assert peak < 12 * ad.BLOCK_BYTES + forecast.nbytes, peak
 
 
 def test_training_losses_keys_and_prediction_value():
@@ -251,9 +250,10 @@ def _nxn_buffers_on_tape(roots, n):
 
 
 def test_training_tape_holds_few_nxn_buffers():
-    # pins the N x N memory of one training step: M, Q V Q^T, and per
-    # branch the similarities, the gated mask, its magnitude and the one
-    # exp buffer of log_mass_ratio (the generic-op chain kept 20)
+    # pins the N x N memory of one training step to M and Q V Q^T: the
+    # contrastive op keeps per-row statistics and recomputes its N x N
+    # blocks in backward (the generic-op chain kept 20, the fused
+    # similarity-to-log-ratio op 10)
     n = 7
     backbone, x, y = tiny_backbone(seed=4, n=n, b=6)
     state = init_adapter(backbone, n, small_config())
@@ -262,7 +262,57 @@ def test_training_tape_holds_few_nxn_buffers():
     losses = training_losses(state, out.repr, out.yhat_norm,
                              (y - out.mean) / out.std, r)
     assert losses["l_neg"]._parents is not None   # both branches recorded
-    assert _nxn_buffers_on_tape([losses["prediction"], losses["aux"]], n) == 10
+    assert _nxn_buffers_on_tape([losses["prediction"], losses["aux"]], n) == 2
+
+
+def _step_bytes(state, out, y_norm, r):
+    """Loss bytes and every parameter's gradient bytes of one step."""
+    for _, t in named_parameters(state):
+        t.grad = None
+    losses = training_losses(state, out.repr, out.yhat_norm, y_norm, r)
+    total = ad.add(losses["prediction"], losses["aux"])
+    total.backward()
+    return ([losses[k].data.tobytes() for k in ("l_pos", "l_neg", "aux")],
+            [None if t.grad is None else t.grad.tobytes()
+             for _, t in named_parameters(state)])
+
+
+@pytest.mark.parametrize("soft_gate", [False, True])
+@pytest.mark.parametrize("n, b", [(8, 6), (64, 5)])
+def test_training_step_does_not_depend_on_the_block_size(monkeypatch, n, b, soft_gate):
+    backbone, x, y = tiny_backbone(seed=n, n=n, b=b)
+    state = init_adapter(backbone, n, small_config(soft_gate=soft_gate, gate_temp=0.2))
+    rng = np.random.default_rng(n)
+    for _, t in named_parameters(state):
+        t.data[...] += rng.normal(0.0, 0.1, size=t.shape)
+    out = backbone_forward(backbone, x)
+    args = (state, out, (y - out.mean) / out.std, pearson_matrix(x))
+    monkeypatch.setattr(ad, "BLOCK_BYTES", 1)           # one window a block
+    per_window = _step_bytes(*args)
+    monkeypatch.setattr(ad, "BLOCK_BYTES", 1 << 62)     # one block
+    assert _step_bytes(*args) == per_window
+    assert (state.eps.raw.grad is not None) == soft_gate   # eps trains only if soft
+
+
+def test_training_step_memory_beyond_the_prediction_path_is_a_few_nxn_arrays():
+    # With HPCL on, a step at N=256 adds M and Q V Q^T on the tape and, in
+    # backward, each branch's gradient w.r.t. M and their sum: about 5.5
+    # (B, N, N) arrays (the fused similarity-to-log-ratio op took 14.5).
+    n, b = 256, 8
+    backbone, x, y = tiny_backbone(seed=12, n=n, b=b)
+    out = backbone_forward(backbone, x)
+    args = (out.repr, out.yhat_norm, (y - out.mean) / out.std, pearson_matrix(x))
+    peaks = []
+    for hpcl in (True, False):
+        state = init_adapter(backbone, n, small_config(hpcl=hpcl))
+        tracemalloc.start()
+        try:
+            losses = training_losses(state, *args)
+            ad.add(losses["prediction"], losses["aux"]).backward()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] - peaks[1] < 7 * b * n * n * 8, peaks
 
 
 def test_correlation_estimate_pearson_only_passthrough():

@@ -143,6 +143,16 @@ def test_bad_config_value_exits_2(tmp_path):
     assert code == 2
 
 
+def test_non_finite_config_override_exits_2(tmp_path):
+    data, _ = make_dataset(tmp_path, length=600)
+    backbone = make_backbone(tmp_path, data)
+    for override in ("lambda_aux=nan", "tau=nan", "epsilon_init=1000"):
+        code = run("fit", "--data", data, "--backbone", backbone,
+                   "--out", tmp_path / "a.npz", "--set", override)
+        assert code == 2
+    assert not (tmp_path / "a.npz").exists()
+
+
 def test_export_sim_out_of_range_window_exits_3(tmp_path):
     data, _ = make_dataset(tmp_path, length=600)
     backbone = make_backbone(tmp_path, data)

@@ -4,6 +4,7 @@ import pytest
 
 from chancorr.config import (ConfigError, TrainConfig, load_train_config,
                              parse_assignments, with_updates)
+from chancorr.contrastive import init_epsilon
 
 
 def test_defaults_are_valid():
@@ -39,6 +40,30 @@ def test_defaults_are_valid():
 def test_invalid_field_rejected(field, value):
     with pytest.raises(ConfigError):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lr", float("nan")),
+    ("lambda_aux", float("nan")),
+    ("lambda_aux", float("inf")),
+    ("tau", float("nan")),
+    ("epsilon_init", float("inf")),
+    ("epsilon_init", 1000.0),
+    ("gate_temp", float("nan")),
+    ("gate_lr_scale", float("inf")),
+    ("beta_logit_init", float("-inf")),
+])
+def test_non_finite_or_overflowing_floats_rejected(field, value):
+    # NaN passes every <= 0 check, and a NaN lambda_aux would silently
+    # switch the auxiliary loss off; exp(1000) overflows the threshold init
+    with pytest.raises(ConfigError):
+        TrainConfig(**{field: value})
+    with pytest.raises(ConfigError):
+        load_train_config(overrides=[f"{field}={value}"])
+
+
+def test_epsilon_init_below_the_overflow_bound_builds_its_threshold():
+    assert init_epsilon(TrainConfig(epsilon_init=709.0).epsilon_init).numeric() == 709.0
 
 
 def test_with_updates_revalidates():

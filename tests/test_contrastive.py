@@ -1,6 +1,7 @@
 """Contrastive objective against a double-loop oracle, mask semantics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,9 +152,9 @@ def test_threshold_supports_match_spec_example():
     assert set(zip(*np.nonzero(masks.pos_support))) == pos_expected
     assert set(zip(*np.nonzero(masks.neg_support))) == neg_expected
     # retained entries keep raw values
-    assert masks.pos.data[0, 1] == 0.5
-    assert masks.neg.data[0, 2] == -0.7
-    assert masks.pos.data[1, 2] == 0.0
+    assert (m * masks.pos_support)[0, 1] == 0.5
+    assert (m * masks.neg_support)[0, 2] == -0.7
+    assert (m * masks.pos_support)[1, 2] == 0.0
 
 
 def test_threshold_supports_disjoint_and_partition():
@@ -186,23 +187,40 @@ def test_epsilon_softplus_parameterisation():
 
 def test_hard_gate_gradient_convention():
     m = ad.parameter(np.array([[1.0, 0.5, -0.7], [0.5, 1.0, 0.1], [-0.7, 0.1, 1.0]]))
+    x = np.random.default_rng(58).normal(size=(2, 3, 4))
     eps = ct.init_epsilon(0.3)
     masks = ct.threshold_masks(m, eps)
-    ad.tensor_sum(ad.add(masks.pos, masks.neg)).backward()
-    # gradient 1 on kept entries (either mask), 0 on dropped and into eps
-    expected = (masks.pos_support | masks.neg_support).astype(float)
-    assert np.array_equal(m.grad, expected)
+    ct.aux_loss(ad.constant(x), ad.constant(x), masks)[2].backward()
+    # gradient on kept entries (either mask) only; none into eps
+    kept = masks.pos_support | masks.neg_support
+    assert not m.grad[~kept].any()
+    assert m.grad[kept].all()
     assert eps.raw.grad is None
+
+
+def test_threshold_masks_trace_hard_supports():
+    m = np.array([[1.0, 0.5, -0.7], [0.5, 1.0, 0.1], [-0.7, 0.1, 1.0]])
+    eps = ct.init_epsilon(0.3)
+    with ad.record_gates([]) as sink:
+        masks = ct.threshold_masks(ad.constant(m), eps)
+    assert masks.pos_gate is masks.pos_support
+    assert len(sink) == 2
+    for packed, support in zip(sink, (masks.pos_support, masks.neg_support)):
+        assert np.array_equal(np.unpackbits(packed)[:9].astype(bool), support.ravel())
+    with ad.record_gates([]) as sink:      # soft gates are smooth: no decision
+        ct.threshold_masks(ad.constant(m), eps, ct.HpclConfig(soft_gate=True))
+    assert sink == []
 
 
 def test_soft_gate_trains_epsilon():
     rng = np.random.default_rng(60)
     m = ad.parameter(np.clip(rng.normal(scale=0.6, size=(4, 4)), -1, 1))
+    x = rng.normal(size=(2, 4, 3))
     eps = ct.init_epsilon(0.3)
     cfg = ct.HpclConfig(soft_gate=True)
     masks = ct.threshold_masks(m, eps, cfg)
-    ad.tensor_sum(ad.add(masks.pos, masks.neg)).backward()
-    assert eps.raw.grad is not None
+    ct.aux_loss(ad.constant(x), ad.constant(x), masks, cfg)[2].backward()
+    assert eps.raw.grad is not None and eps.raw.grad != 0.0
     assert m.grad is not None
 
 
@@ -235,14 +253,12 @@ def test_negative_weights_enter_by_magnitude():
 # gradients through the whole objective
 
 
-def test_aux_loss_gradients_match_fd_through_masks():
-    """Gradients reach projection AND correlation parameters through the
-    retained mask values, matching finite differences."""
-    rng = np.random.default_rng(63)
+def _fd_problem(rng, config, lead=()):
+    """A closure of threshold + aux loss over fresh DCE and projection
+    parameters, and the parameters it reads."""
     n, p, d = 4, 2, 5
-    reps = ad.constant(rng.normal(size=(p, n, d)))
-    raw_window = rng.normal(size=(n, 30))
-    r = corr.pearson_matrix(raw_window)
+    reps = ad.constant(rng.normal(size=lead + (p, n, d)))
+    r = corr.pearson_matrix(rng.normal(size=lead + (n, 30)))
     dce = corr.init_dce_params(n, d, degree=2, rank=2, embed_dim=3, rng=rng)
     # push coefficients away from zero so Q isn't degenerate
     dce.coef_w.data = rng.normal(0, 0.4, size=dce.coef_w.shape)
@@ -256,76 +272,122 @@ def test_aux_loss_gradients_match_fd_through_masks():
         q = corr.time_varying_component(reps, dce)
         v = corr.time_invariant_component(dce)
         m = corr.compose_correlation(r, q, v)
-        masks = ct.threshold_masks(m, eps)
+        masks = ct.threshold_masks(m, eps, config)
         x_pos, x_neg = pj.divide(hd, reps)
-        _, _, total = ct.aux_loss(x_pos, x_neg, masks)
+        _, _, total = ct.aux_loss(x_pos, x_neg, masks, config)
         return total
 
-    params = dce.named_tensors() + hd.named_tensors()
+    return loss, dce.named_tensors() + hd.named_tensors() + eps.named_tensors()
+
+
+def test_aux_loss_gradients_match_fd_through_masks():
+    """Gradients reach projection AND correlation parameters through the
+    retained mask values, matching finite differences."""
+    loss, params = _fd_problem(np.random.default_rng(63), ct.HpclConfig())
     report = ad.grad_check(loss, params, tol=1e-4, max_entries_per_param=20)
     assert report.passed, str(report)
 
 
+def test_soft_gate_gradients_match_fd_in_batches():
+    """Soft gates: the threshold trains too, through every window."""
+    config = ct.HpclConfig(soft_gate=True, gate_temp=0.2)
+    loss, params = _fd_problem(np.random.default_rng(66), config, lead=(3,))
+    report = ad.grad_check(loss, params, tol=1e-4, max_entries_per_param=12)
+    assert report.passed, str(report)
+    assert report.results[-1].name == "hpcl.eps_raw" and report.results[-1].checked
+
+
 # ---------------------------------------------------------------------------
-# fused ops against the generic-op composite they replace
+# the fused op against a plain-numpy composite of the chain it replaces
 
 
-def reference_threshold_masks(m, eps, config):
-    """Masks built from generic ops only: float supports via ``constant``."""
-    pos_support = (m.data > eps.numeric()) | np.eye(m.shape[-1], dtype=bool)
-    neg_support = m.data < -eps.numeric()
+def _logistic(z):
+    """1 / (1 + exp(-z)), with exp taken on the non-positive side only."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ex = np.exp(z[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_branch(x, m, gate, rows, tau, g_out):
+    """One branch, whole batch, op by op in float64 numpy: its per-window
+    loss and, for the upstream gradient ``g_out`` of those values, the
+    gradients with respect to ``x``, ``m`` and ``gate``."""
+    nd = x.ndim
+    axes = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)
+    moved = np.transpose(x, axes)
+    v = moved.reshape(moved.shape[:-2] + (-1,))           # (..., N, P*d)
+    s2 = (v * v).sum(axis=-1, keepdims=True) + ad.COSINE_EPS
+    norms = s2 ** 0.5
+    unit = v / norms
+    sims = unit @ np.swapaxes(unit, -1, -2)
+    e = np.exp((sims - sims.max(axis=-1, keepdims=True)) * (1.0 / tau))
+    prod = m * gate
+    w = np.abs(prod)
+    keep = np.broadcast_to(rows, sims.shape[:-1]).astype(np.float64)
+    counts = np.maximum(keep.sum(axis=-1), 1.0)
+    num = (w * e).sum(axis=-1) + (1.0 - keep)
+    den = e.sum(axis=-1)
+    loss = -(((np.log(num) - np.log(den)) * keep).sum(axis=-1) / counts)
+
+    g_ratio = (-g_out / counts)[..., None] * keep
+    a = (g_ratio / num)[..., None]
+    g_sims = (a * w + (-g_ratio / den)[..., None]) * e * (1.0 / tau)
+    g_w = a * e * np.sign(prod)
+    g_unit = g_sims @ unit + np.swapaxes(np.swapaxes(unit, -1, -2) @ g_sims, -1, -2)
+    g_norms = (-g_unit * v / (norms * norms)).sum(axis=-1, keepdims=True)
+    g_sq = g_norms * 0.5 * s2 ** -0.5 * v
+    g_v = g_unit / norms + g_sq + g_sq
+    g_x = np.transpose(g_v.reshape(moved.shape), np.argsort(axes))
+    return loss, g_x, g_w * gate, g_w * m
+
+
+def reference_aux_loss(x_pos, x_neg, m, raw, config):
+    """Total loss and gradients w.r.t. (x_pos, x_neg, m, raw) of
+    ``threshold_masks`` + ``aux_loss``, in numpy."""
+    eps = np.logaddexp(0.0, raw)
+    pos_support = (m > eps) | np.eye(m.shape[-1], dtype=bool)
+    neg_support = m < -eps
+    g_out = np.full(m.shape[:-2], 1.0 / max(1, m[..., 0, 0].size))
     if config.soft_gate:
-        eps_t, inv_temp = eps.value, 1.0 / config.gate_temp
-        gate_pos = ad.sigmoid(ad.scale(ad.subtract(m, eps_t), inv_temp))
-        gate_neg = ad.sigmoid(ad.scale(ad.subtract(ad.scale(m, -1.0), eps_t),
-                                       inv_temp))
-        pos, neg = ad.multiply(m, gate_pos), ad.multiply(m, gate_neg)
+        inv_temp = 1.0 / config.gate_temp
+        gate_pos = _logistic((m - eps) * inv_temp)
+        gate_neg = _logistic((m * -1.0 - eps) * inv_temp)
     else:
-        pos = ad.multiply(m, ad.constant(pos_support))
-        neg = ad.multiply(m, ad.constant(neg_support))
-    return ct.MaskPair(pos=pos, neg=neg, pos_support=pos_support,
-                       neg_support=neg_support)
-
-
-def reference_contrastive_loss(x, mask, tau, row_support=None):
-    """subtract -> scale -> exp -> two row sums -> two logs, op by op."""
-    sims = ad.cosine_similarity_matrix(pj.flatten_per_channel(x))
-    shift = ad.constant(sims.data.max(axis=-1, keepdims=True))
-    e = ad.exp(ad.scale(ad.subtract(sims, shift), 1.0 / tau))
-    num = ad.tensor_sum(ad.multiply(mask, e), axis=-1)
-    den = ad.tensor_sum(e, axis=-1)
-    if row_support is None:
-        keep = (np.abs(mask.data) > 0).any(axis=-1)
-    else:
-        keep = np.broadcast_to(row_support, num.shape)
-    keep_f = keep.astype(np.float64)
-    counts = np.maximum(keep_f.sum(axis=-1), 1.0)
-    safe_num = ad.add(num, ad.constant(1.0 - keep_f))
-    terms = ad.multiply(ad.subtract(ad.log(safe_num), ad.log(den)),
-                        ad.constant(keep_f))
-    per_window = ad.divide(ad.tensor_sum(terms, axis=-1), ad.constant(counts))
-    return ad.scale(ad.mean(per_window), -1.0)
-
-
-def reference_aux_loss(x_pos, x_neg, masks, config):
-    def magnitude(w):
-        return ad.multiply(w, ad.constant(np.sign(w.data)))
-
-    l_pos = reference_contrastive_loss(x_pos, magnitude(masks.pos), config.tau,
-                                       masks.pos_support.any(axis=-1))
-    l_neg = reference_contrastive_loss(x_neg, magnitude(masks.neg), config.tau,
-                                       masks.neg_support.any(axis=-1))
-    return l_pos, l_neg, ad.add(l_pos, l_neg)
+        gate_pos, gate_neg = pos_support, neg_support
+    l_pos, g_xp, g_mp, g_gp = reference_branch(
+        x_pos, m, gate_pos, pos_support.any(axis=-1), config.tau, g_out)
+    l_neg, g_xn, g_mn, g_gn = reference_branch(
+        x_neg, m, gate_neg, neg_support.any(axis=-1), config.tau, g_out)
+    total = l_pos.mean() + l_neg.mean()
+    if not config.soft_gate:
+        return total, [g_xp, g_xn, g_mp + g_mn, None]
+    # through the sigmoid gates into m and eps = softplus(raw), each
+    # contribution added in the order reverse-mode accumulation meets it
+    g_zp = g_gp * gate_pos * (1.0 - gate_pos) * inv_temp
+    g_zn = g_gn * gate_neg * (1.0 - gate_neg) * inv_temp
+    g_m = ((g_zp + g_mp) + g_mn) + g_zn * -1.0
+    g_eps = (-g_zp).sum(axis=tuple(range(m.ndim))) + (-g_zn).sum(axis=tuple(range(m.ndim)))
+    return total, [g_xp, g_xn, g_m, g_eps * _logistic(raw)]
 
 
 def _run(build, arrays):
-    """Loss bytes and gradient bytes of ``build(*params)``; a fresh set of
+    """Loss and gradients of ``build(*params)``; a fresh set of
     parameters per call."""
     params = [ad.parameter(a.copy()) for a in arrays]
     loss = build(*params)
     loss.backward()
-    return loss.data.tobytes(), [None if p.grad is None else p.grad.tobytes()
-                                 for p in params]
+    return loss.data, [p.grad for p in params]
+
+
+def _assert_same_bits(got, want):
+    assert got[0].tobytes() == np.asarray(want[0]).tobytes()
+    for g, w in zip(got[1], want[1]):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert g.shape == np.shape(w) and g.tobytes() == np.ascontiguousarray(w).tobytes()
 
 
 def _views_and_corr(rng, batch, n=6, p=2, d=3):
@@ -349,14 +411,9 @@ def test_fused_aux_loss_bit_identical_to_generic_composite(soft_gate, batch):
         assert masks.neg_support.any()
         return ct.aux_loss(xp, xn, masks, config)[2]
 
-    def generic(xp, xn, mt, raw):
-        masks = reference_threshold_masks(mt, ct.EpsilonParam(raw=raw), config)
-        return reference_aux_loss(xp, xn, masks, config)[2]
-
     raw = np.array(math.log(math.expm1(0.3)))
-    want = _run(generic, [x_pos, x_neg, m, raw])
-    assert _run(fused, [x_pos, x_neg, m, raw]) == want
-    assert (want[1][3] is None) == (not soft_gate)   # eps trains only if soft
+    _assert_same_bits(_run(fused, [x_pos, x_neg, m, raw]),
+                      reference_aux_loss(x_pos, x_neg, m, raw, config))
 
 
 @pytest.mark.parametrize("batch", [0, 3])
@@ -367,17 +424,19 @@ def test_fused_contrastive_loss_bit_identical_to_generic_composite(given_rows, b
     mask = rng.uniform(0.0, 1.0, size=x.shape[:-3] + (6, 6))
     mask[rng.uniform(size=mask.shape) < 0.4] = 0.0
     mask[..., 2, :] = 0.0                       # one empty row per window
-    rows = (mask > 0).any(axis=-1) if given_rows else None
-    want = _run(lambda a, w: reference_contrastive_loss(a, w, 0.5, rows), [x, mask])
-    got = _run(lambda a, w: ct.contrastive_loss(a, w, 0.5, rows), [x, mask])
-    assert got == want
+    rows = (mask > 0).any(axis=-1)
+    g_out = np.full(x.shape[:-3], 1.0 / (batch or 1))
+    loss, g_x, g_mask, _ = reference_branch(x, mask, mask != 0, rows, 0.5, g_out)
+    got = _run(lambda a, w: ct.contrastive_loss(a, w, 0.5, rows if given_rows else None),
+               [x, mask])
+    _assert_same_bits(got, (loss.mean(), [g_x, g_mask]))
 
 
 def test_nan_similarity_raises():
-    sims = np.array([[1.0, np.nan], [0.2, 1.0]])
+    views = np.array([[1.0, np.nan], [0.2, 1.0]])
     with pytest.raises(ad.NonFiniteError):
-        ad.log_mass_ratio(ad.constant(sims), ad.constant(np.eye(2)),
-                          np.zeros(2), 2.0)
+        ad.hpcl_loss(ad.constant(views), ad.constant(np.eye(2)), np.eye(2, dtype=bool),
+                     np.ones(2, dtype=bool), 2.0)
 
 
 def test_kept_row_with_underflowing_numerator_raises():
@@ -391,3 +450,63 @@ def test_kept_row_with_underflowing_numerator_raises():
     # the same row is fine at an ordinary tau
     assert np.isfinite(
         ct.contrastive_loss(ad.constant(x), ad.constant(mask), tau=0.5).item())
+
+
+# ---------------------------------------------------------------------------
+# blocks of windows
+
+
+def _branch_inputs(rng, b, n, d=5):
+    views = rng.normal(size=(b, n, d))
+    m = np.clip(rng.normal(scale=0.6, size=(b, n, n)), -1.0, 1.0)
+    support = np.abs(m) > 0.3
+    support[:, np.arange(n), np.arange(n)] = True
+    return views, m, support, support.any(axis=-1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_views_in_the_last_block_raise(monkeypatch, bad):
+    monkeypatch.setattr(ad, "BLOCK_BYTES", 2 * 24 * 8 * 8)    # two windows a block
+    views, m, support, rows = _branch_inputs(np.random.default_rng(67), 5, 8)
+    views[-1, -1, -1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # the error, not a numpy warning
+        with pytest.raises(ad.NonFiniteError):
+            ad.hpcl_loss(ad.constant(views), ad.parameter(m), support, rows, 2.0)
+
+
+def test_underflowing_kept_row_in_the_last_block_raises(monkeypatch):
+    # as below, but in one window of a batch that runs a window a block
+    monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
+    views, m, support, rows = _branch_inputs(np.random.default_rng(68), 4, 3, d=4)
+    views[-1] = np.eye(3, 4)
+    support[-1], rows[-1] = False, False
+    support[-1, 0, 1] = rows[-1, 0] = True
+    m[-1, 0, 1] = 1.0
+    assert np.isfinite(ad.hpcl_loss(ad.constant(views), ad.constant(m), support,
+                                    rows, 2.0).data).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # the error, not a numpy warning
+        with pytest.raises(ad.NonFiniteError):
+            ad.hpcl_loss(ad.constant(views), ad.constant(m), support, rows, 1e4)
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_unbatched_window_matches_its_row_of_a_blocked_batch(monkeypatch, n):
+    monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
+    rng = np.random.default_rng(69 + n)
+    views, m, gate, rows = _branch_inputs(rng, 3, n)
+    weights = rng.uniform(0.5, 1.5, size=3)
+
+    def run(lead):
+        params = [ad.parameter(a[lead].copy()) for a in (views, m)]
+        out = ad.hpcl_loss(*params, gate[lead], rows[lead], 2.0)
+        ad.tensor_sum(ad.multiply(out, ad.constant(weights[lead]))).backward()
+        return out.data, [p.grad for p in params]
+
+    batch, grads = run(slice(None))
+    for i in range(3):
+        one, one_grads = run(i)
+        assert one.tobytes() == batch[i].tobytes()
+        for got, want in zip(one_grads, grads):
+            assert got.tobytes() == want[i].tobytes()
