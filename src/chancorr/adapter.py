@@ -24,8 +24,7 @@ from . import serialize
 from .autodiff import Tensor
 from .backbone import BackboneOutput, BackboneState
 from .config import TrainConfig
-from .contrastive import (EpsilonParam, HpclConfig, aux_loss,
-                          init_epsilon, threshold_masks)
+from .contrastive import EpsilonParam, aux_loss, init_epsilon, threshold_masks
 from .correlation import (DceParams, compose_correlation, init_dce_params,
                           time_invariant_component, time_varying_component)
 from .fusion import FusionParams, fuse_predict, init_fusion_params
@@ -44,11 +43,6 @@ class AdapterState:
     hd: HdParams
     eps: EpsilonParam
     fusion: FusionParams
-
-    def hpcl_config(self) -> HpclConfig:
-        cfg = self.train_config
-        return HpclConfig(tau=cfg.tau, gate_temp=cfg.gate_temp,
-                          soft_gate=cfg.soft_gate)
 
 
 def init_adapter(backbone: BackboneState, n_channels: int,
@@ -133,8 +127,8 @@ def training_losses(state: AdapterState, rep: np.ndarray, yhat_norm: np.ndarray,
         if r is None:
             raise ValueError("HPCL is on but no correlation input was given")
         m = correlation_estimate(state, repr_t, r)
-        masks = threshold_masks(m, state.eps, state.hpcl_config())
-        l_pos, l_neg, total = aux_loss(x_pos, x_neg, masks, state.hpcl_config())
+        masks = threshold_masks(m, state.eps, state.train_config)
+        l_pos, l_neg, total = aux_loss(x_pos, x_neg, masks, state.train_config)
     else:
         l_pos = ad.constant(0.0)
         l_neg = ad.constant(0.0)

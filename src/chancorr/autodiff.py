@@ -49,11 +49,9 @@ __all__ = [
     "add",
     "subtract",
     "multiply",
-    "divide",
     "matmul",
     "scale",
     "power",
-    "sqrt",
     "tanh",
     "sigmoid",
     "softplus",
@@ -67,7 +65,7 @@ __all__ = [
     "reshape",
     "transpose",
     "take_slice",
-    "cosine_similarity_matrix",
+    "unit_rows",
     "mse_loss",
     "grad_check",
     "GradCheckReport",
@@ -331,21 +329,6 @@ def multiply(a, b) -> Tensor:
     )
 
 
-def divide(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcastable(a.shape, b.shape, "divide")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        data = a.data / b.data
-    return _result(
-        data,
-        [
-            (a, lambda g, o=b.data, s=a.shape: _sum_to_shape(g / o, s)),
-            (b, lambda g, num=a.data, den=b.data, s=b.shape: _sum_to_shape(-g * num / (den * den), s)),
-        ],
-        "divide",
-    )
-
-
 def scale(x, alpha: float) -> Tensor:
     x = as_tensor(x)
     alpha = float(alpha)
@@ -365,10 +348,6 @@ def power(x, p: float) -> Tensor:
             return g * p * xd ** (p - 1.0)
 
     return _result(data, [(x, grad_x)], "power")
-
-
-def sqrt(x) -> Tensor:
-    return power(x, 0.5)
 
 
 def matmul(a, b) -> Tensor:
@@ -539,19 +518,15 @@ def take_slice(x, index) -> Tensor:
 # composite helpers
 
 
-def cosine_similarity_matrix(x) -> Tensor:
-    """Pairwise cosine similarity of the rows of a 2-d (or stacked) tensor.
-
-    For input (..., N, D) returns (..., N, N).  Zero rows get similarity 0
-    thanks to the `COSINE_EPS` guard inside the norm.
-    """
-    x = as_tensor(x)
-    if x.ndim < 2:
-        raise ShapeMismatchError("cosine_similarity_matrix expects at least 2 dims")
-    sq = multiply(x, x)
-    norms = sqrt(add(tensor_sum(sq, axis=-1, keepdims=True), constant(COSINE_EPS)))
-    unit = divide(x, norms)
-    return matmul(unit, transpose(unit, axes=tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)))
+def unit_rows(x: np.ndarray):
+    """Rows of ``x`` scaled to unit length over the last axis, as plain
+    arrays ``(unit, norms, s2)``: ``s2`` is the squared row norm plus
+    `COSINE_EPS` and ``norms`` its square root, so a zero row stays zero
+    and ``unit @ unit.T`` is the cosine similarity of the rows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s2 = (x * x).sum(axis=-1, keepdims=True) + COSINE_EPS
+        norms = s2 ** 0.5
+        return x / norms, norms, s2
 
 
 def mse_loss(pred, target) -> Tensor:
@@ -598,10 +573,8 @@ def hpcl_loss(views, m, gate, rows: np.ndarray, inv_tau: float) -> Tensor:
         p *= md[k]
         return u, np.exp(e, out=e), p
 
+    unit, norms, s2 = unit_rows(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        s2 = (x * x).sum(axis=-1, keepdims=True) + COSINE_EPS
-        norms = s2 ** 0.5
-        unit = x / norms
         buffers = [np.empty(md[blocks[0]].shape) for _ in range(2)]
         for k in blocks:
             _, e, prod = exps(k, *buffers, forward=True)

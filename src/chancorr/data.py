@@ -330,10 +330,14 @@ class SplitSpec:
     stride: int = 1
 
     def __post_init__(self):
-        total = self.train_frac + self.val_frac + self.test_frac
+        fracs = (self.train_frac, self.val_frac, self.test_frac)
+        # NaN passes the sum and sign checks below, so finiteness comes first
+        if not all(math.isfinite(f) for f in fracs):
+            raise DataError(f"split fractions must be finite, got {fracs}")
+        total = sum(fracs)
         if abs(total - 1.0) > 1e-9:
             raise DataError(f"split fractions sum to {total}, expected 1")
-        if min(self.train_frac, self.val_frac, self.test_frac) < 0:
+        if min(fracs) < 0:
             raise DataError("split fractions must be nonnegative")
         if not 0.0 < self.few_shot_frac <= 1.0:
             raise DataError("few_shot_frac must be in (0, 1]")

@@ -146,9 +146,15 @@ def load_checkpoint(path, kind: str, *int_keys: str):
 
 def check_arrays(path, arrays: dict, shapes: dict) -> None:
     """A checkpoint must hold exactly the arrays named in ``shapes``
-    (name -> expected shape tuple); anything else is a `SerializationError`."""
+    (name -> expected shape tuple), all of them finite; anything else is a
+    `SerializationError`."""
     bad = sorted(name for name in shapes.keys() | arrays.keys()
                  if name not in arrays or arrays[name].shape != shapes.get(name))
     if bad:
         raise SerializationError(
             f"{path}: arrays {bad} are missing, unexpected or misshapen")
+    # one pass over all payloads; the per-array scan runs only on failure
+    payloads = [a.ravel() for a in arrays.values()]
+    if payloads and not np.isfinite(np.concatenate(payloads)).all():
+        bad = sorted(n for n, a in arrays.items() if not np.isfinite(a).all())
+        raise SerializationError(f"{path}: arrays {bad} hold NaN or Inf")

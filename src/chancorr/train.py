@@ -359,8 +359,8 @@ def export_similarity(state: AdapterState, backbone: BackboneState,
         out = backbone_forward(backbone, windows.x[index])
         pos, neg = branch_views(state, out)
         for tag, views in (("pos", pos), ("neg", neg)):
-            with ad.no_grad():
-                sim = ad.cosine_similarity_matrix(ad.constant(views)).data
+            unit = ad.unit_rows(views)[0]
+            sim = unit @ unit.T
             lines = ["," + ",".join(names)]
             for i, row in enumerate(sim):
                 lines.append(names[i] + "," + ",".join("%.17g" % v for v in row))

@@ -406,6 +406,19 @@ def test_loads_v1_checkpoints(name):
     assert np.isfinite(predict(state, backbone_forward(backbone, x))).all()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_rejects_non_finite_payloads(tmp_path, bad):
+    backbone, _, _ = tiny_backbone(seed=12)
+    state = init_adapter(backbone, 4, small_config())
+    state.fusion.head_w.data[0, 0] = bad
+    state.eps.raw.data[...] = bad
+    path = tmp_path / "adapter.npz"
+    save_adapter(state, path)
+    with pytest.raises(SerializationError,
+                       match=r"\['fusion.head_w', 'hpcl.eps_raw'\] hold NaN or Inf"):
+        load_adapter(path, backbone)
+
+
 def test_load_rejects_wrong_geometry(tmp_path):
     backbone, _, _ = tiny_backbone(seed=12)
     state = init_adapter(backbone, 4, small_config())

@@ -306,6 +306,17 @@ def test_backbone_checkpoint_round_trip(tmp_path):
                           bb.backbone_forward(state, x).yhat)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("array", ["embed", "head"])
+def test_load_backbone_rejects_non_finite_payloads(tmp_path, array, bad):
+    state = fitted_state()
+    getattr(state, array)[-1, -1] = bad
+    path = tmp_path / "bb.bin"
+    bb.save_backbone(state, path)
+    with pytest.raises(serialize.SerializationError, match=f"'{array}'.*NaN or Inf"):
+        bb.load_backbone(path)
+
+
 def test_load_backbone_rejects_other_kinds(tmp_path):
     path = tmp_path / "x.bin"
     serialize.save_arrays(path, {"kind": "adapter"}, {"a": np.zeros(2)})

@@ -36,6 +36,11 @@ def test_run_bench_rejects_bad_requests():
         run_bench("inference", n_list=(2, 4, 8), reps=1)
     with pytest.raises(ValueError):
         run_bench("warp-drive", n_list=(2, 4, 8, 16), reps=1)
+    # zero reps would report NaN medians, N = 0 an empty reduction
+    with pytest.raises(ValueError, match="reps"):
+        run_bench("inference", n_list=(2, 3, 4, 5), reps=0)
+    with pytest.raises(ValueError, match="N >= 1"):
+        run_bench("train-step", n_list=(0, 1, 2, 3), reps=1)
 
 
 def test_run_bench_smoke_both_modes():

@@ -11,6 +11,7 @@ import pytest
 
 from chancorr.cli import main
 from chancorr.data import load_csv, load_truth
+from chancorr.serialize import load_arrays, save_arrays
 
 
 def run(*args):
@@ -127,9 +128,42 @@ def test_missing_dataset_exits_3(tmp_path):
     assert code == 3
 
 
-def test_bad_bench_list_exits_2():
+def test_bad_bench_list_exits_2(capsys):
     assert run("bench", "--mode", "inference", "--n-list", "8,4,2,1") == 2
     assert run("bench", "--mode", "inference", "--n-list", "oops") == 2
+    capsys.readouterr()
+    assert run("bench", "--mode", "inference", "--n-list", "0,1,2,3") == 2
+    assert "N >= 1" in capsys.readouterr().err
+    assert run("bench", "--mode", "inference", "--reps", "0") == 2
+
+
+def test_nan_split_fraction_exits_3(tmp_path, capsys):
+    data, _ = make_dataset(tmp_path, length=600)
+    backbone = make_backbone(tmp_path, data)
+    capsys.readouterr()
+    code = run("eval", "--data", data, "--backbone", backbone,
+               "--train-frac", "nan")
+    assert code == 3
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_non_finite_checkpoint_payload_exits_3(tmp_path, capsys):
+    data, _ = make_dataset(tmp_path, length=600)
+    backbone = make_backbone(tmp_path, data)
+    adapter = tmp_path / "adapter.npz"
+    assert run("fit", "--data", data, "--backbone", backbone,
+               "--out", adapter, *SMALL_FIT) == 0
+    broken = tmp_path / "broken.ckpt"
+    for flag, path, name in (("--backbone", backbone, "head"),
+                             ("--adapter", adapter, "fusion.head_w")):
+        for bad in (np.nan, np.inf, -np.inf):
+            config, arrays = load_arrays(path)
+            arrays[name].flat[0] = bad
+            save_arrays(broken, config, arrays)
+            args = {"--backbone": backbone, "--adapter": adapter, flag: broken}
+            capsys.readouterr()
+            assert run("eval", "--data", data, *sum(args.items(), ())) == 3
+            assert "NaN or Inf" in capsys.readouterr().err
 
 
 def test_bad_config_value_exits_2(tmp_path):

@@ -10,6 +10,7 @@ from chancorr import autodiff as ad
 from chancorr import contrastive as ct
 from chancorr import correlation as corr
 from chancorr import projection as pj
+from chancorr.config import TrainConfig
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +209,7 @@ def test_threshold_masks_trace_hard_supports():
     for packed, support in zip(sink, (masks.pos_support, masks.neg_support)):
         assert np.array_equal(np.unpackbits(packed)[:9].astype(bool), support.ravel())
     with ad.record_gates([]) as sink:      # soft gates are smooth: no decision
-        ct.threshold_masks(ad.constant(m), eps, ct.HpclConfig(soft_gate=True))
+        ct.threshold_masks(ad.constant(m), eps, TrainConfig(soft_gate=True))
     assert sink == []
 
 
@@ -217,7 +218,7 @@ def test_soft_gate_trains_epsilon():
     m = ad.parameter(np.clip(rng.normal(scale=0.6, size=(4, 4)), -1, 1))
     x = rng.normal(size=(2, 4, 3))
     eps = ct.init_epsilon(0.3)
-    cfg = ct.HpclConfig(soft_gate=True)
+    cfg = TrainConfig(soft_gate=True)
     masks = ct.threshold_masks(m, eps, cfg)
     ct.aux_loss(ad.constant(x), ad.constant(x), masks, cfg)[2].backward()
     assert eps.raw.grad is not None and eps.raw.grad != 0.0
@@ -283,14 +284,14 @@ def _fd_problem(rng, config, lead=()):
 def test_aux_loss_gradients_match_fd_through_masks():
     """Gradients reach projection AND correlation parameters through the
     retained mask values, matching finite differences."""
-    loss, params = _fd_problem(np.random.default_rng(63), ct.HpclConfig())
+    loss, params = _fd_problem(np.random.default_rng(63), TrainConfig())
     report = ad.grad_check(loss, params, tol=1e-4, max_entries_per_param=20)
     assert report.passed, str(report)
 
 
 def test_soft_gate_gradients_match_fd_in_batches():
     """Soft gates: the threshold trains too, through every window."""
-    config = ct.HpclConfig(soft_gate=True, gate_temp=0.2)
+    config = TrainConfig(soft_gate=True, gate_temp=0.2)
     loss, params = _fd_problem(np.random.default_rng(66), config, lead=(3,))
     report = ad.grad_check(loss, params, tol=1e-4, max_entries_per_param=12)
     assert report.passed, str(report)
@@ -404,7 +405,7 @@ def _views_and_corr(rng, batch, n=6, p=2, d=3):
 def test_fused_aux_loss_bit_identical_to_generic_composite(soft_gate, batch):
     rng = np.random.default_rng(64 + batch + soft_gate)
     x_pos, x_neg, m = _views_and_corr(rng, batch)
-    config = ct.HpclConfig(soft_gate=soft_gate)
+    config = TrainConfig(soft_gate=soft_gate)
 
     def fused(xp, xn, mt, raw):
         masks = ct.threshold_masks(mt, ct.EpsilonParam(raw=raw), config)

@@ -354,6 +354,13 @@ def test_insufficient_split_raises():
         dt.make_windows(series_of_length(100), spec, 24, 8)  # val region ~10
 
 
+@pytest.mark.parametrize("fracs", [(math.nan, 0.1, 0.2), (0.7, math.nan, 0.2),
+                                   (0.7, 0.1, math.nan), (math.inf, 0.0, -math.inf)])
+def test_split_spec_rejects_non_finite_fractions(fracs):
+    with pytest.raises(dt.DataError, match="finite"):
+        dt.SplitSpec(*fracs)
+
+
 def _gapped_csv(path, blank_lines=False):
     """12 rows, 2 channels, NaN in data row 6; channel ``a`` holds the
     row's time index, so a window is gap-free when ``a`` steps by 1."""
