@@ -14,7 +14,6 @@ block's result for NaN/Inf once, and returns the same bits whatever the
 block size.
 """
 
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -111,6 +110,21 @@ def correlation_estimate(state: AdapterState, repr_t, r: np.ndarray) -> Tensor:
     return compose_correlation(r, q, v)
 
 
+def hpcl_terms(state: AdapterState, repr_t, r: np.ndarray | None, x_pos, x_neg):
+    """HPCL terms ``(l_pos, l_neg, total)`` of one batch: the correlation
+    estimate, its threshold masks and the contrastive loss of both views,
+    with ``state.train_config``.  Constant zeros when HPCL is off; ``r``
+    (B, N, N) must be given when it is on."""
+    if not state.train_config.hpcl:
+        zero = ad.constant(0.0)
+        return zero, zero, zero
+    if r is None:
+        raise ValueError("HPCL is on but no correlation input was given")
+    m = correlation_estimate(state, repr_t, r)
+    masks = threshold_masks(m, state.eps, state.train_config)
+    return aux_loss(x_pos, x_neg, masks, state.train_config)
+
+
 def training_losses(state: AdapterState, rep: np.ndarray, yhat_norm: np.ndarray,
                     y_norm: np.ndarray, r: np.ndarray | None):
     """Forward pass for one batch; returns the loss tensors.
@@ -123,39 +137,28 @@ def training_losses(state: AdapterState, rep: np.ndarray, yhat_norm: np.ndarray,
     x_pos, x_neg = divide(state.hd, repr_t)
     ystar = fuse_predict(state.fusion, x_pos, x_neg, ad.constant(yhat_norm))
     pred = ad.mse_loss(ystar, ad.constant(y_norm))
-    if state.train_config.hpcl:
-        if r is None:
-            raise ValueError("HPCL is on but no correlation input was given")
-        m = correlation_estimate(state, repr_t, r)
-        masks = threshold_masks(m, state.eps, state.train_config)
-        l_pos, l_neg, total = aux_loss(x_pos, x_neg, masks, state.train_config)
-    else:
-        l_pos = ad.constant(0.0)
-        l_neg = ad.constant(0.0)
-        total = ad.constant(0.0)
+    l_pos, l_neg, total = hpcl_terms(state, repr_t, r, x_pos, x_neg)
     return {"prediction": pred, "l_pos": l_pos, "l_neg": l_neg, "aux": total,
             "ystar": ystar}
 
 
 def _in_blocks(fn, rep: np.ndarray, *rest: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``fn(rep, *rest)`` run over blocks of windows, its results joined.
+    """``fn(rep, *rest)`` run over the blocks of `ad.window_blocks`, each
+    window one (P, N, d) float64 intermediate, its results joined.
 
-    A block holds as many windows as keep one (b, P, N, d) float64
-    intermediate within ``ad.BLOCK_BYTES``, and at least one, so the working set
-    of each block stays in cache; an unbatched (P, N, d) input is one block.
     Every op of the inference path acts on each window alone, so the
     results do not depend on the block size.
     """
-    size = max(1, ad.BLOCK_BYTES // max(1, 8 * math.prod(rep.shape[1:])))
-    if rep.ndim < 4 or len(rep) <= size:
+    blocks = ad.window_blocks(rep.shape, 3)
+    if len(blocks) == 1:
         return fn(rep, *rest)
     outs = None
-    for lo in range(0, len(rep), size):
-        block = fn(*(a[lo:lo + size] for a in (rep, *rest)))
+    for k in blocks:
+        block = fn(*(a[k] for a in (rep, *rest)))
         if outs is None:
             outs = tuple(np.empty((len(rep),) + b.shape[1:], b.dtype) for b in block)
         for o, b in zip(outs, block):
-            o[lo:lo + size] = b
+            o[k] = b
     return outs
 
 

@@ -12,9 +12,9 @@ Conventions
   `NonFiniteError` on violation.  Under ``no_grad`` the ops do only the
   arithmetic and let NaN/Inf propagate; each caller that evaluates under
   ``no_grad`` checks its final output once with `check_finite`.
-* ``softmax`` and ``hpcl_loss`` subtract the per-row maximum before
-  exponentiation; ``layer_norm`` normalises over the last axis with eps
-  `LAYER_NORM_EPS`.
+* ``softmax`` (over the last axis) and ``hpcl_loss`` subtract the per-row
+  maximum before exponentiation; ``layer_norm`` normalises over the last
+  axis with eps `LAYER_NORM_EPS`.
 * Hard gates (``relu``, and the boolean supports of ``hpcl_loss``)
   follow the subgradient convention: gradient 1 on kept entries, 0 on
   dropped ones.  Gate decisions can be traced (see ``record_gates``) so
@@ -30,6 +30,7 @@ Conventions
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,7 @@ __all__ = [
     "transpose",
     "take_slice",
     "unit_rows",
+    "window_blocks",
     "mse_loss",
     "grad_check",
     "GradCheckReport",
@@ -200,10 +202,9 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            if node._parents:
-                for parent, _ in node._parents:
-                    if id(parent) not in seen:
-                        stack.append((parent, False))
+            for parent, _ in node._parents or ():
+                if id(parent) not in seen:
+                    stack.append((parent, False))
 
         grads: dict[int, np.ndarray] = {
             id(self): np.ones_like(self.data)
@@ -213,27 +214,17 @@ class Tensor:
             if g is None:
                 continue
             if node.requires_grad:
-                if node.grad is None:
-                    node.grad = g.copy()
-                else:
-                    node.grad = node.grad + g
-            if not node._parents:
-                continue
-            for parent, fn in node._parents:
+                node.grad = g.copy() if node.grad is None else node.grad + g
+            for parent, fn in node._parents or ():
                 contribution = fn(g)
                 if contribution is None:
                     continue
                 key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + contribution
-                else:
-                    grads[key] = contribution
+                grads[key] = grads[key] + contribution if key in grads else contribution
 
 
 def as_tensor(value) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(value, requires_grad=False)
+    return value if isinstance(value, Tensor) else Tensor(value, requires_grad=False)
 
 
 def constant(value) -> Tensor:
@@ -416,14 +407,14 @@ def relu(x) -> Tensor:
     return _result(data, [(x, lambda g, d=data: g * (d > 0))], "relu")
 
 
-def softmax(x, axis: int = -1) -> Tensor:
+def softmax(x) -> Tensor:
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = e / e.sum(axis=-1, keepdims=True)
 
-    def grad_x(g, s=data, ax=axis):
-        dot = (g * s).sum(axis=ax, keepdims=True)
+    def grad_x(g, s=data):
+        dot = (g * s).sum(axis=-1, keepdims=True)
         return s * (g - dot)
 
     return _result(data, [(x, grad_x)], "softmax")
@@ -451,28 +442,26 @@ def layer_norm(x) -> Tensor:
 # reductions and structure
 
 
-def _unreduce(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarray:
+def _unreduce(g: np.ndarray, shape: tuple, axis) -> np.ndarray:
     """Spread the gradient of a reduction over ``axis`` back to ``shape``."""
-    if axis is not None and not keepdims:
+    if axis is not None:
         g = np.expand_dims(g, axis)
     return np.broadcast_to(g, shape).copy()
 
 
-def tensor_sum(x, axis=None, keepdims: bool = False) -> Tensor:
+def tensor_sum(x, axis=None) -> Tensor:
     x = as_tensor(x)
-    data = np.asarray(x.data.sum(axis=axis, keepdims=keepdims))
-    return _result(
-        data, [(x, lambda g, s=x.shape: _unreduce(g, s, axis, keepdims))], "sum")
+    data = np.asarray(x.data.sum(axis=axis))
+    return _result(data, [(x, lambda g, s=x.shape: _unreduce(g, s, axis))], "sum")
 
 
-def mean(x, axis=None, keepdims: bool = False) -> Tensor:
+def mean(x, axis=None) -> Tensor:
     """Mean pooling over ``axis`` (all axes when None)."""
     x = as_tensor(x)
-    data = np.asarray(x.data.mean(axis=axis, keepdims=keepdims))
+    data = np.asarray(x.data.mean(axis=axis))
     count = x.size // max(data.size, 1)
     return _result(
-        data, [(x, lambda g, s=x.shape: _unreduce(g / count, s, axis, keepdims))],
-        "mean")
+        data, [(x, lambda g, s=x.shape: _unreduce(g / count, s, axis))], "mean")
 
 
 def expand(x, shape: tuple) -> Tensor:
@@ -529,6 +518,16 @@ def unit_rows(x: np.ndarray):
         return x / norms, norms, s2
 
 
+def window_blocks(shape: tuple, window_ndim: int, arrays: int = 1) -> list:
+    """Slices of the leading axis of ``shape``, a batch of ``window_ndim``-axis
+    windows, each as many windows as keep ``arrays`` float64 window-sized
+    arrays in `BLOCK_BYTES`, at least one; one unbatched window is ``[...]``."""
+    if len(shape) <= window_ndim:
+        return [...]
+    size = max(1, BLOCK_BYTES // max(1, 8 * arrays * math.prod(shape[1:])))
+    return [slice(lo, lo + size) for lo in range(0, max(shape[0], 1), size)]
+
+
 def mse_loss(pred, target) -> Tensor:
     pred, target = as_tensor(pred), as_tensor(target)
     diff = subtract(pred, target)
@@ -558,8 +557,7 @@ def hpcl_loss(views, m, gate, rows: np.ndarray, inv_tau: float) -> Tensor:
     x, md, inv_tau = views.data, m.data, float(inv_tau)
     keep = np.broadcast_to(rows, x.shape[:-1]).astype(np.float64)
     counts = np.maximum(keep.sum(axis=-1), 1.0)
-    size = max(1, BLOCK_BYTES // (24 * md[0].size))
-    blocks = [slice(lo, lo + size) for lo in range(0, len(md), size)] if md.ndim > 2 else [...]
+    blocks = window_blocks(md.shape, 2, arrays=3)
     top, num, den = np.empty(x.shape[:-1] + (1,)), np.empty(keep.shape), np.empty(keep.shape)
 
     def exps(k, e, p, forward=False):   # block k's rows, exponentials, m * gate

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import serialize
 from .autodiff import ShapeMismatchError
+from .data import DataError
 
 __all__ = [
     "BackboneConfig",
@@ -123,7 +124,7 @@ def pretrain_backbone(x, y, config: BackboneConfig,
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 3 or x.shape[0] == 0:
-        raise ValueError(f"corpus must be nonempty (B, N, L), got {x.shape}")
+        raise DataError(f"corpus must be nonempty (B, N, L), got {x.shape}")
     if x.shape[-1] != config.lookback:
         raise ShapeMismatchError(
             f"corpus lookback {x.shape[-1]} != config {config.lookback}")

@@ -18,11 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .adapter import (correlation_estimate, init_adapter, predict,
-                      state_tensors)
+from .adapter import hpcl_terms, init_adapter, predict, state_tensors
 from .backbone import BackboneConfig, BackboneOutput, BackboneState
 from .config import TrainConfig
-from .contrastive import aux_loss, threshold_masks
 from .correlation import pearson_matrix
 from .optim import Adam
 
@@ -125,11 +123,11 @@ def bench_train_step(n_list=DEFAULT_N_LIST, reps: int = 20,
     """Median time of the training-only work in one optimization step.
 
     Training adds to the shared prediction path exactly the pieces that
-    touch N x N objects: the batch Pearson estimate, the composed
-    correlation, the threshold masks, the contrastive objective, and their
-    backward pass plus the update of the parameters they reach.  Timing
-    those in isolation is what checks the quadratic claim; the prediction
-    path itself is the inference benchmark's subject and scales linearly.
+    touch N x N objects: the batch Pearson estimate, `hpcl_terms` (the
+    composed correlation, threshold masks and contrastive objective of
+    training), their backward pass and the update of the parameters they
+    reach.  Timing those in isolation checks the quadratic claim; the
+    prediction path is the inference benchmark's subject.
     """
     rng = np.random.default_rng(seed)
     backbone = _fabricated_backbone(TRAIN_REPR_DIM, rng)
@@ -150,9 +148,7 @@ def bench_train_step(n_list=DEFAULT_N_LIST, reps: int = 20,
         def step():
             opt.zero_grad()
             r = pearson_matrix(x)
-            m = correlation_estimate(state, ad.constant(rep), r)
-            masks = threshold_masks(m, state.eps, state.train_config)
-            _, _, total = aux_loss(x_pos, x_neg, masks, state.train_config)
+            _, _, total = hpcl_terms(state, ad.constant(rep), r, x_pos, x_neg)
             total.backward()
             opt.step()
 
@@ -164,8 +160,8 @@ def bench_train_step(n_list=DEFAULT_N_LIST, reps: int = 20,
 
 def run_bench(mode: str, n_list=DEFAULT_N_LIST, reps: int = 20,
               seed: int = 0) -> BenchResult:
-    if list(n_list) != sorted(n_list) or len(n_list) < 4 or n_list[0] < 1:
-        raise ValueError("n_list must be ascending from N >= 1 with at least 4 points")
+    if len(n_list) < 4 or n_list[0] < 1 or (np.diff(n_list) <= 0).any():
+        raise ValueError("n_list must rise strictly from N >= 1 over at least 4 points")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if mode == "inference":

@@ -34,7 +34,7 @@ from .train import (DivergenceError, ablate, backbone_mse_mae, evaluate,
 REGIMES = ("partial", "heterogeneous", "dynamic")
 
 
-def _positive_int_list(text: str, what: str) -> list[int]:
+def _int_list(text: str, what: str) -> list[int]:
     try:
         values = [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
@@ -42,6 +42,8 @@ def _positive_int_list(text: str, what: str) -> list[int]:
                           f"got {text!r}") from None
     if not values:
         raise ConfigError(f"{what}: empty list")
+    if min(values) < 0:
+        raise ConfigError(f"{what}: expected integers >= 0, got {text!r}")
     return values
 
 
@@ -147,7 +149,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = load_train_config(args.config, args.overrides)
-    seeds = _positive_int_list(args.seeds, "--seeds")
+    seeds = _int_list(args.seeds, "--seeds")
     scenarios = [
         few_shot_scenario(args.regime, seed, n_channels=args.channels,
                           segment_len=args.segment_len,
@@ -166,7 +168,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    n_list = _positive_int_list(args.n_list, "--n-list")
+    n_list = _int_list(args.n_list, "--n-list")
     try:
         result = run_bench(args.mode, n_list=n_list, reps=args.reps,
                            seed=args.seed)
@@ -187,7 +189,7 @@ def cmd_export_sim(args) -> int:
     state = load_adapter(args.adapter, backbone)
     series, train, val, test = _windows(args, backbone)
     windows = {"train": train, "val": val, "test": test}[args.split]
-    indices = _positive_int_list(args.windows, "--windows")
+    indices = _int_list(args.windows, "--windows")
     paths = export_similarity(state, backbone, windows, args.out_dir,
                               channel_names=series.channel_names,
                               indices=indices)

@@ -40,7 +40,6 @@ __all__ = [
     "load_csv",
     "save_csv",
     "save_truth",
-    "load_truth",
     "make_windows",
 ]
 
@@ -307,14 +306,6 @@ def save_truth(path, structure: PlantedStructure, noise_std: float = None,
         doc["seed"] = seed
     with atomic_open(path) as fh:
         json.dump(doc, fh, indent=1)
-
-
-def load_truth(path) -> PlantedStructure:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return PlantedStructure(segment_len=int(doc["segment_len"]),
-                            matrices=[np.asarray(m) for m in doc["matrices"]],
-                            tags=doc.get("tags", {}))
 
 
 # ---------------------------------------------------------------------------

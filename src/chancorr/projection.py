@@ -133,7 +133,7 @@ def channel_aware_project(layer: ProjectionLayerParams, x) -> Tensor:
     squeeze = ad.relu(ad.add(ad.matmul(flat, layer.v1), layer.c1))
     logits = ad.add(ad.matmul(squeeze, layer.v2), layer.c2)  # (..., N, 1)
     logits = ad.reshape(logits, logits.shape[:-1])           # (..., N)
-    weights = ad.softmax(logits, axis=-1)
+    weights = ad.softmax(logits)
 
     w_shape = weights.shape[:-1] + (1, weights.shape[-1], 1)
     return ad.add(x, ad.multiply(proj, ad.reshape(weights, w_shape)))

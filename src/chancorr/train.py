@@ -26,6 +26,10 @@ from .data import (DataError, SplitSpec, WindowSet, generate_synthetic,
 from .optim import Adam
 from .serialize import atomic_open
 
+# Windows per backbone pass in every score: fit's validation, `evaluate`
+# and `backbone_mse_mae`.
+SCORE_CHUNK = 512
+
 
 class DivergenceError(RuntimeError):
     """Loss went non-finite.  Carries the best state seen so far (may be the
@@ -124,9 +128,9 @@ def fit(config: TrainConfig, train: WindowSet, val: WindowSet,
     checkpoint.
     """
     if len(train) == 0:
-        raise ValueError("empty train split")
+        raise DataError("empty train split")
     if len(val) == 0:
-        raise ValueError("empty val split")
+        raise DataError("empty val split")
     n_channels = train.x.shape[1]
 
     state = init_adapter(backbone, n_channels, config)
@@ -136,10 +140,8 @@ def fit(config: TrainConfig, train: WindowSet, val: WindowSet,
     out_tr = backbone_forward(backbone, train.x)
     y_norm = (train.y - out_tr.mean) / out_tr.std
     val_chunks = [(backbone_forward(backbone, x), y)
-                  for x, y in _chunks(val, 512)]
-    r_cache = None
-    if config.hpcl:
-        r_cache = pearson_matrix(train.x)
+                  for x, y in _chunks(val, SCORE_CHUNK)]
+    r_cache = pearson_matrix(train.x) if config.hpcl else None
 
     named = named_parameters(state)
     params = [t for _, t in named]
@@ -170,8 +172,6 @@ def fit(config: TrainConfig, train: WindowSet, val: WindowSet,
                 loss = losses["prediction"]
                 if lam > 0.0:
                     loss = ad.add(loss, ad.scale(losses["aux"], lam))
-                if not np.isfinite(loss.data):
-                    raise ad.NonFiniteError("training loss is non-finite")
                 loss.backward()
                 opt.step()
                 w = len(idx)
@@ -209,20 +209,24 @@ def fit(config: TrainConfig, train: WindowSet, val: WindowSet,
     return state, report
 
 
+def _check_channels(state: AdapterState, windows: WindowSet) -> None:
+    if windows.x.shape[1] != state.n_channels:
+        raise DataError(f"adapter built for {state.n_channels} channels, "
+                        f"data has {windows.x.shape[1]}")
+
+
 def evaluate(state: AdapterState, backbone: BackboneState, test: WindowSet,
-             chunk: int = 512):
+             chunk: int = SCORE_CHUNK):
     """Raw-space (MSE, MAE) over all channels/horizons/windows.
 
     Runs the inference path only; the correlation-allocation counter is
     checked before/after to enforce that no correlation matrices are built
     (a RuntimeError if one was).  ``chunk`` fixes the order in which the
     per-chunk errors are pooled, and so the last bits of the score; memory
-    is bounded by the block budget of `predict`, not by ``chunk``.
+    is bounded by the block budget of `predict`, not by ``chunk``.  Data
+    with another channel count than the adapter's is a `DataError`.
     """
-    if test.x.shape[1] != state.n_channels:
-        raise ad.ShapeMismatchError(
-            f"adapter built for {state.n_channels} channels, "
-            f"got {test.x.shape[1]}")
+    _check_channels(state, test)
     allocations_before = correlation_matrix_allocations()
     scores = _mse_mae((predict(state, backbone_forward(backbone, x)), y)
                       for x, y in _chunks(test, chunk))
@@ -231,11 +235,10 @@ def evaluate(state: AdapterState, backbone: BackboneState, test: WindowSet,
     return scores
 
 
-def backbone_mse_mae(backbone: BackboneState, test: WindowSet,
-                     chunk: int = 512):
+def backbone_mse_mae(backbone: BackboneState, test: WindowSet):
     """Raw-space (MSE, MAE) of the frozen backbone alone."""
     return _mse_mae((backbone_forward(backbone, x).yhat, y)
-                    for x, y in _chunks(test, chunk))
+                    for x, y in _chunks(test, SCORE_CHUNK))
 
 
 ABLATION_ROWS = (
@@ -341,9 +344,11 @@ def export_similarity(state: AdapterState, backbone: BackboneState,
 
     Files land in ``out_dir`` as sim_w{index}_pos.csv / _neg.csv with a
     channel-name header row and a leading label column.  Returns the list
-    of written paths; an index outside ``windows`` is a `DataError`, raised
-    before any file is written.
+    of written paths; an index outside ``windows``, or data with another
+    channel count than the adapter's, is a `DataError`, raised before any
+    file is written.
     """
+    _check_channels(state, windows)
     n = windows.x.shape[1]
     names = list(channel_names) if channel_names else [
         f"ch{i}" for i in range(n)]

@@ -10,7 +10,7 @@ import pytest
 
 from chancorr import autodiff as ad
 from chancorr.adapter import (backbone_parameter_count, branch_views,
-                              correlation_estimate, init_adapter,
+                              correlation_estimate, hpcl_terms, init_adapter,
                               load_adapter, named_parameters,
                               parameter_count, predict, save_adapter,
                               state_tensors, training_losses)
@@ -216,6 +216,46 @@ def test_training_losses_requires_correlation_when_hpcl():
     y_norm = (y - out.mean) / out.std
     with pytest.raises(ValueError):
         training_losses(state, out.repr, out.yhat_norm, y_norm, None)
+
+
+def test_hpcl_terms_are_zero_when_off_and_need_r_when_on():
+    backbone, x, _ = tiny_backbone(seed=6)
+    out = backbone_forward(backbone, x)
+    rep = ad.constant(out.repr)
+    for hpcl in (False, True):
+        state = init_adapter(backbone, 4, small_config(hpcl=hpcl))
+        x_pos, x_neg = divide(state.hd, rep)
+        if hpcl:
+            with pytest.raises(ValueError, match="no correlation input"):
+                hpcl_terms(state, rep, None, x_pos, x_neg)
+            continue
+        for r in (None, pearson_matrix(x)):
+            terms = hpcl_terms(state, rep, r, x_pos, x_neg)
+            assert [t.data.tobytes() for t in terms] == [np.float64(0.0).tobytes()] * 3
+            assert not any(t.requires_grad or t._parents for t in terms)
+
+
+def test_inference_and_hpcl_blocks_come_from_the_one_rule(monkeypatch):
+    calls = []
+    rule = ad.window_blocks
+
+    def spy(shape, window_ndim, arrays=1):
+        calls.append((shape, window_ndim, arrays))
+        return rule(shape, window_ndim, arrays)
+
+    monkeypatch.setattr(ad, "window_blocks", spy)
+    state, out = serving_state(8, batch=300)
+    predict(state, out)
+    assert calls == [((300, 6, 8, 32), 3, 1)]
+    assert len(rule(*calls[0])) == 3                  # 128 windows a block
+    backbone, x, y = tiny_backbone(seed=7, n=8, b=6)
+    state = init_adapter(backbone, 8, small_config())
+    out = backbone_forward(backbone, x)
+    calls.clear()
+    training_losses(state, out.repr, out.yhat_norm, (y - out.mean) / out.std,
+                    pearson_matrix(x))
+    assert calls == [((6, 8, 8), 2, 3)] * 2           # one per branch
+    assert rule(*calls[0]) == [slice(0, 1024)]        # the whole batch
 
 
 def _nxn_buffers_on_tape(roots, n):

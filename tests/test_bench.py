@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from chancorr import bench
+from chancorr.adapter import correlation_estimate, hpcl_terms
 from chancorr.bench import (BenchResult, fit_loglog_slope,
                             repr_dim_doubling_ratio, run_bench)
+from chancorr.contrastive import aux_loss, threshold_masks
 
 
 def test_loglog_slope_recovers_power_laws_exactly():
@@ -41,6 +44,10 @@ def test_run_bench_rejects_bad_requests():
         run_bench("inference", n_list=(2, 3, 4, 5), reps=0)
     with pytest.raises(ValueError, match="N >= 1"):
         run_bench("train-step", n_list=(0, 1, 2, 3), reps=1)
+    # a repeated rung would fit a slope to fewer distinct points than asked
+    for n_list in ((8, 8, 8, 8), (2, 4, 4, 8)):
+        with pytest.raises(ValueError, match="strictly"):
+            run_bench("inference", n_list=n_list, reps=1)
 
 
 def test_run_bench_smoke_both_modes():
@@ -51,6 +58,25 @@ def test_run_bench_smoke_both_modes():
         assert len(res.medians) == 4
         assert all(t > 0.0 for t in res.medians)
         assert np.isfinite(res.slope)
+
+
+def test_train_step_bench_runs_the_training_hpcl_chain(monkeypatch):
+    # every timed step goes through `hpcl_terms`, and its total is the
+    # hand-composed estimate -> masks -> aux_loss, bit for bit
+    totals = []
+
+    def spy(state, repr_t, r, x_pos, x_neg):
+        m = correlation_estimate(state, repr_t, r)
+        masks = threshold_masks(m, state.eps, state.train_config)
+        by_hand = aux_loss(x_pos, x_neg, masks, state.train_config)[2]
+        terms = hpcl_terms(state, repr_t, r, x_pos, x_neg)
+        totals.append((terms[2].data.tobytes(), by_hand.data.tobytes()))
+        return terms
+
+    monkeypatch.setattr(bench, "hpcl_terms", spy)
+    bench.bench_train_step(n_list=(3, 5), reps=2)
+    assert len(totals) == 2 * 3          # warm-up plus reps, per rung
+    assert all(got == want for got, want in totals)
 
 
 def test_doubling_ratio_smoke():

@@ -4,13 +4,14 @@ Everything runs in-process through main(argv) so the exit codes of the
 installed entry point are exactly what is asserted here.
 """
 
+import json
 import os
 
 import numpy as np
 import pytest
 
 from chancorr.cli import main
-from chancorr.data import load_csv, load_truth
+from chancorr.data import load_csv
 from chancorr.serialize import load_arrays, save_arrays
 
 
@@ -48,9 +49,9 @@ def test_synth_writes_loadable_dataset_and_truth(tmp_path):
     series = load_csv(data)
     assert series.n_channels == 5
     assert series.length == 500
-    structure = load_truth(truth)
-    assert structure.matrices[0].shape == (5, 5)
-    assert structure.tags.get("partial") is True
+    doc = json.loads(truth.read_text())
+    assert np.asarray(doc["matrices"][0]).shape == (5, 5)
+    assert doc["tags"].get("partial") is True
 
 
 def test_pipeline_fit_eval_export(tmp_path, capsys):
@@ -135,6 +136,56 @@ def test_bad_bench_list_exits_2(capsys):
     assert run("bench", "--mode", "inference", "--n-list", "0,1,2,3") == 2
     assert "N >= 1" in capsys.readouterr().err
     assert run("bench", "--mode", "inference", "--reps", "0") == 2
+    capsys.readouterr()
+    assert run("bench", "--mode", "inference", "--n-list", "8,8,8,8",
+               "--reps", "1") == 2
+    assert "strictly" in capsys.readouterr().err
+
+
+def test_negative_list_value_exits_2(capsys):
+    assert run("ablate", "--regime", "partial", "--seeds=-1") == 2
+    assert ">= 0" in capsys.readouterr().err
+    assert run("bench", "--mode", "inference", "--n-list=-8,1,2,3") == 2
+    assert ">= 0" in capsys.readouterr().err
+
+
+def test_empty_training_split_exits_3(tmp_path, capsys):
+    data, _ = make_dataset(tmp_path, length=600)
+    backbone = make_backbone(tmp_path, data)
+    capsys.readouterr()
+    fit_args = ("fit", "--data", data, "--backbone", backbone,
+                "--out", tmp_path / "a.npz", *SMALL_FIT)
+    assert run(*fit_args, "--train-frac", 0.8, "--val-frac", 0,
+               "--test-frac", 0.2) == 3
+    assert "empty val split" in capsys.readouterr().err
+    assert run(*fit_args, "--train-frac", 0, "--val-frac", 0.3,
+               "--test-frac", 0.7) == 3
+    assert "empty train split" in capsys.readouterr().err
+    assert run("pretrain", "--data", data, "--out", tmp_path / "b.npz",
+               "--lookback", 48, "--horizon", 12, "--train-frac", 0) == 3
+    assert "nonempty" in capsys.readouterr().err
+    assert not (tmp_path / "a.npz").exists()
+    assert not (tmp_path / "b.npz").exists()
+
+
+def test_adapter_and_data_channel_mismatch_exits_3(tmp_path, capsys):
+    data, _ = make_dataset(tmp_path, length=600)
+    backbone = make_backbone(tmp_path, data)
+    adapter = tmp_path / "adapter.npz"
+    assert run("fit", "--data", data, "--backbone", backbone,
+               "--out", adapter, *SMALL_FIT) == 0
+    other = tmp_path / "other.csv"
+    assert run("synth", "--regime", "dynamic", "--channels", 4,
+               "--length", 600, "--out", other) == 0
+    capsys.readouterr()
+    assert run("eval", "--data", other, "--backbone", backbone,
+               "--adapter", adapter) == 3
+    assert "5 channels" in capsys.readouterr().err
+    sims = tmp_path / "sims"
+    assert run("export-sim", "--data", other, "--backbone", backbone,
+               "--adapter", adapter, "--out-dir", sims) == 3
+    assert "5 channels" in capsys.readouterr().err
+    assert not sims.exists()
 
 
 def test_nan_split_fraction_exits_3(tmp_path, capsys):

@@ -147,7 +147,7 @@ def expanded_reference(layer, x):
     squeeze = ad.relu(ad.add(ad.matmul(pj.flatten_per_channel(ln), layer.v1),
                              layer.c1))
     logits = ad.add(ad.matmul(squeeze, layer.v2), layer.c2)
-    weights = ad.softmax(ad.reshape(logits, logits.shape[:-1]), axis=-1)
+    weights = ad.softmax(ad.reshape(logits, logits.shape[:-1]))
     w_shape = weights.shape[:-1] + (1, weights.shape[-1], 1)
     w_expanded = ad.expand(ad.reshape(weights, w_shape), x.shape)
     return ad.add(x, ad.multiply(proj, w_expanded))
