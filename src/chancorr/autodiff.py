@@ -52,20 +52,18 @@ __all__ = [
     "multiply",
     "matmul",
     "scale",
-    "power",
     "tanh",
     "sigmoid",
     "softplus",
     "relu",
     "softmax",
+    "polynomial_expand",
     "hpcl_loss",
     "layer_norm",
     "tensor_sum",
     "mean",
-    "expand",
     "reshape",
     "transpose",
-    "take_slice",
     "unit_rows",
     "window_blocks",
     "mse_loss",
@@ -327,20 +325,6 @@ def scale(x, alpha: float) -> Tensor:
     return _result(data, [(x, lambda g: g * alpha)], "scale")
 
 
-def power(x, p: float) -> Tensor:
-    """Elementwise x**p for a real exponent p (p is not differentiated)."""
-    x = as_tensor(x)
-    p = float(p)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        data = x.data**p
-
-    def grad_x(g, xd=x.data):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return g * p * xd ** (p - 1.0)
-
-    return _result(data, [(x, grad_x)], "power")
-
-
 def matmul(a, b) -> Tensor:
     """Matrix product of (..., n, k) and (..., k, m) operands; leading batch
     dimensions broadcast as in numpy."""
@@ -464,16 +448,6 @@ def mean(x, axis=None) -> Tensor:
         data, [(x, lambda g, s=x.shape: _unreduce(g / count, s, axis))], "mean")
 
 
-def expand(x, shape: tuple) -> Tensor:
-    """Broadcast ``x`` to ``shape`` (inverse on backward: sum the copies)."""
-    x = as_tensor(x)
-    try:
-        data = np.broadcast_to(x.data, shape).copy()
-    except ValueError as err:
-        raise ShapeMismatchError(f"expand: {x.shape} -> {shape}") from err
-    return _result(data, [(x, lambda g, s=x.shape: _sum_to_shape(g, s))], "expand")
-
-
 def reshape(x, shape) -> Tensor:
     x = as_tensor(x)
     try:
@@ -488,19 +462,6 @@ def transpose(x, axes=None) -> Tensor:
     data = np.transpose(x.data, axes)
     inverse = None if axes is None else np.argsort(axes)
     return _result(data, [(x, lambda g, inv=inverse: np.transpose(g, inv))], "transpose")
-
-
-def take_slice(x, index) -> Tensor:
-    """Basic (view-style) indexing with gradient scatter on backward."""
-    x = as_tensor(x)
-    data = x.data[index]
-
-    def grad_x(g, shape=x.shape, idx=index):
-        out = np.zeros(shape, dtype=g.dtype)
-        out[idx] = g
-        return out
-
-    return _result(np.asarray(data), [(x, grad_x)], "slice")
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +493,41 @@ def mse_loss(pred, target) -> Tensor:
     pred, target = as_tensor(pred), as_tensor(target)
     diff = subtract(pred, target)
     return mean(multiply(diff, diff))
+
+
+def polynomial_expand(coeffs, q) -> Tensor:
+    """Q = sum_i coeffs[..., i] * q**i (i = 0..K, q**0 == 1) of (..., N, K+1)
+    coefficients and an (N, M) basis, as (..., N, M).  Terms and their
+    ``q`` gradients add in ascending i; at K = 0 ``q`` gets no gradient."""
+    coeffs, q = as_tensor(coeffs), as_tensor(q)
+    if coeffs.ndim < 2 or coeffs.shape[-1] < 1:
+        raise ShapeMismatchError(f"polynomial_expand: coefficients {coeffs.shape} "
+                                 "must be (..., N, K+1)")
+    cs = coeffs.shape[:-1] + (1,)
+    _broadcastable(cs, q.shape, "polynomial_expand")
+    c, qd = coeffs.data, q.data
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        powers = [qd if i == 1 else qd ** float(i) for i in range(1, c.shape[-1])]
+        data = np.broadcast_to(c[..., :1], np.broadcast_shapes(cs, q.shape)).copy()
+        for i, p in enumerate(powers, start=1):
+            data += c[..., i:i + 1] * p
+
+    def grad_c(g):
+        gc = np.zeros(coeffs.shape)
+        for i, p in enumerate([None] + powers):
+            gc[..., i:i + 1] += _sum_to_shape(g if p is None else np.multiply(g, p, order="C"), cs)
+        return gc
+
+    def grad_q(g):
+        gq = None
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for i in range(1, c.shape[-1]):
+                t = _sum_to_shape(np.multiply(g, c[..., i:i + 1], order="C"), q.shape)
+                t = t if i == 1 else t * float(i) * qd ** (i - 1.0)
+                gq = t if gq is None else gq + t
+        return gq
+
+    return _result(data, [(coeffs, grad_c), (q, grad_q)], "polynomial_expand")
 
 
 def hpcl_loss(views, m, gate, rows: np.ndarray, inv_tau: float) -> Tensor:

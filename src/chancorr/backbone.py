@@ -15,12 +15,14 @@ can reach them.  All channels share the same matrices (channel-independent
 convention).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import serialize
 from .autodiff import ShapeMismatchError
+from .config import ConfigError
 from .data import DataError
 
 __all__ = [
@@ -50,12 +52,12 @@ class BackboneConfig:
 
     def __post_init__(self):
         if self.lookback <= 0 or self.horizon <= 0:
-            raise ValueError("lookback and horizon must be positive")
+            raise ConfigError("lookback and horizon must be positive")
         if self.patch_len <= 0 or self.lookback % self.patch_len != 0:
-            raise ValueError(
+            raise ConfigError(
                 f"lookback {self.lookback} not divisible by patch_len {self.patch_len}")
         if self.repr_dim < 2:
-            raise ValueError("repr_dim must be >= 2")
+            raise ConfigError("repr_dim must be >= 2")
 
     @property
     def n_patches(self) -> int:
@@ -119,8 +121,11 @@ def pretrain_backbone(x, y, config: BackboneConfig,
     Every (window, channel) pair is one training instance; targets are
     normalized with the statistics of their own input window.  Alternation
     stops after ``ALS_ROUNDS`` rounds or when the fit error stalls
-    (relative improvement below ``ALS_REL_TOL``).
+    (relative improvement below ``ALS_REL_TOL``).  ``ridge`` must be finite
+    and above 0: a singular solve escalates it by multiplying.
     """
+    if not 0.0 < ridge < math.inf:
+        raise ConfigError(f"ridge must be finite and > 0, got {ridge}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 3 or x.shape[0] == 0:

@@ -32,7 +32,6 @@ __all__ = [
     "init_dce_params",
     "default_rank",
     "pearson_matrix",
-    "polynomial_expand",
     "time_varying_component",
     "time_invariant_component",
     "compose_correlation",
@@ -98,28 +97,6 @@ def pearson_matrix(x: np.ndarray) -> np.ndarray:
     return r
 
 
-def polynomial_expand(coeffs, q) -> Tensor:
-    """Evaluate Q = sum_i coeffs[..., i] * q**i  (i = 0..K, q**0 == ones).
-
-    ``coeffs`` has K+1 trailing coefficients per channel, shape (..., N, K+1);
-    ``q`` is the (N, M) basis.  Returns (..., N, M).
-    """
-    coeffs = ad.as_tensor(coeffs)
-    q = ad.as_tensor(q)
-    k_plus_1 = coeffs.shape[-1]
-    out = None
-    for i in range(k_plus_1):
-        c_i = ad.take_slice(coeffs, (..., slice(i, i + 1)))  # (..., N, 1)
-        if i == 0:
-            term = ad.expand(c_i, c_i.shape[:-1] + (q.shape[-1],))
-        elif i == 1:
-            term = ad.multiply(c_i, q)
-        else:
-            term = ad.multiply(c_i, ad.power(q, float(i)))
-        out = term if out is None else ad.add(out, term)
-    return out
-
-
 @dataclass
 class DceParams:
     """Trainable pieces of the learned correlation estimator."""
@@ -170,7 +147,7 @@ def time_varying_component(repr_tensor, params: DceParams) -> Tensor:
         raise ad.ShapeMismatchError("representation must be (..., P, N, d)")
     pooled = ad.mean(repr_tensor, axis=-3)  # (..., N, d)
     coeffs = ad.tanh(ad.add(ad.matmul(pooled, params.coef_w), params.coef_b))
-    return polynomial_expand(coeffs, params.q)
+    return ad.polynomial_expand(coeffs, params.q)
 
 
 def time_invariant_component(params: DceParams) -> Tensor:

@@ -237,7 +237,8 @@ def load_csv(path) -> MultivariateSeries:
     ``dropped_rows`` (1-based data-row indices); where they sat between
     kept rows, ``gaps`` marks the break so that no window spans it.  Blank
     lines are skipped and break nothing.  A cell that is neither numeric
-    nor empty is an error naming its row and column.
+    nor empty is an error naming its row and column; so is a non-empty cell
+    past the header's last column (empty ones there are ignored).
     """
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -262,6 +263,9 @@ def load_csv(path) -> MultivariateSeries:
     for row_no, row in enumerate(lines[1:], start=1):
         if not row or all(not cell.strip() for cell in row):
             continue
+        if any(cell.strip() for cell in row[len(header):]):
+            raise DataError(f"{path}: row {row_no} has a value past the "
+                            f"header's {len(header)} columns")
         parsed, drop = [], False
         for c, name in zip(col_idx, channels):
             cell = row[c].strip() if c < len(row) else ""

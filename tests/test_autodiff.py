@@ -71,8 +71,6 @@ def test_primitive_gradients_match_fd(seed):
         (lambda a, b: ad.matmul(a, b), [(2, n, k), (k, m)], False),
         (lambda a, b: ad.matmul(a, b), [(2, n, k), (2, k, m)], False),
         (lambda a: ad.scale(a, -1.7), [(n, m)], False),
-        (lambda a: ad.power(a, 3.0), [(n, m)], False),
-        (lambda a: ad.power(a, 0.5), [(n, m)], True),
         (lambda a: ad.tanh(a), [(n, m)], False),
         (lambda a: ad.sigmoid(a), [(n, m)], False),
         (lambda a: ad.softplus(a), [(n, m)], False),
@@ -81,10 +79,11 @@ def test_primitive_gradients_match_fd(seed):
         (lambda a: ad.tensor_sum(a, axis=0), [(n, m)], False),
         (lambda a: ad.mean(a, axis=1), [(n, m, k)], False),
         (lambda a: ad.mean(a), [(n, m)], False),
-        (lambda a: ad.expand(a, (k, n, m)), [(n, m)], False),
         (lambda a: ad.reshape(a, (m, n)), [(n, m)], False),
         (lambda a: ad.transpose(a, (1, 0)), [(n, m)], False),
-        (lambda a: ad.take_slice(a, (slice(0, n - 1), slice(1, m))), [(n, m)], False),
+        (lambda a, b: ad.polynomial_expand(a, b), [(k, n, 4), (n, m)], False),
+        (lambda a, b: ad.polynomial_expand(a, b), [(n, 3), (n, m)], False),
+        (lambda a, b: ad.polynomial_expand(a, b), [(k, n, 1), (n, m)], False),
         (lambda a, b: ad.hpcl_loss(a, b, np.ones((k, n, n), dtype=bool),
                                    np.ones((k, n), dtype=bool), 2.0),
          [(k, n, m), (k, n, n)], False),
@@ -94,6 +93,55 @@ def test_primitive_gradients_match_fd(seed):
     ]
     build, shapes, positive = cases[seed % len(cases)]
     check_op(build, shapes, seed=seed, positive=positive)
+
+
+def composite_polynomial(c, q, g):
+    """Q = sum_i c[..., i] * q**i as the generic-op composite formed it
+    (slice, broadcast copy, multiply, power, add), in plain numpy.  Returns
+    Q and, for the upstream gradient ``g``, the gradients w.r.t. ``c`` and
+    ``q`` (None at K = 0)."""
+    k = c.shape[-1] - 1
+    cols = [c[..., i:i + 1] for i in range(k + 1)]
+    powers = [None, q] + [q ** float(i) for i in range(2, k + 1)]
+    out = np.broadcast_to(cols[0], cols[0].shape[:-1] + q.shape[-1:]).copy()
+    for i in range(1, k + 1):
+        out = out + cols[i] * powers[i]
+    dc = dq = None
+    for i in range(k + 1):          # each slice scatters its column into zeros
+        col = g if i == 0 else np.multiply(g, powers[i], order="C")
+        scattered = np.zeros(c.shape)
+        scattered[..., i:i + 1] = col.sum(axis=-1, keepdims=True)
+        dc = scattered if dc is None else dc + scattered
+    for i in range(1, k + 1):       # the q terms, in ascending i
+        t = np.multiply(g, cols[i], order="C")
+        t = t.sum(axis=0) if t.ndim > q.ndim else t
+        t = t if i == 1 else t * float(i) * q ** (i - 1.0)
+        dq = t if dq is None else dq + t
+    return out, dc, dq
+
+
+@pytest.mark.parametrize("n", [8, 256])
+@pytest.mark.parametrize("batch", [(), (1,), (48,)])
+def test_polynomial_expand_is_bitwise_the_composite(n, batch):
+    rng = np.random.default_rng(n + len(batch) + sum(batch))
+    q0 = rng.uniform(-1.5, 1.5, size=(n, 16))
+    for k in range(6):
+        c0 = np.tanh(rng.normal(size=batch + (n, k + 1)))
+        g = rng.normal(size=batch + (n, 16))
+        c, q = ad.parameter(c0), ad.parameter(q0)
+        out = ad.polynomial_expand(c, q)
+        ad.tensor_sum(ad.multiply(out, ad.constant(g))).backward()
+        want, dc, dq = composite_polynomial(c0, q0, g)
+        assert out.data.tobytes() == want.tobytes(), k
+        assert c.grad.tobytes() == dc.tobytes(), k
+        assert q.grad is None if k == 0 else q.grad.tobytes() == dq.tobytes(), k
+
+
+def test_polynomial_expand_rejects_mismatched_shapes():
+    for c_shape, q_shape in (((4, 3), (5, 2)), ((2, 4, 1), (5, 2)), ((4,), (4, 2)),
+                             ((4, 0), (4, 2))):
+        with pytest.raises(ad.ShapeMismatchError):
+            ad.polynomial_expand(np.ones(c_shape), np.ones(q_shape))
 
 
 def test_relu_subgradient_convention():
@@ -341,12 +389,13 @@ def test_grad_check_rejects_non_finite_evaluations():
     nan = ad.constant(np.array([np.nan, 1.0]))
     with pytest.raises(ad.NonFiniteError):
         ad.grad_check(lambda: ad.tensor_sum(ad.multiply(x, nan)), [("x", x)])
-    # only the x - step evaluation is NaN (sqrt of a negative number): it
-    # must raise, not yield a NaN error that compares as a pass
-    z = ad.parameter(np.array([0.0]))
+    # only the z + step evaluation is NaN (z * z overflows, and inf * 0 is
+    # NaN): it must raise, not yield a NaN error that compares as a pass
+    z, zero = ad.parameter(np.array([1e154])), ad.constant(0.0)
     with pytest.raises(ad.NonFiniteError):
-        ad.grad_check(lambda: ad.tensor_sum(ad.power(z, 0.5)), [("z", z)])
-    assert z.data[0] == 0.0
+        ad.grad_check(lambda: ad.tensor_sum(ad.multiply(ad.multiply(z, z), zero)),
+                      [("z", z)], step=1e154)
+    assert z.data[0] == 1e154
 
 
 def test_grad_check_subsampling_cap():

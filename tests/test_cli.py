@@ -188,6 +188,23 @@ def test_adapter_and_data_channel_mismatch_exits_3(tmp_path, capsys):
     assert not sims.exists()
 
 
+def test_bad_pretrain_settings_exit_2(tmp_path, capsys):
+    data, _ = make_dataset(tmp_path, length=600)
+    out = tmp_path / "b.npz"
+    for flags, message in ((("--lookback", 0), "must be positive"),
+                           (("--patch-len", 7), "not divisible"),
+                           (("--repr-dim", 1), "repr_dim"),
+                           (("--ridge", "nan"), "ridge"),
+                           (("--ridge", "inf"), "ridge"),
+                           (("--ridge", -1), "ridge"),
+                           (("--ridge", 0), "ridge")):
+        capsys.readouterr()
+        assert run("pretrain", "--data", data, "--out", out, "--lookback", 48,
+                   "--horizon", 12, *flags) == 2, flags
+        assert message in capsys.readouterr().err, flags
+    assert not out.exists()
+
+
 def test_nan_split_fraction_exits_3(tmp_path, capsys):
     data, _ = make_dataset(tmp_path, length=600)
     backbone = make_backbone(tmp_path, data)

@@ -141,7 +141,7 @@ def test_polynomial_expand_forced_coefficients():
     # Q = 1*1 + 2*0.5 + 4*0.25 = 3.0
     q = np.full((3, 2), 0.5)
     coeffs = np.tile(np.array([1.0, 2.0, 4.0]), (3, 1))
-    out = corr.polynomial_expand(ad.constant(coeffs), ad.constant(q))
+    out = ad.polynomial_expand(ad.constant(coeffs), ad.constant(q))
     assert np.allclose(out.data, 3.0)
 
 
@@ -150,7 +150,7 @@ def test_polynomial_expand_identity_coefficients():
     rng = np.random.default_rng(14)
     q = rng.normal(size=(4, 3))
     coeffs = np.tile(np.array([0.0, 1.0]), (4, 1))
-    out = corr.polynomial_expand(ad.constant(coeffs), ad.constant(q))
+    out = ad.polynomial_expand(ad.constant(coeffs), ad.constant(q))
     assert np.allclose(out.data, q, atol=1e-15)
 
 

@@ -249,6 +249,16 @@ def test_csv_unparseable_cell_names_row_and_column(tmp_path):
         dt.load_csv(path)
 
 
+def test_csv_value_past_the_header_names_its_row(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("date,a,b\n0,1,2,,\n1,2,3, \n")      # empty extras are fine
+    series = dt.load_csv(path)
+    assert np.array_equal(series.values, np.array([[1.0, 2.0], [2.0, 3.0]]))
+    path.write_text("date,a,b\n0,1,2\n1,2,3,99\n")
+    with pytest.raises(dt.DataError, match=r"row 2 .*past the header's 3 columns"):
+        dt.load_csv(path)
+
+
 def test_csv_nan_and_empty_rows_dropped_and_reported(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("date,a,b\n1,1.0,2.0\n2,nan,3.0\n3,4.0,\n4,5.0,6.0\n")

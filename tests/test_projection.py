@@ -139,8 +139,8 @@ def test_shared_stack_produces_identical_views():
 
 
 def expanded_reference(layer, x):
-    """One projection layer with the gate weights materialised by
-    ``ad.expand`` before the multiply."""
+    """One projection layer with the gate weights materialised, by adding
+    a zeros constant, before the multiply."""
     ln = ad.add(ad.multiply(ad.layer_norm(x), layer.ln_scale), layer.ln_shift)
     hidden = ad.relu(ad.add(ad.matmul(ln, layer.w1), layer.b1))
     proj = ad.add(ad.matmul(hidden, layer.w2), layer.b2)
@@ -149,7 +149,7 @@ def expanded_reference(layer, x):
     logits = ad.add(ad.matmul(squeeze, layer.v2), layer.c2)
     weights = ad.softmax(ad.reshape(logits, logits.shape[:-1]))
     w_shape = weights.shape[:-1] + (1, weights.shape[-1], 1)
-    w_expanded = ad.expand(ad.reshape(weights, w_shape), x.shape)
+    w_expanded = ad.add(ad.reshape(weights, w_shape), ad.constant(np.zeros(x.shape)))
     return ad.add(x, ad.multiply(proj, w_expanded))
 
 
