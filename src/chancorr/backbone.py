@@ -13,6 +13,15 @@ Both matrices are fitted with alternating ridge least squares and then
 frozen: forwards return plain arrays, never autodiff nodes, so no gradient
 can reach them.  All channels share the same matrices (channel-independent
 convention).
+
+The forecast is linear in the flattened patches X (instances x P*l): it is
+X @ W, with W the embed applied block-wise to the head.  So with the embed
+fixed the head's normal equations, and with the head fixed the embed's, are
+contractions of the two moments X^T X (P*l x P*l) and X^T Y (P*l x F) with
+the other factor; the corpus enters the fit only through them, whatever its
+size.  The fit error is the one exception: it comes from the residual
+X @ W - Y, since the moment form |Y|^2 - 2<W, X^T Y> + <W, X^T X W> cancels
+to rounding noise, below zero, on a near-perfect fit.
 """
 
 import math
@@ -85,9 +94,17 @@ class BackboneOutput:
 
 
 def _normalize(x):
-    mean = x.mean(axis=-1, keepdims=True)
-    std = np.sqrt(((x - mean) ** 2).mean(axis=-1, keepdims=True))
-    std = np.maximum(std, NORM_EPS)
+    # scale each row by a power of two to a max-abs in [0.5, 1), as
+    # pearson_matrix does: exact (short of subnormals), so mean and std keep
+    # their bits and no square overflows; the floor applies unscaled
+    _, exponent = np.frexp(np.maximum(x.max(axis=-1, keepdims=True),
+                                      -x.min(axis=-1, keepdims=True)))
+    scaled = np.ldexp(x, -exponent)
+    mean = scaled.mean(axis=-1, keepdims=True)
+    std = np.sqrt(((scaled - mean) ** 2).mean(axis=-1, keepdims=True))
+    del scaled   # freed before the output exists, so peak memory does not grow
+    mean = np.ldexp(mean, exponent)
+    std = np.maximum(np.ldexp(std, exponent), NORM_EPS)
     return (x - mean) / std, mean, std
 
 
@@ -123,6 +140,12 @@ def pretrain_backbone(x, y, config: BackboneConfig,
     stops after ``ALS_ROUNDS`` rounds or when the fit error stalls
     (relative improvement below ``ALS_REL_TOL``).  ``ridge`` must be finite
     and above 0: a singular solve escalates it by multiplying.
+
+    Both fits read the corpus only through X^T X and X^T Y, formed once, so
+    a round costs the same for any number of instances; each round's fit
+    error, the stall test's input and ``train_mse``, is the mean square of
+    the residual X @ W - Y, which cannot read below 0 as the moment form
+    can.  A non-finite value in ``x`` or ``y`` is a ``DataError``.
     """
     if not 0.0 < ridge < math.inf:
         raise ConfigError(f"ridge must be finite and > 0, got {ridge}")
@@ -136,54 +159,41 @@ def pretrain_backbone(x, y, config: BackboneConfig,
     if y.shape != x.shape[:-1] + (config.horizon,):
         raise ShapeMismatchError(
             f"targets {y.shape} do not match windows {x.shape} at horizon {config.horizon}")
+    for name, values in (("windows", x), ("targets", y)):
+        if not np.isfinite(values).all():
+            raise DataError(f"corpus {name} hold NaN or Inf")
 
     xn, mean, std = _normalize(x)
     yn = (y - mean) / std
     p_count, l, d, f = config.n_patches, config.patch_len, config.repr_dim, config.horizon
-    patches = _patchify(xn, config).reshape(-1, p_count, l)   # (n_inst, P, l)
-    targets = yn.reshape(-1, f)                               # (n_inst, F)
-    n_inst = patches.shape[0]
+    flat = _patchify(xn, config).reshape(-1, p_count * l)      # X: (n_inst, P*l)
+    targets = yn.reshape(-1, f)                                # Y: (n_inst, F)
+    xx = (flat.T @ flat).reshape(p_count, l, p_count, l)
+    xy = (flat.T @ targets).reshape(p_count, l, f)
 
     rng = np.random.default_rng(config.seed)
     embed = rng.normal(0.0, 1.0 / np.sqrt(l), size=(l, d))
-    head = np.zeros((p_count * d, f))
-    lam_used = ridge
-
-    def fit_head(embed):
-        z = (patches @ embed).reshape(n_inst, p_count * d)
-        sol, lam = _solve_ridge(z.T @ z, z.T @ targets, ridge, "head fit")
-        return sol, lam, z
-
     prev_mse = None
     for round_idx in range(ALS_ROUNDS):
-        head, lam_used, z = fit_head(embed)
-        mse = float(((z @ head - targets) ** 2).mean())
+        # head fit on z[n, p*d+j] = sum_i X[n, p*l+i] * embed[i, j]
+        gram = np.einsum("ij,piqk,km->pjqm", embed, xx, embed, optimize=True)
+        rhs = np.einsum("ij,pif->pjf", embed, xy)
+        head, lam_used = _solve_ridge(gram.reshape(p_count * d, -1),
+                                      rhs.reshape(p_count * d, f), ridge, "head fit")
+        hp = head.reshape(p_count, d, f)
+        weights = np.einsum("ij,pjf->pif", embed, hp).reshape(p_count * l, f)
+        mse = float(((flat @ weights - targets) ** 2).mean())
         stalled = prev_mse is not None and prev_mse - mse <= ALS_REL_TOL * prev_mse
         prev_mse = mse
         if stalled or round_idx == ALS_ROUNDS - 1:
             break
-        # embed fit: y[n, f] = sum_ij embed[i, j] * G[n, i*d+j, f] with
-        # G[n, i*d+j, f] = sum_p patches[n, p, i] * head_p[j, f]
-        hp = head.reshape(p_count, d, f)
-        gram = np.zeros((l * d, l * d))
-        rhs = np.zeros((l * d,))
-        for lo in range(0, n_inst, 128):
-            chunk = patches[lo:lo + 128]                      # (c, P, l)
-            c = chunk.shape[0]
-            # (c*l, P) @ (P, d*f) -> (c, l, d, f)
-            g = (chunk.transpose(0, 2, 1).reshape(c * l, p_count)
-                 @ hp.reshape(p_count, d * f)).reshape(c, l, d, f)
-            flat = g.reshape(c, l * d, f)
-            stacked = flat.transpose(1, 0, 2).reshape(l * d, c * f)
-            gram += stacked @ stacked.T
-            rhs += stacked @ targets[lo:lo + 128].reshape(c * f)
-        sol, _ = _solve_ridge(gram, rhs, ridge, "embed fit")
+        # embed fit on G[n, i*d+j, f] = sum_p X[n, p*l+i] * head_p[j, f]
+        gram = np.einsum("piqk,pjf,qmf->ijkm", xx, hp, hp, optimize=True)
+        rhs = np.einsum("pif,pjf->ij", xy, hp)
+        sol, _ = _solve_ridge(gram.reshape(l * d, -1), rhs.reshape(-1), ridge, "embed fit")
         embed = sol.reshape(l, d)
-
-    z = (patches @ embed).reshape(n_inst, p_count * d)
-    train_mse = float(((z @ head - targets) ** 2).mean())
     return BackboneState(config=config, embed=embed, head=head,
-                         train_mse=train_mse, ridge=lam_used)
+                         train_mse=mse, ridge=lam_used)
 
 
 def backbone_forward(state: BackboneState, x) -> BackboneOutput:

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from chancorr import backbone as bb
-from chancorr import serialize
+from chancorr import serialize, train
 from chancorr.adapter import load_adapter
+from chancorr.data import DataError
 
 
 CFG = bb.BackboneConfig(lookback=32, horizon=8, patch_len=8, repr_dim=4, seed=3)
@@ -175,9 +176,8 @@ def test_linear_trends_beat_mean_predictor():
     assert mse < 0.05 * baseline
 
 
-def test_recovers_planted_patch_linear_model():
-    # data generated by the model family itself -> near-zero fit error
-    rng = np.random.default_rng(83)
+def planted_corpus(rng):
+    """Windows whose targets the model family itself generates."""
     cfg = CFG
     embed_true = rng.normal(size=(cfg.patch_len, cfg.repr_dim))
     head_true = rng.normal(size=(cfg.n_patches * cfg.repr_dim, cfg.horizon))
@@ -187,8 +187,164 @@ def test_recovers_planted_patch_linear_model():
     xn = (x - mean) / std
     z = (xn.reshape(60, 3, cfg.n_patches, cfg.patch_len) @ embed_true)
     y = (z.reshape(60, 3, -1) @ head_true) * std + mean
-    state = bb.pretrain_backbone(x, y, cfg, ridge=1e-10)
+    return x, y
+
+
+def test_recovers_planted_patch_linear_model():
+    # data generated by the model family itself -> near-zero fit error
+    x, y = planted_corpus(np.random.default_rng(83))
+    state = bb.pretrain_backbone(x, y, CFG, ridge=1e-10)
     assert state.train_mse < 1e-8
+
+
+def als_oracle(x, y, cfg, ridge):
+    """Alternating ridge least squares with every fit's normal equations
+    rebuilt from the (window, channel) instances, 128 at a time.
+
+    Returns (embed, head, train_mse, names of the solves in order)."""
+    mean = x.mean(axis=-1, keepdims=True)
+    std = np.maximum(np.sqrt(((x - mean) ** 2).mean(axis=-1, keepdims=True)),
+                     bb.NORM_EPS)
+    p_count, l, d, f = cfg.n_patches, cfg.patch_len, cfg.repr_dim, cfg.horizon
+    patches = ((x - mean) / std).reshape(-1, p_count, l)
+    targets = ((y - mean) / std).reshape(-1, f)
+    n_inst = patches.shape[0]
+    solves = []
+
+    def solve(gram, rhs, what):
+        solves.append(what)
+        scale = max(np.trace(gram) / gram.shape[0], 1.0)
+        return np.linalg.solve(gram + ridge * scale * np.eye(gram.shape[0]), rhs)
+
+    embed = np.random.default_rng(cfg.seed).normal(0.0, 1.0 / np.sqrt(l), size=(l, d))
+    prev_mse = None
+    for round_idx in range(bb.ALS_ROUNDS):
+        z = (patches @ embed).reshape(n_inst, p_count * d)
+        head = solve(z.T @ z, z.T @ targets, "head fit")
+        mse = float(((z @ head - targets) ** 2).mean())
+        stalled = prev_mse is not None and prev_mse - mse <= bb.ALS_REL_TOL * prev_mse
+        prev_mse = mse
+        if stalled or round_idx == bb.ALS_ROUNDS - 1:
+            break
+        hp = head.reshape(p_count, d * f)
+        gram = np.zeros((l * d, l * d))
+        rhs = np.zeros(l * d)
+        for lo in range(0, n_inst, 128):
+            chunk = patches[lo:lo + 128]
+            c = chunk.shape[0]
+            g = (chunk.transpose(0, 2, 1).reshape(c * l, p_count) @ hp)
+            stacked = g.reshape(c, l * d, f).transpose(1, 0, 2).reshape(l * d, c * f)
+            gram += stacked @ stacked.T
+            rhs += stacked @ targets[lo:lo + 128].reshape(c * f)
+        embed = solve(gram, rhs, "embed fit").reshape(l, d)
+    return embed, head, mse, solves
+
+
+def scenario_corpus(monkeypatch):
+    """The corpus and config ``few_shot_scenario`` pretrains its backbone on."""
+    seen = {}
+
+    def capture(x, y, cfg, **kwargs):
+        seen.update(x=x, y=y, cfg=cfg)
+        return bb.pretrain_backbone(x, y, cfg, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(train, "pretrain_backbone", capture)
+        train.few_shot_scenario("dynamic", 0)
+    return seen["x"], seen["y"], seen["cfg"]
+
+
+@pytest.mark.parametrize("corpus", [83, 84, 85, 86, 87, "scenario"])
+def test_moment_als_matches_the_per_instance_oracle(monkeypatch, corpus):
+    """Both fits read the corpus through X^T X and X^T Y only, yet make the
+    same solves and reach the same model as rebuilding from every instance."""
+    if corpus == "scenario":
+        x, y, cfg = scenario_corpus(monkeypatch)
+        ridge = 1e-6
+    else:
+        x, y = planted_corpus(np.random.default_rng(corpus))
+        cfg, ridge = CFG, 1e-10
+    embed, head, mse, want_solves = als_oracle(x, y, cfg, ridge)
+    solves = []
+    solve_ridge = bb._solve_ridge
+
+    def record(gram, rhs, lam, what):
+        solves.append(what)
+        return solve_ridge(gram, rhs, lam, what)
+
+    monkeypatch.setattr(bb, "_solve_ridge", record)
+    state = bb.pretrain_backbone(x, y, cfg, ridge=ridge)
+    assert solves == want_solves
+    assert state.ridge == ridge
+    want = bb.backbone_forward(
+        bb.BackboneState(config=cfg, embed=embed, head=head), x).yhat
+    got = bb.backbone_forward(state, x).yhat
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    assert state.train_mse == pytest.approx(mse, rel=0, abs=1e-12)
+
+
+def test_pretraining_is_exact_past_square_overflow():
+    # 2^664 * O(10) squared overflows; z-scores are scale-free, and a scale
+    # by a power of two is exact, so the fit keeps its bits
+    rng = np.random.default_rng(93)
+    x, y = trend_corpus(rng)
+    big = 2.0 ** 664
+    small = bb.pretrain_backbone(x, y, CFG)
+    large = bb.pretrain_backbone(x * big, y * big, CFG)
+    assert np.array_equal(large.embed, small.embed)
+    assert np.array_equal(large.head, small.head)
+    assert large.train_mse == small.train_mse
+    assert np.array_equal(bb.backbone_forward(large, x * big).yhat,
+                          bb.backbone_forward(small, x).yhat * big)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["windows", "targets"])
+def test_non_finite_corpus_is_a_data_error(name, bad):
+    x, y = trend_corpus(np.random.default_rng(94))
+    (x if name == "windows" else y)[2, 1, 3] = bad
+    with pytest.raises(DataError, match=f"corpus {name} hold NaN or Inf"):
+        bb.pretrain_backbone(x, y, CFG)
+
+
+@pytest.mark.parametrize("failure", ["singular", "non-finite"])
+def test_one_failed_solve_escalates_the_ridge(monkeypatch, failure):
+    x, y = trend_corpus(np.random.default_rng(95))
+    solve = np.linalg.solve
+    calls = []
+
+    def flaky(a, b):
+        calls.append(a)
+        if len(calls) > 1:
+            return solve(a, b)
+        if failure == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full(b.shape, np.nan)
+
+    monkeypatch.setattr(bb, "ALS_ROUNDS", 1)   # one head fit, no embed fit
+    monkeypatch.setattr(np.linalg, "solve", flaky)
+    state = bb.pretrain_backbone(x, y, CFG, ridge=1e-6)
+    assert len(calls) == 2
+    assert state.ridge == 1e-6 * 100.0
+
+
+@pytest.mark.parametrize("what", ["head fit", "embed fit"])
+def test_six_failed_solves_name_the_fit(monkeypatch, what):
+    x, y = trend_corpus(np.random.default_rng(96))
+    solve = np.linalg.solve
+    calls = []
+
+    def failing(a, b):
+        calls.append(a)
+        if what == "embed fit" and len(calls) == 1:
+            return solve(a, b)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(bb, "ALS_ROUNDS", 2)
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    with pytest.raises(FloatingPointError, match=f"{what}: .* singular even at ridge"):
+        bb.pretrain_backbone(x, y, CFG, ridge=1e-6)
+    assert len(calls) == 6 + (what == "embed fit")
 
 
 def test_pretraining_is_deterministic():
