@@ -54,7 +54,7 @@ ALS_REL_TOL = 1e-9
 @dataclass
 class BackboneConfig:
     lookback: int = 96
-    horizon: int = 96
+    horizon: int = 24
     patch_len: int = 16
     repr_dim: int = 32
     seed: int = 0
@@ -67,6 +67,8 @@ class BackboneConfig:
                 f"lookback {self.lookback} not divisible by patch_len {self.patch_len}")
         if self.repr_dim < 2:
             raise ConfigError("repr_dim must be >= 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def n_patches(self) -> int:

@@ -107,8 +107,7 @@ def _predict_time(backbone: BackboneState, n_channels: int, batch: int,
     return _median_time(lambda: predict(state, out), reps)
 
 
-def bench_inference(n_list=DEFAULT_N_LIST, reps: int = 20,
-                    seed: int = 0) -> BenchResult:
+def bench_inference(n_list, reps: int, seed: int) -> BenchResult:
     """Median time of the full inference path (divide + fusion) per N."""
     rng = np.random.default_rng(seed)
     backbone = _fabricated_backbone(INFER_REPR_DIM, rng)
@@ -118,8 +117,7 @@ def bench_inference(n_list=DEFAULT_N_LIST, reps: int = 20,
                        medians=medians, slope=fit_loglog_slope(n_list, medians))
 
 
-def bench_train_step(n_list=DEFAULT_N_LIST, reps: int = 20,
-                     seed: int = 0) -> BenchResult:
+def bench_train_step(n_list, reps: int, seed: int) -> BenchResult:
     """Median time of the training-only work in one optimization step.
 
     Training adds to the shared prediction path exactly the pieces that

@@ -24,8 +24,9 @@ from .backbone import (BackboneConfig, load_backbone, pretrain_backbone,
                        save_backbone)
 from .bench import DEFAULT_N_LIST, repr_dim_doubling_ratio, run_bench
 from .config import ConfigError, load_train_config
-from .data import (DataError, SplitSpec, generate_synthetic, load_csv,
-                   make_windows, planted_regime, save_csv, save_truth)
+from .data import (NOISE_STD, SEED, DataError, SplitSpec, generate_synthetic,
+                   load_csv, make_windows, planted_regime, save_csv,
+                   save_truth)
 from .serialize import SerializationError
 from .train import (DivergenceError, ablate, backbone_mse_mae, evaluate,
                     export_similarity, few_shot_scenario, fit,
@@ -47,23 +48,27 @@ def _int_list(text: str, what: str) -> list[int]:
     return values
 
 
+def _given(args, *names) -> dict:
+    """Keyword arguments for the options among ``names`` that were given."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def _windows(args, backbone):
     """``(series, train, val, test)`` of ``--data`` at the backbone's shape."""
     series = load_csv(args.data)
-    spec = SplitSpec(train_frac=args.train_frac, val_frac=args.val_frac,
-                     test_frac=args.test_frac, few_shot_frac=args.few_shot,
-                     stride=args.stride)
+    spec = SplitSpec(**_given(args, "train_frac", "val_frac", "test_frac",
+                              "few_shot_frac", "stride"))
     cfg = backbone.config
     return (series, *make_windows(series, spec, cfg.lookback, cfg.horizon))
 
 
 def _add_split_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--train-frac", type=float, default=0.7)
-    p.add_argument("--val-frac", type=float, default=0.1)
-    p.add_argument("--test-frac", type=float, default=0.2)
-    p.add_argument("--few-shot", type=float, default=1.0,
+    for flag in ("--train-frac", "--val-frac", "--test-frac"):
+        p.add_argument(flag, type=float)
+    p.add_argument("--few-shot", type=float, dest="few_shot_frac",
+                   metavar="FEW_SHOT",
                    help="fraction of train windows kept (the most recent)")
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--stride", type=int)
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -74,32 +79,31 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_synth(args) -> int:
-    structure = planted_regime(args.regime, n_channels=args.channels,
-                               segment_len=args.segment_len)
-    series, structure = generate_synthetic(structure, args.length,
-                                           noise_std=args.noise_std,
-                                           seed=args.seed,
-                                           season_amp=args.season_amp)
+    structure = planted_regime(args.regime,
+                               **_given(args, "n_channels", "segment_len"))
+    # the sidecar records the noise and seed used, so those two are always set
+    gen = {"noise_std": NOISE_STD, "seed": SEED,
+           **_given(args, "noise_std", "seed", "season_amp")}
+    series, structure = generate_synthetic(structure, args.length, **gen)
     save_csv(args.out, series)
     print(f"wrote {args.out}: {series.n_channels} channels x "
           f"{series.length} steps ({args.regime})")
     if args.truth:
-        save_truth(args.truth, structure, noise_std=args.noise_std,
-                   seed=args.seed)
+        save_truth(args.truth, structure, noise_std=gen["noise_std"],
+                   seed=gen["seed"])
         print(f"wrote {args.truth}")
     return 0
 
 
 def cmd_pretrain(args) -> int:
     series = load_csv(args.data)
-    cfg = BackboneConfig(lookback=args.lookback, horizon=args.horizon,
-                         patch_len=args.patch_len, repr_dim=args.repr_dim,
-                         seed=args.seed)
+    cfg = BackboneConfig(**_given(args, "lookback", "horizon", "patch_len",
+                                  "repr_dim", "seed"))
     spec = SplitSpec(train_frac=args.train_frac,
                      val_frac=0.0, test_frac=1.0 - args.train_frac,
-                     stride=args.stride)
+                     **_given(args, "stride"))
     train, _, _ = make_windows(series, spec, cfg.lookback, cfg.horizon)
-    state = pretrain_backbone(train.x, train.y, cfg, ridge=args.ridge)
+    state = pretrain_backbone(train.x, train.y, cfg, **_given(args, "ridge"))
     save_backbone(state, args.out)
     print(f"wrote {args.out}: train_mse={state.train_mse:.6g} "
           f"({len(train)} windows)")
@@ -150,15 +154,10 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     config = load_train_config(args.config, args.overrides)
     seeds = _int_list(args.seeds, "--seeds")
-    scenarios = [
-        few_shot_scenario(args.regime, seed, n_channels=args.channels,
-                          segment_len=args.segment_len,
-                          pre_length=args.pre_length,
-                          pre_noise=args.pre_noise,
-                          pre_stride=args.pre_stride, length=args.length,
-                          noise_std=args.noise_std, few_shot=args.few_shot)
-        for seed in seeds
-    ]
+    sizes = _given(args, "n_channels", "segment_len", "pre_length",
+                   "pre_noise", "pre_stride", "length", "noise_std", "few_shot")
+    scenarios = [few_shot_scenario(args.regime, seed, **sizes)
+                 for seed in seeds]
     rows, csv_text = ablate(config, scenarios)
     sys.stdout.write(csv_text)
     if args.out:
@@ -170,13 +169,13 @@ def cmd_ablate(args) -> int:
 def cmd_bench(args) -> int:
     n_list = _int_list(args.n_list, "--n-list")
     try:
-        result = run_bench(args.mode, n_list=n_list, reps=args.reps,
-                           seed=args.seed)
+        result = run_bench(args.mode, n_list=n_list,
+                           **_given(args, "reps", "seed"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     sys.stdout.write(result.table())
     if args.check_doubling:
-        t1, t2, ratio = repr_dim_doubling_ratio(seed=args.seed)
+        t1, t2, ratio = repr_dim_doubling_ratio(**_given(args, "seed"))
         print(f"repr_dim doubling: {t1:.6f}s -> {t2:.6f}s ratio {ratio:.3f}")
     if args.out:
         write_text_atomic(args.out, result.table())
@@ -205,77 +204,75 @@ def build_parser() -> argparse.ArgumentParser:
                     "multivariate forecasters")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a planted-correlation dataset")
+    def command(name, func, **kwargs):
+        # options left out stay unset, and the library applies its defaults
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS, **kwargs)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("synth", cmd_synth, help="generate a planted-correlation dataset")
     p.add_argument("--regime", choices=REGIMES, required=True)
-    p.add_argument("--channels", type=int, default=8)
+    p.add_argument("--channels", type=int, dest="n_channels", metavar="CHANNELS")
     p.add_argument("--length", type=int, default=8192)
-    p.add_argument("--noise-std", type=float, default=0.4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--segment-len", type=int, default=1024)
-    p.add_argument("--season-amp", type=float, default=0.3)
+    p.add_argument("--noise-std", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--segment-len", type=int)
+    p.add_argument("--season-amp", type=float)
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--truth", default=None, help="JSON truth sidecar path")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("pretrain", help="fit and freeze a backbone")
+    p = command("pretrain", cmd_pretrain, help="fit and freeze a backbone")
     p.add_argument("--data", required=True, help="CSV dataset")
     p.add_argument("--out", required=True, help="backbone checkpoint path")
-    p.add_argument("--lookback", type=int, default=96)
-    p.add_argument("--horizon", type=int, default=24)
-    p.add_argument("--patch-len", type=int, default=16)
-    p.add_argument("--repr-dim", type=int, default=32)
-    p.add_argument("--stride", type=int, default=1)
+    for flag in ("--lookback", "--horizon", "--patch-len", "--repr-dim",
+                 "--stride"):
+        p.add_argument(flag, type=int)
     p.add_argument("--train-frac", type=float, default=1.0)
-    p.add_argument("--ridge", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_pretrain)
+    p.add_argument("--ridge", type=float)
+    p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("fit", help="train an adapter on few-shot windows")
+    p = command("fit", cmd_fit, help="train an adapter on few-shot windows")
     p.add_argument("--data", required=True)
     p.add_argument("--backbone", required=True)
     p.add_argument("--out", required=True, help="adapter checkpoint path")
     p.add_argument("--metrics", default=None, help="metrics CSV path")
     _add_config_args(p)
     _add_split_args(p)
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("eval", help="score a backbone and optional adapter")
+    p = command("eval", cmd_eval, help="score a backbone and optional adapter")
     p.add_argument("--data", required=True)
     p.add_argument("--backbone", required=True)
     p.add_argument("--adapter", default=None)
     p.add_argument("--out", default=None, help="metrics CSV path")
     _add_split_args(p)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate",
-                       help="five-row comparison on planted scenarios")
+    p = command("ablate", cmd_ablate,
+                help="five-row comparison on planted scenarios")
     p.add_argument("--regime", choices=REGIMES, required=True)
     p.add_argument("--seeds", default="0,1,2")
-    p.add_argument("--channels", type=int, default=8)
-    p.add_argument("--segment-len", type=int, default=1024)
-    p.add_argument("--pre-length", type=int, default=3072)
-    p.add_argument("--pre-noise", type=float, default=0.1)
-    p.add_argument("--pre-stride", type=int, default=7)
-    p.add_argument("--length", type=int, default=8192)
-    p.add_argument("--noise-std", type=float, default=0.7)
-    p.add_argument("--few-shot", type=float, default=0.05)
+    p.add_argument("--channels", type=int, dest="n_channels", metavar="CHANNELS")
+    p.add_argument("--segment-len", type=int)
+    p.add_argument("--pre-length", type=int)
+    p.add_argument("--pre-noise", type=float)
+    p.add_argument("--pre-stride", type=int)
+    p.add_argument("--length", type=int)
+    p.add_argument("--noise-std", type=float)
+    p.add_argument("--few-shot", type=float)
     p.add_argument("--out", default=None, help="table CSV path")
     _add_config_args(p)
-    p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("bench", help="time the scaling paths")
+    p = command("bench", cmd_bench, help="time the scaling paths")
     p.add_argument("--mode", choices=("train-step", "inference"),
                    required=True)
     p.add_argument("--n-list", default=",".join(str(n) for n in DEFAULT_N_LIST))
-    p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--check-doubling", action="store_true",
+    p.add_argument("--reps", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--check-doubling", action="store_true", default=False,
                    help="also report the repr_dim doubling ratio")
     p.add_argument("--out", default=None, help="table CSV path")
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("export-sim",
-                       help="write positive/negative-space similarity CSVs")
+    p = command("export-sim", cmd_export_sim,
+                help="write positive/negative-space similarity CSVs")
     p.add_argument("--data", required=True)
     p.add_argument("--backbone", required=True)
     p.add_argument("--adapter", required=True)
@@ -285,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--windows", default="0",
                    help="comma-separated window indices")
     _add_split_args(p)
-    p.set_defaults(func=cmd_export_sim)
 
     return parser
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from numbers import Integral
 
 
 class ConfigError(ValueError):
@@ -52,10 +53,18 @@ class TrainConfig:
     beta_logit_init: float = -5.0
 
     def __post_init__(self):
-        # NaN passes every comparison below, so finiteness is checked first
         for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+            value = getattr(self, f.name)
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be true or false, got {value!r}")
+            # bool subclasses int, but True is no count
+            if f.type in ("int", "int | None") and not (
+                    value is None and f.type == "int | None"
+                    or isinstance(value, Integral) and not isinstance(value, bool)):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            # NaN passes every comparison below, so finiteness is checked first
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.epochs <= 0:
@@ -66,6 +75,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
         if self.lambda_aux < 0:
             raise ConfigError(f"lambda_aux must be >= 0, got {self.lambda_aux}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.aux_warmup_epochs < 0:
             raise ConfigError("aux_warmup_epochs must be >= 0, "
                               f"got {self.aux_warmup_epochs}")

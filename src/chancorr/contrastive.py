@@ -72,7 +72,7 @@ class EpsilonParam:
         return [("hpcl.eps_raw", self.raw)]
 
 
-def init_epsilon(init: float = 0.3) -> EpsilonParam:
+def init_epsilon(init: float) -> EpsilonParam:
     if init <= 0:
         raise ValueError("threshold init must be positive")
     return EpsilonParam(raw=ad.parameter(np.array(math.log(math.expm1(init)))))
@@ -119,7 +119,7 @@ def threshold_masks(m, eps: EpsilonParam, config: TrainConfig | None = None) -> 
     return MaskPair(m, pos_support, neg_support, pos_gate, neg_gate)
 
 
-def contrastive_loss(x, mask, tau: float = 0.5,
+def contrastive_loss(x, mask, tau: float,
                      row_support: np.ndarray | None = None, gate=None) -> Tensor:
     """InfoNCE-style loss of views ``x`` under pair weights ``|mask * gate|``.
 

@@ -117,8 +117,8 @@ class DceParams:
         ]
 
 
-def init_dce_params(n_channels: int, repr_dim: int, degree: int = 3,
-                    rank: int | None = None, embed_dim: int = 8, *,
+def init_dce_params(n_channels: int, repr_dim: int, degree: int,
+                    rank: int | None, embed_dim: int, *,
                     rng: np.random.Generator) -> DceParams:
     """Initialise so the learned part starts near zero (M starts at R).
 

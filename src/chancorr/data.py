@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ConfigError
 from .serialize import atomic_open
 
 __all__ = [
@@ -46,6 +47,9 @@ __all__ = [
 AR_COEFF = 0.7
 SEASON_PERIOD = 24
 SEASON_AMP = 0.3
+# generate_synthetic's observation noise and seed when none is given
+NOISE_STD = 0.4
+SEED = 0
 # planted regimes: correlation within a channel block, |correlation| across
 BLOCK_CORR = 0.75
 CROSS_CORR = 0.6
@@ -169,10 +173,16 @@ def signal_variance(season_amp: float = SEASON_AMP) -> float:
 
 
 def generate_synthetic(structure: PlantedStructure, t_total: int,
-                       noise_std: float = 0.4, seed: int = 0,
+                       noise_std: float = NOISE_STD, seed: int = SEED,
                        season_amp: float = SEASON_AMP):
     """Sample a series whose per-segment Pearson matrices converge to the
     planted ones.  Returns (MultivariateSeries, PlantedStructure)."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if not (math.isfinite(noise_std) and noise_std >= 0):
+        raise DataError(f"noise_std must be finite and >= 0, got {noise_std}")
+    if not math.isfinite(season_amp):
+        raise DataError(f"season_amp must be finite, got {season_amp}")
     n = structure.n_channels
     if t_total < 8 * n:
         raise DataError(f"T={t_total} too short to estimate {n}x{n} correlation "

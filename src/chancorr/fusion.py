@@ -47,8 +47,8 @@ class FusionParams:
 
 
 def init_fusion_params(n_channels: int, n_patches: int, repr_dim: int,
-                       horizon: int, rng: np.random.Generator, depth: int = 3,
-                       beta_logit_init: float = -5.0) -> FusionParams:
+                       horizon: int, rng: np.random.Generator, depth: int,
+                       beta_logit_init: float) -> FusionParams:
     """Fresh fusion parameters.
 
     The head is zero-initialized and the gate starts essentially closed, so

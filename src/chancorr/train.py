@@ -300,8 +300,7 @@ def few_shot_scenario(regime: str, seed: int, n_channels: int = 8,
     This mirrors the deployment story: a capable frozen forecaster meeting
     a small, distribution-shifted target.
     """
-    bb_cfg = BackboneConfig(lookback=96, horizon=24, patch_len=16,
-                            repr_dim=32, seed=seed)
+    bb_cfg = BackboneConfig(seed=seed)
     structure = planted_regime(regime, n_channels=n_channels,
                                segment_len=segment_len)
     pre_series, _ = generate_synthetic(structure, pre_length,

@@ -10,8 +10,10 @@ import os
 import numpy as np
 import pytest
 
+from chancorr.backbone import BackboneConfig, pretrain_backbone, save_backbone
 from chancorr.cli import main
-from chancorr.data import load_csv
+from chancorr.data import (SplitSpec, generate_synthetic, load_csv,
+                           make_windows, planted_regime, save_csv)
 from chancorr.serialize import load_arrays, save_arrays
 
 
@@ -232,6 +234,77 @@ def test_non_finite_checkpoint_payload_exits_3(tmp_path, capsys):
             capsys.readouterr()
             assert run("eval", "--data", data, *sum(args.items(), ())) == 3
             assert "NaN or Inf" in capsys.readouterr().err
+
+
+def test_omitted_options_take_the_library_defaults(tmp_path):
+    data, truth = tmp_path / "series.csv", tmp_path / "truth.json"
+    assert run("synth", "--regime", "dynamic", "--length", 600,
+               "--out", data, "--truth", truth) == 0
+    series, _ = generate_synthetic(planted_regime("dynamic"), 600)
+    save_csv(tmp_path / "library.csv", series)
+    assert data.read_bytes() == (tmp_path / "library.csv").read_bytes()
+    doc = json.loads(truth.read_text())
+    assert (doc["noise_std"], doc["seed"]) == (0.4, 0)
+
+    ckpt = tmp_path / "backbone.npz"
+    assert run("pretrain", "--data", data, "--out", ckpt) == 0
+    cfg = BackboneConfig()
+    # pretrain's own split: every window trains
+    spec = SplitSpec(train_frac=1.0, val_frac=0.0, test_frac=0.0)
+    train, _, _ = make_windows(load_csv(data), spec, cfg.lookback, cfg.horizon)
+    save_backbone(pretrain_backbone(train.x, train.y, cfg),
+                  tmp_path / "library.npz")
+    assert ckpt.read_bytes() == (tmp_path / "library.npz").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["fit", "ablate", "pretrain", "synth"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    data, _ = make_dataset(tmp_path, length=600)
+    backbone = make_backbone(tmp_path, data)
+    out = tmp_path / "out"
+    args = {
+        "fit": ("--data", data, "--backbone", backbone, "--out", out,
+                "--set", "seed=-1"),
+        "ablate": ("--regime", "partial", "--out", out, "--set", "seed=-1"),
+        "pretrain": ("--data", data, "--out", out, "--lookback", 48,
+                     "--horizon", 12, "--seed", -1),
+        "synth": ("--regime", "partial", "--length", 600, "--out", out,
+                  "--seed", -1),
+    }[command]
+    capsys.readouterr()
+    assert run(command, *args) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--noise-std", "nan"), ("--noise-std", "inf"), ("--noise-std", -0.5),
+    ("--season-amp", "nan"), ("--season-amp", "inf"),
+])
+def test_bad_generation_parameter_exits_3(tmp_path, capsys, flag, value):
+    out, truth = tmp_path / "series.csv", tmp_path / "truth.json"
+    assert run("synth", "--regime", "partial", "--length", 600, flag, value,
+               "--out", out, "--truth", truth) == 3
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists() and not truth.exists()
+
+
+def test_mistyped_adapter_header_exits_3(tmp_path, capsys):
+    data, _ = make_dataset(tmp_path, length=600)
+    backbone = make_backbone(tmp_path, data)
+    adapter = tmp_path / "adapter.npz"
+    assert run("fit", "--data", data, "--backbone", backbone,
+               "--out", adapter, *SMALL_FIT) == 0
+    broken = tmp_path / "broken.ckpt"
+    for key, bad in (("seed", 1.5), ("seed", -1), ("depth_division", 1.5),
+                     ("rank", 2.5), ("hpcl", "false")):
+        config, arrays = load_arrays(adapter)
+        config[key] = bad
+        save_arrays(broken, config, arrays)
+        capsys.readouterr()
+        assert run("eval", "--data", data, "--backbone", backbone,
+                   "--adapter", broken) == 3, (key, bad)
+        assert f"bad header value ({key} must" in capsys.readouterr().err
 
 
 def test_bad_config_value_exits_2(tmp_path):

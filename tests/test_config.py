@@ -25,6 +25,7 @@ def test_defaults_are_valid():
     ("batch_size", 0),
     ("lambda_aux", -0.5),
     ("aux_warmup_epochs", -1),
+    ("seed", -1),
     ("dce_mode", "both"),
     ("hd_mode", "triple"),
     ("poly_degree", -1),
@@ -60,6 +61,21 @@ def test_non_finite_or_overflowing_floats_rejected(field, value):
         TrainConfig(**{field: value})
     with pytest.raises(ConfigError):
         load_train_config(overrides=[f"{field}={value}"])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", 1.5),
+    ("epochs", "3"),
+    ("batch_size", True),
+    ("depth_division", 1.5),
+    ("rank", 2.5),
+    ("hpcl", "false"),
+    ("soft_gate", 1),
+])
+def test_mistyped_int_or_bool_rejected(field, value):
+    # a checkpoint header can carry any JSON value; "false" is truthy
+    with pytest.raises(ConfigError, match=f"{field} must be"):
+        TrainConfig(**{field: value})
 
 
 def test_epsilon_init_below_the_overflow_bound_builds_its_threshold():

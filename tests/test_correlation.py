@@ -182,7 +182,7 @@ def test_time_varying_gradient_matches_fd():
 
 def test_time_invariant_range_and_zero_case():
     rng = np.random.default_rng(17)
-    params = corr.init_dce_params(4, 5, rank=3, embed_dim=4, rng=rng)
+    params = corr.init_dce_params(4, 5, degree=3, rank=3, embed_dim=4, rng=rng)
     v = corr.time_invariant_component(params).data
     assert v.shape == (3, 3)
     assert ((v > 0.0) & (v < 1.0)).all()

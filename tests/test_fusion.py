@@ -14,7 +14,8 @@ def make_inputs(rng, b=0, n=4, p=3, d=5, f=6):
 
 
 def warmed_params(rng, n=4, p=3, d=5, f=6, depth=2, logit=0.0):
-    params = fu.init_fusion_params(n, p, d, f, depth=depth, rng=rng)
+    params = fu.init_fusion_params(n, p, d, f, depth=depth, rng=rng,
+                                   beta_logit_init=-5.0)
     params.head_w.data = rng.normal(0, 0.3, size=params.head_w.shape)
     params.head_b.data = rng.normal(0, 0.3, size=params.head_b.shape)
     params.beta_logits.data = rng.normal(logit, 1.0, size=n)
@@ -81,7 +82,8 @@ def test_fused_output_between_head_and_backbone():
 def test_fresh_params_reproduce_backbone_exactly():
     # zero head cancels the gate leakage term: beta * 0 == 0
     rng = np.random.default_rng(74)
-    params = fu.init_fusion_params(4, 3, 5, 6, depth=3, rng=rng)
+    params = fu.init_fusion_params(4, 3, 5, 6, depth=3, rng=rng,
+                                   beta_logit_init=-5.0)
     x_pos, x_neg, yhat = make_inputs(rng)
     ystar = fu.fuse_predict(params, ad.constant(x_pos), ad.constant(x_neg),
                             ad.constant(yhat))
@@ -136,7 +138,8 @@ def test_gradients_match_finite_differences():
 
 def test_gate_receives_gradient_even_with_zero_head():
     rng = np.random.default_rng(78)
-    params = fu.init_fusion_params(3, 2, 4, 3, depth=1, rng=rng)
+    params = fu.init_fusion_params(3, 2, 4, 3, depth=1, rng=rng,
+                                   beta_logit_init=-5.0)
     x_pos, x_neg, yhat = make_inputs(rng, n=3, p=2, d=4, f=3)
     target = yhat + rng.normal(size=yhat.shape)
     ystar = fu.fuse_predict(params, ad.constant(x_pos), ad.constant(x_neg),
