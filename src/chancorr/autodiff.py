@@ -1,9 +1,10 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-A minimal define-by-run engine: every operation on `Tensor` records its
-parent tensors together with a backward closure, and ``Tensor.backward()``
-walks the recorded graph once in reverse topological order, accumulating
-gradients into the ``.grad`` slot of every tensor that requires them.
+A minimal define-by-run engine: every recorded op gives its output a node
+of edges, each a backward closure and its parent's node, or the parent
+itself if it is a ``requires_grad`` leaf.  So an op output is freed once
+dropped unless a closure holds its array.  ``Tensor.backward()`` walks the
+nodes in reverse topological order, accumulating into each leaf's ``.grad``.
 
 Conventions
 -----------
@@ -150,7 +151,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: list[tuple["Tensor", object]] | None = None
+        self._node: _Node | None = None
         self._backward_ran = False
 
     # -- introspection -------------------------------------------------
@@ -175,22 +176,24 @@ class Tensor:
 
     # -- backward --------------------------------------------------------
     def backward(self) -> None:
-        """Run reverse-mode accumulation from this scalar.
+        """Run reverse-mode accumulation from this scalar over its node tape,
+        into the ``.grad`` of every leaf that an edge ends in.
 
         Raises `GraphError` if the tensor is not a scalar, is detached from
         any recorded graph, or if backward already ran on this recording.
         """
         if self.size != 1:
             raise GraphError("backward target must be a scalar")
-        if self._parents is None and not self.requires_grad:
+        if self._node is None and not self.requires_grad:
             raise GraphError("backward on a detached graph (nothing was recorded)")
         if self._backward_ran:
             raise GraphError("backward already ran on this graph; re-record the forward pass")
         self._backward_ran = True
 
-        order: list[Tensor] = []
+        order: list[_Node | Tensor] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        root = self if self._node is None else self._node
+        stack: list[tuple[_Node | Tensor, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -200,25 +203,34 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for parent, _ in node._parents or ():
+            for parent, _ in getattr(node, "edges", ()):
                 if id(parent) not in seen:
                     stack.append((parent, False))
 
         grads: dict[int, np.ndarray] = {
-            id(self): np.ones_like(self.data)
+            id(root): np.ones_like(self.data)
         }
         for node in reversed(order):
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad:
+            if isinstance(node, Tensor):
                 node.grad = g.copy() if node.grad is None else node.grad + g
-            for parent, fn in node._parents or ():
+                continue
+            for parent, fn in node.edges:
                 contribution = fn(g)
                 if contribution is None:
                     continue
                 key = id(parent)
                 grads[key] = grads[key] + contribution if key in grads else contribution
+
+
+class _Node:
+    """One recorded op: (parent node or leaf tensor, backward closure) edges."""
+    __slots__ = ("edges",)
+
+    def __init__(self, edges):
+        self.edges = edges
 
 
 def as_tensor(value) -> Tensor:
@@ -241,10 +253,10 @@ def _result(data: np.ndarray, parents, op: str) -> Tensor:
     out._backward_ran = False
     if _grad_enabled:
         check_finite(data, op)
-        live = [(p, fn) for p, fn in parents if p.requires_grad or p._parents is not None]
-        out._parents = live if live else None
+        live = [(p._node or p, fn) for p, fn in parents if p.requires_grad or p._node]
+        out._node = _Node(live) if live else None
     else:
-        out._parents = None
+        out._node = None
     return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class ConfigError(ValueError):
@@ -62,6 +62,8 @@ class TrainConfig:
                     value is None and f.type == "int | None"
                     or isinstance(value, Integral) and not isinstance(value, bool)):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and (isinstance(value, bool) or not isinstance(value, Real)):
+                raise ConfigError(f"{f.name} must be a number, got {value!r}")
             # NaN passes every comparison below, so finiteness is checked first
             if f.type == "float" and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")

@@ -232,7 +232,7 @@ def test_hpcl_terms_are_zero_when_off_and_need_r_when_on():
         for r in (None, pearson_matrix(x)):
             terms = hpcl_terms(state, rep, r, x_pos, x_neg)
             assert [t.data.tobytes() for t in terms] == [np.float64(0.0).tobytes()] * 3
-            assert not any(t.requires_grad or t._parents for t in terms)
+            assert not any(t.requires_grad or t._node for t in terms)
 
 
 def test_inference_and_hpcl_blocks_come_from_the_one_rule(monkeypatch):
@@ -260,49 +260,62 @@ def test_inference_and_hpcl_blocks_come_from_the_one_rule(monkeypatch):
 
 def _nxn_buffers_on_tape(roots, n):
     """Distinct float buffers of (..., n, n) arrays that the recorded graph
-    of ``roots`` keeps alive: node values and backward-closure captures.
-    Broadcast views of smaller arrays do not count."""
-    buffers, seen, stack = {}, set(), list(roots)
+    of ``roots`` keeps alive: the leaves and what the backward closures
+    hold, also through the functions, containers and tensors they capture.
+    Op outputs that no closure holds are freed, so they do not count, and
+    neither do broadcast views of smaller arrays."""
+    buffers, seen, stack = {}, set(), [t._node for t in roots]
 
     def note(a):
-        if not (isinstance(a, np.ndarray) and a.dtype.kind == "f"
-                and a.ndim >= 2 and a.shape[-2:] == (n, n)):
+        if id(a) in seen:
             return
-        owner = a
-        while isinstance(owner.base, np.ndarray):
-            owner = owner.base
-        if owner.nbytes >= a.nbytes:
-            buffers[id(owner)] = owner
+        seen.add(id(a))
+        if isinstance(a, ad.Tensor):
+            note(a.data)
+        elif isinstance(a, (list, tuple, dict)):
+            for held in a.values() if isinstance(a, dict) else a:
+                note(held)
+        elif callable(a):
+            for cell in getattr(a, "__closure__", None) or ():
+                note(cell.cell_contents)
+            for default in getattr(a, "__defaults__", None) or ():
+                note(default)
+        elif (isinstance(a, np.ndarray) and a.dtype.kind == "f"
+              and a.ndim >= 2 and a.shape[-2:] == (n, n)):
+            owner = a
+            while isinstance(owner.base, np.ndarray):
+                owner = owner.base
+            if owner.nbytes >= a.nbytes:
+                buffers[id(owner)] = owner
 
     while stack:
         node = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
-        note(node.data)
-        for parent, fn in node._parents or ():
-            for cell in fn.__closure__ or ():
-                note(cell.cell_contents)
-            for default in fn.__defaults__ or ():
-                note(default)
-            stack.append(parent)
+        for parent, fn in node.edges:
+            note(fn)
+            if isinstance(parent, ad.Tensor):
+                note(parent)            # a leaf
+            else:
+                stack.append(parent)
     return len(buffers)
 
 
 def test_training_tape_holds_few_nxn_buffers():
-    # pins the N x N memory of one training step to M and Q V Q^T: the
-    # contrastive op keeps per-row statistics and recomputes its N x N
-    # blocks in backward (the generic-op chain kept 20, the fused
-    # similarity-to-log-ratio op 10)
+    # pins the N x N memory of one training step's tape to M, which the
+    # contrastive op keeps to recompute its N x N blocks in backward;
+    # soft gates add the two sigmoid outputs that their closures read
     n = 7
     backbone, x, y = tiny_backbone(seed=4, n=n, b=6)
-    state = init_adapter(backbone, n, small_config())
     out = backbone_forward(backbone, x)
     r = pearson_matrix(x)
-    losses = training_losses(state, out.repr, out.yhat_norm,
-                             (y - out.mean) / out.std, r)
-    assert losses["l_neg"]._parents is not None   # both branches recorded
-    assert _nxn_buffers_on_tape([losses["prediction"], losses["aux"]], n) == 2
+    for soft_gate, held in ((False, 1), (True, 3)):
+        state = init_adapter(backbone, n, small_config(soft_gate=soft_gate))
+        losses = training_losses(state, out.repr, out.yhat_norm,
+                                 (y - out.mean) / out.std, r)
+        assert losses["l_neg"]._node is not None      # both branches recorded
+        assert _nxn_buffers_on_tape([losses["prediction"], losses["aux"]], n) == held
 
 
 def _step_bytes(state, out, y_norm, r):

@@ -1,12 +1,18 @@
 """Engine-level checks: every primitive against central finite differences,
 plus the bookkeeping contracts (determinism, error states, gate tracing)."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from chancorr import autodiff as ad
+from chancorr.adapter import init_adapter, named_parameters, training_losses
+from chancorr.backbone import BackboneConfig, backbone_forward, pretrain_backbone
+from chancorr.config import TrainConfig
+from chancorr.correlation import pearson_matrix
 
 
 def numeric_grad(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -259,6 +265,44 @@ def test_non_participating_leaf_has_no_grad():
     unused = ad.parameter(np.ones(3))
     ad.tensor_sum(ad.multiply(x, x)).backward()
     assert unused.grad is None  # zero by convention; never touched
+
+
+def test_op_output_is_freed_when_no_closure_reads_it():
+    x = ad.parameter(np.ones(3))
+    y = ad.add(x, x)                    # add's closures keep shapes only
+    loss = ad.tensor_sum(y)
+    held = weakref.ref(y.data)
+    del y
+    assert held() is None
+    loss.backward()
+    assert x.grad.tolist() == [2.0, 2.0, 2.0]
+
+
+def test_parameters_and_adapter_state_free_by_refcount_alone():
+    # no reference cycle between a leaf and the tape: a parameter that a
+    # recorded graph ran through, and an adapter state after a training
+    # step, go as soon as they are dropped, with the cyclic collector off
+    rng = np.random.default_rng(0)
+    cfg = BackboneConfig(lookback=24, horizon=6, patch_len=8, repr_dim=8)
+    x, y = rng.normal(size=(6, 4, 24)), rng.normal(size=(6, 4, 6))
+    backbone = pretrain_backbone(x, y, cfg)
+    out = backbone_forward(backbone, x)
+    gc.collect()
+    gc.disable()
+    try:
+        p = ad.parameter(np.ones(3))
+        loss = ad.tensor_sum(ad.multiply(p, p))
+        loss.backward()
+        state = init_adapter(backbone, 4, TrainConfig(embed_dim=4, rank=2))
+        losses = training_losses(state, out.repr, out.yhat_norm,
+                                 (y - out.mean) / out.std, pearson_matrix(x))
+        ad.add(losses["prediction"], losses["aux"]).backward()
+        held = [weakref.ref(p), weakref.ref(state)]
+        held += [weakref.ref(t) for _, t in named_parameters(state)]
+        del p, loss, state, losses
+        assert [ref() for ref in held] == [None] * len(held)
+    finally:
+        gc.enable()
 
 
 def test_backward_errors():

@@ -78,6 +78,21 @@ def test_mistyped_int_or_bool_rejected(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("lr", True),
+    ("tau", False),
+    ("gate_lr_scale", "1.0"),
+    ("lambda_aux", None),
+    ("epsilon_init", [0.3]),
+    ("beta_logit_init", 1j),
+])
+def test_mistyped_float_rejected(field, value):
+    # True is no learning rate, though bool subclasses int; a string or a
+    # complex would otherwise end in a TypeError, not a config error
+    with pytest.raises(ConfigError, match=f"{field} must be a number"):
+        TrainConfig(**{field: value})
+
+
 def test_epsilon_init_below_the_overflow_bound_builds_its_threshold():
     assert init_epsilon(TrainConfig(epsilon_init=709.0).epsilon_init).numeric() == 709.0
 
