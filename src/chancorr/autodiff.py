@@ -4,7 +4,10 @@ A minimal define-by-run engine: every recorded op gives its output a node
 of edges, each a backward closure and its parent's node, or the parent
 itself if it is a ``requires_grad`` leaf.  So an op output is freed once
 dropped unless a closure holds its array.  ``Tensor.backward()`` walks the
-nodes in reverse topological order, accumulating into each leaf's ``.grad``.
+nodes in reverse topological order, accumulating into each leaf's ``.grad``,
+and consumes each node it passes, so a recording is walked at most once.
+Ops defined outside this module (the projection layer) record through
+`_result` in the same way.
 
 Conventions
 -----------
@@ -13,10 +16,9 @@ Conventions
   `NonFiniteError` on violation.  Under ``no_grad`` the ops do only the
   arithmetic and let NaN/Inf propagate; each caller that evaluates under
   ``no_grad`` checks its final output once with `check_finite`.
-* ``softmax`` (over the last axis) and ``hpcl_loss`` subtract the per-row
-  maximum before exponentiation; ``layer_norm`` normalises over the last
-  axis with eps `LAYER_NORM_EPS`.
-* Hard gates (``relu``, and the boolean supports of ``hpcl_loss``)
+* ``hpcl_loss`` subtracts the per-row maximum before exponentiation.
+* Hard gates (``relu``, the projection layer's relus, and the boolean
+  supports of ``hpcl_loss``)
   follow the subgradient convention: gradient 1 on kept entries, 0 on
   dropped ones.  Gate decisions can be traced (see ``record_gates``) so
   the finite difference checker can exclude coordinates whose
@@ -57,10 +59,8 @@ __all__ = [
     "sigmoid",
     "softplus",
     "relu",
-    "softmax",
     "polynomial_expand",
     "hpcl_loss",
-    "layer_norm",
     "tensor_sum",
     "mean",
     "reshape",
@@ -90,7 +90,6 @@ class NonDeterministicError(RuntimeError):
     """Two evaluations of a supposedly pure function disagreed."""
 
 
-LAYER_NORM_EPS = 1e-5
 COSINE_EPS = 1e-24  # added to squared row norms in cosine similarity
 
 # Bytes one block of windows may occupy in a blocked op, so that its
@@ -133,9 +132,10 @@ def record_gates(sink: list | None):
 
 
 def trace_gate(kept: np.ndarray) -> None:
-    """Report a gate decision to the active trace, if any."""
+    """Report a gate decision to the active trace, if any: ``kept`` is a
+    boolean support, or a relu output whose positive entries were kept."""
     if _gate_sink is not None:
-        _gate_sink.append(np.packbits(np.asarray(kept, dtype=bool), axis=None))
+        _gate_sink.append(np.packbits(kept if kept.dtype == bool else kept > 0, axis=None))
 
 
 def check_finite(data: np.ndarray, op: str) -> None:
@@ -152,7 +152,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._node: _Node | None = None
-        self._backward_ran = False
 
     # -- introspection -------------------------------------------------
     @property
@@ -177,23 +176,21 @@ class Tensor:
     # -- backward --------------------------------------------------------
     def backward(self) -> None:
         """Run reverse-mode accumulation from this scalar over its node tape,
-        into the ``.grad`` of every leaf that an edge ends in.
+        into the ``.grad`` of every leaf that an edge ends in.  Each node
+        drops its edges, and so its closures, once processed.
 
-        Raises `GraphError` if the tensor is not a scalar, is detached from
-        any recorded graph, or if backward already ran on this recording.
+        Raises `GraphError` if the tensor is not a scalar or is no recorded
+        op output, or if the walk reaches a node that an earlier backward
+        consumed, from this root or any other.
         """
         if self.size != 1:
             raise GraphError("backward target must be a scalar")
-        if self._node is None and not self.requires_grad:
+        if self._node is None:
             raise GraphError("backward on a detached graph (nothing was recorded)")
-        if self._backward_ran:
-            raise GraphError("backward already ran on this graph; re-record the forward pass")
-        self._backward_ran = True
 
         order: list[_Node | Tensor] = []
         seen: set[int] = set()
-        root = self if self._node is None else self._node
-        stack: list[tuple[_Node | Tensor, bool]] = [(root, False)]
+        stack: list[tuple[_Node | Tensor, bool]] = [(self._node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -203,21 +200,24 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for parent, _ in getattr(node, "edges", ()):
+            edges = getattr(node, "edges", ())
+            if edges is None:
+                raise GraphError("backward already ran on this graph; re-record the forward pass")
+            for parent, _ in edges:
                 if id(parent) not in seen:
                     stack.append((parent, False))
 
-        grads: dict[int, np.ndarray] = {
-            id(root): np.ones_like(self.data)
-        }
+        grads: dict[int, np.ndarray] = {id(self._node): np.ones_like(self.data)}
         for node in reversed(order):
             g = grads.pop(id(node), None)
+            if isinstance(node, Tensor):
+                if g is not None:
+                    node.grad = g.copy() if node.grad is None else node.grad + g
+                continue
+            edges, node.edges = node.edges, None
             if g is None:
                 continue
-            if isinstance(node, Tensor):
-                node.grad = g.copy() if node.grad is None else node.grad + g
-                continue
-            for parent, fn in node.edges:
+            for parent, fn in edges:
                 contribution = fn(g)
                 if contribution is None:
                     continue
@@ -250,7 +250,6 @@ def _result(data: np.ndarray, parents, op: str) -> Tensor:
     out.data = data
     out.requires_grad = False
     out.grad = None
-    out._backward_ran = False
     if _grad_enabled:
         check_finite(data, op)
         live = [(p._node or p, fn) for p, fn in parents if p.requires_grad or p._node]
@@ -398,40 +397,8 @@ def relu(x) -> Tensor:
     """max(x, 0); a NaN input stays NaN in the output."""
     x = as_tensor(x)
     data = np.maximum(x.data, 0.0)
-    if _gate_sink is not None:
-        trace_gate(data > 0)
+    trace_gate(data)
     return _result(data, [(x, lambda g, d=data: g * (d > 0))], "relu")
-
-
-def softmax(x) -> Tensor:
-    x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
-
-    def grad_x(g, s=data):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return s * (g - dot)
-
-    return _result(data, [(x, grad_x)], "softmax")
-
-
-def layer_norm(x) -> Tensor:
-    """Normalise over the last axis to zero mean / unit variance (no affine)."""
-    x = as_tensor(x)
-    with np.errstate(invalid="ignore"):
-        mu = x.data.mean(axis=-1, keepdims=True)
-        centred = x.data - mu
-        var = (centred * centred).mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-        norm = centred * inv
-
-    def grad_x(g, n=norm, iv=inv):
-        gm = g.mean(axis=-1, keepdims=True)
-        gn = (g * n).mean(axis=-1, keepdims=True)
-        return iv * (g - gm - n * gn)
-
-    return _result(norm, [(x, grad_x)], "layer_norm")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,21 @@ patch representation x of shape (..., P, N, d):
 MLP1 and MLP2 each have a single hidden layer of width d with relu, and
 their *final* affines are zero-initialised, so a fresh layer is exactly
 the identity map -- a stack of them leaves the backbone untouched until
-training moves the weights.
+training moves the weights.  The layer norm has eps `LAYER_NORM_EPS`; the
+softmax subtracts the largest logit first.
+
+A layer is one recorded autodiff op with one numpy forward kernel, run the
+same way with or without recording.  It works in place on its own
+temporaries and never writes to x.  Under ``no_grad`` it keeps nothing:
+ln and the output overwrite the arrays they are computed from.  In grad
+mode it keeps what its hand-written backward reads: the full-size norm,
+ln, hidden, flat and proj arrays, plus the small squeeze activations,
+gate weights and inverse deviations.  Forward and backward run the float
+operations of the formulas above one step at a time, in the order a
+recording of each step would, so no bit depends on the fusion into one
+op; for the same reason x gets two edges, the residual's first and the
+norm path's last.  Both relus report to the active ``ad.record_gates``
+sink, MLP1's first; in grad mode the output is checked for NaN and Inf.
 
 Two independent stacks (`divide`) produce the positive-space and
 negative-space views consumed by the contrastive objectives; a shared
@@ -27,6 +41,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
+LAYER_NORM_EPS = 1e-5
+
 __all__ = [
     "ProjectionLayerParams",
     "HdParams",
@@ -37,6 +53,9 @@ __all__ = [
     "project_stack",
     "divide",
 ]
+
+
+_PARAM_NAMES = ("ln_scale", "ln_shift", "w1", "b1", "w2", "b2", "v1", "c1", "v2", "c2")
 
 
 @dataclass
@@ -53,9 +72,7 @@ class ProjectionLayerParams:
     c2: Tensor         # (1,)
 
     def named_tensors(self, prefix: str = "layer"):
-        return [(f"{prefix}.{name}", getattr(self, name))
-                for name in ("ln_scale", "ln_shift", "w1", "b1", "w2", "b2",
-                             "v1", "c1", "v2", "c2")]
+        return [(f"{prefix}.{name}", getattr(self, name)) for name in _PARAM_NAMES]
 
 
 def init_projection_layer(n_patches: int, repr_dim: int,
@@ -120,23 +137,90 @@ def flatten_per_channel(x: Tensor) -> Tensor:
 
 
 def channel_aware_project(layer: ProjectionLayerParams, x) -> Tensor:
-    """Apply one squeeze/excite projection layer to (..., P, N, d)."""
+    """Apply one squeeze/excite projection layer to (..., P, N, d), as one
+    recorded op (see the module docstring)."""
     x = ad.as_tensor(x)
-    if x.ndim < 3:
-        raise ad.ShapeMismatchError("projection input must be (..., P, N, d)")
-    ln = ad.add(ad.multiply(ad.layer_norm(x), layer.ln_scale), layer.ln_shift)
+    tensors = [getattr(layer, name) for name in _PARAM_NAMES]
+    ln_scale, ln_shift, w1, b1, w2, b2, v1, c1, v2, c2 = (t.data for t in tensors)
+    if x.ndim < 3 or (x.shape[-1], x.shape[-3] * x.shape[-1]) != (len(w1), len(v1)):
+        raise ad.ShapeMismatchError(f"projection input {x.shape} must be (..., P, N, d) "
+                                    f"with d = {len(w1)} and P*d = {len(v1)}")
+    xd, keep = x.data, ad._grad_enabled
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = xd - xd.mean(axis=-1, keepdims=True)
+        squares = norm * norm               # spent once inv is known: flat reuses it
+        inv = 1.0 / np.sqrt(squares.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+        norm *= inv
+        # under no_grad nothing is kept for backward, so ln and the output
+        # overwrite the arrays they are computed from
+        ln = np.multiply(norm, ln_scale, out=None if keep else norm)
+        ln += ln_shift
+        hidden = ln @ w1
+        hidden += b1
+        ad.trace_gate(np.maximum(hidden, 0.0, out=hidden))
+        proj = hidden @ w2
+        proj += b2
+        flat = squares.reshape(ln.swapaxes(-3, -2).shape)     # (..., N, P, d)
+        flat[...] = ln.swapaxes(-3, -2)
+        flat = flat.reshape(flat.shape[:-2] + (-1,))
+        squeeze = flat @ v1
+        squeeze += c1
+        ad.trace_gate(np.maximum(squeeze, 0.0, out=squeeze))
+        logits = squeeze @ v2
+        logits += c2
+        logits = logits.reshape(logits.shape[:-1])
+        weights = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        weights = weights / weights.sum(axis=-1, keepdims=True)
+        gate = weights.reshape(weights.shape[:-1] + (1, weights.shape[-1], 1))
+        out = np.multiply(proj, gate, out=None if keep else proj)
+        out += xd
 
-    hidden = ad.relu(ad.add(ad.matmul(ln, layer.w1), layer.b1))
-    proj = ad.add(ad.matmul(hidden, layer.w2), layer.b2)
+    grads = {}
+    sum_to = ad._sum_to_shape
 
-    flat = flatten_per_channel(ln)  # (..., N, P*d)
-    squeeze = ad.relu(ad.add(ad.matmul(flat, layer.v1), layer.c1))
-    logits = ad.add(ad.matmul(squeeze, layer.v2), layer.c2)  # (..., N, 1)
-    logits = ad.reshape(logits, logits.shape[:-1])           # (..., N)
-    weights = ad.softmax(logits)
+    def backward(name, g):
+        if grads:
+            return grads.pop(name)
+        # one pass serves every input but x, which gets g itself from the
+        # residual and the norm path's gradient from grad_x; g is read only
+        g_proj = np.multiply(g, gate, order="C")
+        grads.update(w2=sum_to(hidden.swapaxes(-1, -2) @ g_proj, w2.shape),
+                     b2=sum_to(g_proj, b2.shape))
+        g_hidden = g_proj @ w2.swapaxes(-1, -2)
+        del g_proj
+        g_hidden *= hidden > 0
+        grads.update(w1=sum_to(ln.swapaxes(-1, -2) @ g_hidden, w1.shape),
+                     b1=sum_to(g_hidden, b1.shape))
+        g_ln = g_hidden @ w1.swapaxes(-1, -2)
+        del g_hidden
 
-    w_shape = weights.shape[:-1] + (1, weights.shape[-1], 1)
-    return ad.add(x, ad.multiply(proj, ad.reshape(weights, w_shape)))
+        g_gate = sum_to(np.multiply(g, proj, order="C"), gate.shape).reshape(weights.shape)
+        g_logits = weights * (g_gate - (g_gate * weights).sum(axis=-1, keepdims=True))
+        g_logits = g_logits.reshape(g_logits.shape + (1,))
+        g_squeeze = g_logits @ v2.swapaxes(-1, -2)
+        g_squeeze *= squeeze > 0
+        grads.update(v1=sum_to(flat.swapaxes(-1, -2) @ g_squeeze, v1.shape),
+                     c1=sum_to(g_squeeze, c1.shape),
+                     v2=sum_to(squeeze.swapaxes(-1, -2) @ g_logits, v2.shape),
+                     c2=sum_to(g_logits, c2.shape))
+        g_flat = g_squeeze @ v1.swapaxes(-1, -2)
+        g_ln += g_flat.reshape(g_flat.shape[:-1] + (-1, len(w1))).swapaxes(-3, -2)
+        del g_flat
+        grads.update(ln_scale=sum_to(np.multiply(g_ln, norm, order="C"), ln_scale.shape),
+                     ln_shift=sum_to(g_ln, ln_shift.shape), ln=g_ln)
+        return grads.pop(name)
+
+    def grad_x(g):
+        g_norm = np.multiply(backward("ln", g), ln_scale, order="C")
+        gn = (g_norm * norm).mean(axis=-1, keepdims=True)
+        g_norm -= g_norm.mean(axis=-1, keepdims=True)
+        g_norm -= norm * gn
+        g_norm *= inv
+        return g_norm
+
+    edges = [(t, lambda g, name=name: backward(name, g))
+             for name, t in zip(_PARAM_NAMES, tensors)]
+    return ad._result(out, [(x, lambda g: g)] + edges + [(x, grad_x)], "projection")
 
 
 def project_stack(layers, x) -> Tensor:

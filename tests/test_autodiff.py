@@ -80,8 +80,6 @@ def test_primitive_gradients_match_fd(seed):
         (lambda a: ad.tanh(a), [(n, m)], False),
         (lambda a: ad.sigmoid(a), [(n, m)], False),
         (lambda a: ad.softplus(a), [(n, m)], False),
-        (lambda a: ad.softmax(a), [(n, m)], False),
-        (lambda a: ad.layer_norm(a), [(n, m)], False),
         (lambda a: ad.tensor_sum(a, axis=0), [(n, m)], False),
         (lambda a: ad.mean(a, axis=1), [(n, m, k)], False),
         (lambda a: ad.mean(a), [(n, m)], False),
@@ -206,23 +204,6 @@ def test_sigmoid_known_values():
     assert ad.sigmoid(ad.constant(2.0)).item() == pytest.approx(1 / (1 + math.exp(-2)), abs=1e-15)
 
 
-def test_softmax_rows_sum_to_one_and_shift_invariance():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(4, 6)) * 50  # large values: max-subtraction must save us
-    s1 = ad.softmax(ad.constant(x))
-    s2 = ad.softmax(ad.constant(x + 123.456))
-    assert np.allclose(s1.data.sum(axis=-1), 1.0)
-    assert np.allclose(s1.data, s2.data, atol=1e-12)
-
-
-def test_layer_norm_moments():
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(3, 5, 17)) * 4 + 7
-    out = ad.layer_norm(ad.constant(x)).data
-    assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-12)
-    assert np.allclose(out.var(axis=-1), 1.0, atol=1e-4)  # eps-limited
-
-
 def cosine(x):
     unit = ad.unit_rows(x)[0]
     return unit @ unit.T
@@ -316,6 +297,18 @@ def test_backward_errors():
         loss.backward()  # graph consumed
     with pytest.raises(ad.GraphError):
         ad.constant(1.0).backward()  # detached
+
+
+def test_backward_through_a_consumed_graph_raises():
+    # b shares a's graph: a second walk would run a's closures again and
+    # double x's gradient
+    x = ad.parameter([3.0])
+    a = ad.tensor_sum(ad.multiply(x, x))
+    b = ad.scale(a, 1.0)
+    a.backward()
+    with pytest.raises(ad.GraphError):
+        b.backward()
+    assert x.grad.tolist() == [6.0]
 
 
 def test_shape_mismatch_raises():

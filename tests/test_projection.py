@@ -1,5 +1,8 @@
 """Projection stacks: identity at init, channel weighting, gradients."""
 
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -139,58 +142,138 @@ def test_shared_stack_produces_identical_views():
 
 
 def expanded_reference(layer, x):
-    """One projection layer with the gate weights materialised, by adding
-    a zeros constant, before the multiply."""
-    ln = ad.add(ad.multiply(ad.layer_norm(x), layer.ln_scale), layer.ln_shift)
-    hidden = ad.relu(ad.add(ad.matmul(ln, layer.w1), layer.b1))
-    proj = ad.add(ad.matmul(hidden, layer.w2), layer.b2)
-    squeeze = ad.relu(ad.add(ad.matmul(pj.flatten_per_channel(ln), layer.v1),
-                             layer.c1))
-    logits = ad.add(ad.matmul(squeeze, layer.v2), layer.c2)
-    weights = ad.softmax(ad.reshape(logits, logits.shape[:-1]))
-    w_shape = weights.shape[:-1] + (1, weights.shape[-1], 1)
-    w_expanded = ad.add(ad.reshape(weights, w_shape), ad.constant(np.zeros(x.shape)))
-    return ad.add(x, ad.multiply(proj, w_expanded))
+    """One projection layer in plain numpy, in the op's order of float
+    operations, with the gate weights materialised to x's shape (by adding
+    zeros) before the multiply.  Also returns both relus' gate decisions
+    and the normalised input ln."""
+    ln_scale, ln_shift, w1, b1, w2, b2, v1, c1, v2, c2 = (
+        t.data for _, t in layer.named_tensors())
+    mu = x.mean(axis=-1, keepdims=True)
+    centred = x - mu
+    var = (centred * centred).mean(axis=-1, keepdims=True)
+    norm = centred * (1.0 / np.sqrt(var + pj.LAYER_NORM_EPS))
+    ln = norm * ln_scale + ln_shift
+    hidden = np.maximum(ln @ w1 + b1, 0.0)
+    proj = hidden @ w2 + b2
+    flat = np.swapaxes(ln, -3, -2)
+    flat = flat.reshape(flat.shape[:-2] + (-1,))
+    squeeze = np.maximum(flat @ v1 + c1, 0.0)
+    logits = (squeeze @ v2 + c2)[..., 0]
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    gate = weights[..., None, :, None] + np.zeros(x.shape)
+    return x + proj * gate, [hidden > 0, squeeze > 0], ln
+
+
+def gate_trace(layers, x, grad: bool):
+    sink = []
+    with ad.record_gates(sink), contextlib.ExitStack() as stack:
+        if not grad:
+            stack.enter_context(ad.no_grad())
+        out = pj.project_stack(layers, ad.constant(x)).data
+    return out, sink
 
 
 def test_broadcast_gate_weights_match_expanded_reference_bitwise():
     rng = np.random.default_rng(41)
+    # the last case's logits are large enough that exp overflows unless
+    # the largest one is subtracted first
+    for shape, logit_scale in (((5, 3, 6, 4), 1.0), ((3, 6, 4), 1.0),
+                               ((2, 2, 3, 6, 4), 1.0), ((5, 3, 6, 4), 1e4)):
+        layer = randomized_layer(3, 4, rng)
+        layer.v2.data *= logit_scale
+        x = rng.normal(size=shape)
+        want, decisions, _ = expanded_reference(layer, x)
+        assert np.isfinite(want).all()
+        packed = [np.packbits(k, axis=None) for k in decisions]
+        for grad in (False, True):
+            got, sink = gate_trace([layer], x, grad)
+            assert np.array_equal(got, want)
+            assert [t.tobytes() for t in sink] == [t.tobytes() for t in packed]
+
+    # flattening hands a transposed gradient back to the layer, the layout
+    # under which a broadcast multiply could change the summation order of
+    # the bias gradients: they must match those of a contiguous one bitwise
     layer = randomized_layer(3, 4, rng)
-    x = ad.constant(rng.normal(size=(5, 3, 6, 4)))
-    target = ad.constant(rng.normal(size=(5, 6, 12)))
-
-    with ad.no_grad():
-        assert np.array_equal(pj.channel_aware_project(layer, x).data,
-                              expanded_reference(layer, x).data)
-
+    x = rng.normal(size=(5, 3, 6, 4))
+    target = rng.normal(size=(5, 6, 12))
     grads = []
-    for build in (pj.channel_aware_project, expanded_reference):
+    for flatten in (True, False):
         for _, t in layer.named_tensors():
             t.grad = None
-        out = build(layer, x)
-        # flattening hands a transposed gradient back to the layer, the
-        # layout under which a broadcast multiply could change the
-        # summation order of the bias gradients
-        loss = ad.tensor_sum(ad.multiply(pj.flatten_per_channel(out), target))
-        loss.backward()
-        grads.append((out.data, [t.grad for _, t in layer.named_tensors()]))
-    (out_a, grads_a), (out_b, grads_b) = grads
-    assert np.array_equal(out_a, out_b)
-    for (name, _), ga, gb in zip(layer.named_tensors(), grads_a, grads_b):
+        out = pj.channel_aware_project(layer, ad.constant(x))
+        if flatten:
+            loss = ad.multiply(pj.flatten_per_channel(out), ad.constant(target))
+        else:
+            unflat = np.ascontiguousarray(target.reshape(out.shape[:-3] + (6, 3, 4))
+                                          .swapaxes(-3, -2))
+            loss = ad.multiply(out, ad.constant(unflat))
+        ad.tensor_sum(loss).backward()
+        grads.append([t.grad for _, t in layer.named_tensors()])
+    for (name, _), ga, gb in zip(layer.named_tensors(), *grads):
         assert np.array_equal(ga, gb), name
 
 
 def test_gradients_match_fd():
+    # a depth-2 stack with the input as a parameter, so both of x's edges
+    # (the residual and the norm path) and the chain between layers are
+    # checked; its relus keep some units and drop others
     rng = np.random.default_rng(39)
-    layer = randomized_layer(2, 4, rng)
-    x = ad.constant(rng.normal(size=(2, 3, 4)))
+    layers = [randomized_layer(2, 4, rng) for _ in range(2)]
+    x = ad.parameter(rng.normal(size=(2, 3, 4)))
     target = ad.constant(rng.normal(size=(2, 3, 4)))
+    params = [("x", x)] + [pair for i, layer in enumerate(layers)
+                           for pair in layer.named_tensors(f"layer{i}")]
 
     def loss():
-        return ad.mse_loss(pj.channel_aware_project(layer, x), target)
+        return ad.mse_loss(pj.project_stack(layers, x), target)
 
-    report = ad.grad_check(loss, layer.named_tensors(), tol=1e-4)
+    _, sink = gate_trace(layers, x.data, grad=False)
+    assert len(sink) == 4                       # hidden, squeeze per layer
+    hidden = np.unpackbits(sink[0])[:x.size].reshape(x.shape)
+    assert hidden.any() and not hidden.all()
+    report = ad.grad_check(loss, params, tol=1e-4)
     assert report.passed, str(report)
+    assert all(r.checked and not r.excluded for r in report.results), str(report)
+
+    # put a hidden unit of layer 0 exactly on its kink: perturbations that
+    # cross it must be excluded, not compared
+    ln = expanded_reference(layers[0], x.data)[2]
+    layers[0].b1.data[2] = -(ln @ layers[0].w1.data)[0, 0, 2]
+    _, sink = gate_trace(layers, x.data, grad=False)
+    assert not np.unpackbits(sink[0])[:x.size].reshape(x.shape)[0, 0, 2]
+    report = ad.grad_check(loss, params, tol=1e-4)
+    assert report.passed, str(report)
+    assert sum(r.excluded for r in report.results) > 0
+
+
+def test_layer_leaves_its_input_unchanged():
+    # predict hands the layer views of the backbone's representation
+    rng = np.random.default_rng(42)
+    layers = [randomized_layer(3, 4, rng) for _ in range(2)]
+    rep = rng.normal(size=(5, 3, 6, 4))
+    before = rep.copy()
+    with ad.no_grad():
+        pj.project_stack(layers, ad.constant(rep[1:3]))
+    ad.tensor_sum(pj.project_stack(layers, ad.constant(rep[2:]))).backward()
+    assert np.array_equal(rep, before)
+
+
+def test_overflow_inside_the_layer_raises_in_grad_mode():
+    rng = np.random.default_rng(43)
+    layer = randomized_layer(2, 4, rng)
+    huge_input = np.full((2, 3, 4), 1e308)      # its mean overflows
+    huge_weight = randomized_layer(2, 4, rng)
+    huge_weight.w2.data *= 1e308                # the MLP1 output overflows
+    x = rng.normal(size=(2, 3, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # the error, not a numpy warning
+        for lay, inp in ((layer, huge_input), (huge_weight, x)):
+            with pytest.raises(ad.NonFiniteError):
+                pj.channel_aware_project(lay, ad.constant(inp))
+            with ad.no_grad():
+                out = pj.channel_aware_project(lay, ad.constant(inp))
+            assert not np.isfinite(out.data).all()
 
 
 def test_stack_gradients_flow_to_all_layers():
