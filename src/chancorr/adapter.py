@@ -15,6 +15,7 @@ block size.
 """
 
 from dataclasses import dataclass, asdict
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -23,7 +24,9 @@ from . import serialize
 from .autodiff import Tensor
 from .backbone import BackboneOutput, BackboneState
 from .config import TrainConfig
-from .contrastive import EpsilonParam, aux_loss, init_epsilon, threshold_masks
+from .contrastive import EpsilonParam, hpcl_loss, init_epsilon
+# unused since training runs `hpcl_loss`; `perfbench` traces them here
+from .contrastive import aux_loss, threshold_masks  # noqa: F401
 from .correlation import (DceParams, compose_correlation, init_dce_params,
                           time_invariant_component, time_varying_component)
 from .fusion import FusionParams, fuse_predict, init_fusion_params
@@ -44,12 +47,13 @@ class AdapterState:
     fusion: FusionParams
 
 
-def init_adapter(backbone: BackboneState, n_channels: int,
-                 config: TrainConfig) -> AdapterState:
-    """Fresh adapter for ``backbone``.  One seeded rng draws everything in a
-    fixed order (dce, hd, fusion) so states are reproducible."""
+def init_adapter(backbone: BackboneState, n_channels: int, config: TrainConfig,
+                 rng=None) -> AdapterState:
+    """Fresh adapter for ``backbone``.  One rng, by default seeded from the
+    config, draws everything in a fixed order (dce, hd, fusion) so states
+    are reproducible."""
     bc = backbone.config
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed) if rng is None else rng
     dce = None
     if config.dce_mode == "full":
         dce = init_dce_params(n_channels, bc.repr_dim, degree=config.poly_degree,
@@ -98,31 +102,36 @@ def backbone_parameter_count(backbone: BackboneState) -> int:
 
 
 def correlation_estimate(state: AdapterState, repr_t, r: np.ndarray) -> Tensor:
-    """Training-path correlation estimate M for a window batch.
+    """Correlation estimate M of a window batch, as a constant for
+    inspection: training differentiates through `hpcl_terms`' op instead.
 
     ``repr_t``: (..., P, N, d) tensor; ``r``: (..., N, N) precomputed window
-    Pearson matrices (held constant).  In pearson-only mode M is just R.
+    Pearson matrices.  In pearson-only mode M is just R.
     """
+    r = np.asarray(r, dtype=np.float64)
     if state.dce is None:
-        return ad.constant(np.asarray(r, dtype=np.float64))
-    q = time_varying_component(repr_t, state.dce)
-    v = time_invariant_component(state.dce)
-    return compose_correlation(r, q, v)
+        return ad.constant(r)
+    with ad.no_grad():
+        q, v = time_varying_component(repr_t, state.dce), time_invariant_component(state.dce)
+    return ad.constant(compose_correlation(r, q.data, v.data))
 
 
 def hpcl_terms(state: AdapterState, repr_t, r: np.ndarray | None, x_pos, x_neg):
-    """HPCL terms ``(l_pos, l_neg, total)`` of one batch: the correlation
-    estimate, its threshold masks and the contrastive loss of both views,
-    with ``state.train_config``.  Constant zeros when HPCL is off; ``r``
-    (B, N, N) must be given when it is on."""
-    if not state.train_config.hpcl:
+    """HPCL terms ``(l_pos, l_neg, total)`` of one batch, with
+    ``state.train_config``: one `hpcl_loss` op from the Pearson stack ``r``
+    (B, N, N), the learned factors Q and V, the threshold and both views.
+    Constant zeros when HPCL is off; ``r`` must be given when it is on."""
+    config = state.train_config
+    if not config.hpcl:
         zero = ad.constant(0.0)
         return zero, zero, zero
     if r is None:
         raise ValueError("HPCL is on but no correlation input was given")
-    m = correlation_estimate(state, repr_t, r)
-    masks = threshold_masks(m, state.eps, state.train_config)
-    return aux_loss(x_pos, x_neg, masks, state.train_config)
+    q = v = None
+    if state.dce is not None:
+        q, v = time_varying_component(repr_t, state.dce), time_invariant_component(state.dce)
+    return hpcl_loss(r, (x_pos, x_neg), config.tau, state.eps,
+                     config.gate_temp if config.soft_gate else None, q, v)
 
 
 def training_losses(state: AdapterState, rep: np.ndarray, yhat_norm: np.ndarray,
@@ -213,7 +222,10 @@ def load_adapter(path, backbone: BackboneState) -> AdapterState:
     except (TypeError, ValueError) as exc:
         raise serialize.SerializationError(
             f"{path}: bad header value ({exc})") from exc
-    state = init_adapter(backbone, n_channels, train_config)
+    # the checkpoint sets every array, so the rng draws uninitialised ones
+    empty = lambda *_, size: np.empty(size)  # noqa: E731
+    state = init_adapter(backbone, n_channels, train_config,
+                         rng=SimpleNamespace(normal=empty, uniform=empty))
     if (state.n_patches, state.repr_dim,
             state.horizon) != (n_patches, repr_dim, horizon):
         raise serialize.SerializationError(
@@ -221,5 +233,5 @@ def load_adapter(path, backbone: BackboneState) -> AdapterState:
     tensors = state_tensors(state)
     serialize.check_arrays(path, arrays, {n: t.shape for n, t in tensors})
     for name, tensor in tensors:
-        tensor.data[...] = arrays[name]
+        tensor.data = arrays[name].astype(np.float64, copy=False)
     return state

@@ -6,8 +6,8 @@ itself if it is a ``requires_grad`` leaf.  So an op output is freed once
 dropped unless a closure holds its array.  ``Tensor.backward()`` walks the
 nodes in reverse topological order, accumulating into each leaf's ``.grad``,
 and consumes each node it passes, so a recording is walked at most once.
-Ops defined outside this module (the projection layer) record through
-`_result` in the same way.
+Ops defined outside this module (the projection layer, the contrastive
+op) record through `_result` in the same way.
 
 Conventions
 -----------
@@ -16,14 +16,12 @@ Conventions
   `NonFiniteError` on violation.  Under ``no_grad`` the ops do only the
   arithmetic and let NaN/Inf propagate; each caller that evaluates under
   ``no_grad`` checks its final output once with `check_finite`.
-* ``hpcl_loss`` subtracts the per-row maximum before exponentiation.
 * Hard gates (``relu``, the projection layer's relus, and the boolean
-  supports of ``hpcl_loss``)
-  follow the subgradient convention: gradient 1 on kept entries, 0 on
-  dropped ones.  Gate decisions can be traced (see ``record_gates``) so
-  the finite difference checker can exclude coordinates whose
-  perturbation flips a gate, where a two-sided difference quotient is
-  meaningless.
+  supports of the contrastive op) follow the subgradient convention:
+  gradient 1 on kept entries, 0 on dropped ones.  Gate decisions can be
+  traced (see ``record_gates``) so the finite difference checker can
+  exclude coordinates whose perturbation flips a gate, where a two-sided
+  difference quotient is meaningless.
 * Graph recording is single-threaded.  Tensors with ``requires_grad=False``
   are immutable constants as far as the engine is concerned and may be
   shared freely; inference over independent inputs may run on separate
@@ -60,7 +58,6 @@ __all__ = [
     "softplus",
     "relu",
     "polynomial_expand",
-    "hpcl_loss",
     "tensor_sum",
     "mean",
     "reshape",
@@ -453,9 +450,10 @@ def unit_rows(x: np.ndarray):
     `COSINE_EPS` and ``norms`` its square root, so a zero row stays zero
     and ``unit @ unit.T`` is the cosine similarity of the rows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        s2 = (x * x).sum(axis=-1, keepdims=True) + COSINE_EPS
+        unit = np.multiply(x, x)            # the squares' buffer holds the result
+        s2 = unit.sum(axis=-1, keepdims=True) + COSINE_EPS
         norms = s2 ** 0.5
-        return x / norms, norms, s2
+        return np.divide(x, norms, out=unit), norms, s2
 
 
 def window_blocks(shape: tuple, window_ndim: int, arrays: int = 1) -> list:
@@ -507,86 +505,6 @@ def polynomial_expand(coeffs, q) -> Tensor:
         return gq
 
     return _result(data, [(coeffs, grad_c), (q, grad_q)], "polynomial_expand")
-
-
-def hpcl_loss(views, m, gate, rows: np.ndarray, inv_tau: float) -> Tensor:
-    """Per-window contrastive loss of one branch, weighted by ``|m * gate|``.
-
-    ``views`` (..., N, D) holds one row per channel, ``m`` the (..., N, N)
-    correlation, ``gate`` a boolean support or a `Tensor` of soft gates,
-    ``rows`` the (..., N) rows to average.  With ``e_ij = exp((cos_ij -
-    max_k cos_ik) * inv_tau)`` a window's loss is
-
-        -1/max(1, #rows) sum_{i in rows} log(sum_j |m_ij gate_ij| e_ij / sum_k e_ik)
-
-    It runs over blocks of windows whose three N x N arrays fit in
-    `BLOCK_BYTES`, keeps only per-row statistics and recomputes each
-    block in backward; results do not depend on the block size.  A kept
-    row with a non-positive numerator raises `NonFiniteError`.
-    """
-    views, m = as_tensor(views), as_tensor(m)
-    gd = gate.data if (soft := isinstance(gate, Tensor)) else gate
-    if views.ndim < 2 or m.shape != views.shape[:-1] + m.shape[-1:] or gd.shape != m.shape:
-        raise ShapeMismatchError(f"hpcl_loss: views {views.shape}, m {m.shape} and "
-                                 f"gate {gd.shape} must be (..., N, D) and (..., N, N)")
-    x, md, inv_tau = views.data, m.data, float(inv_tau)
-    keep = np.broadcast_to(rows, x.shape[:-1]).astype(np.float64)
-    counts = np.maximum(keep.sum(axis=-1), 1.0)
-    blocks = window_blocks(md.shape, 2, arrays=3)
-    top, num, den = np.empty(x.shape[:-1] + (1,)), np.empty(keep.shape), np.empty(keep.shape)
-
-    def exps(k, e, p, forward=False):   # block k's rows, exponentials, m * gate
-        u, e, p = unit[k], e[:len(md[k])], p[:len(md[k])]
-        np.matmul(u, np.swapaxes(u, -1, -2), out=e)
-        if forward:
-            top[k] = e.max(axis=-1, keepdims=True)
-        e -= top[k]
-        e *= inv_tau
-        np.copyto(p, gd[k])
-        p *= md[k]
-        return u, np.exp(e, out=e), p
-
-    unit, norms, s2 = unit_rows(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        buffers = [np.empty(md[blocks[0]].shape) for _ in range(2)]
-        for k in blocks:
-            _, e, prod = exps(k, *buffers, forward=True)
-            den[k] = e.sum(axis=-1)
-            num[k] = np.multiply(np.abs(prod, out=prod), e, out=prod).sum(axis=-1)
-    num += 1.0 - keep
-    if (num <= 0).any():            # a NaN is left to the finite checks
-        raise NonFiniteError("log of a non-positive value")
-    ratio, grads = np.log(num) - np.log(den), {}
-
-    def backward(name, g):
-        if not grads:           # one pass over the blocks serves every input
-            a = np.multiply((-g / counts)[..., None], keep)
-            b, a = (-a / den)[..., None], (a / num)[..., None]
-            gu, gm = np.empty_like(unit), np.empty_like(md)
-            gg = np.empty_like(md) if soft else None
-            buffers = [np.empty(md[blocks[0]].shape) for _ in range(3)]
-            for k in blocks:        # reused buffers: an allocation costs a pass
-                u, e, prod = exps(k, *buffers[:2])
-                gs = np.abs(prod, out=buffers[2][:len(prod)])
-                gs *= a[k]
-                gs += b[k]
-                gs *= e
-                gs *= inv_tau
-                gu[k] = gs @ u + np.swapaxes(np.swapaxes(u, -1, -2) @ gs, -1, -2)
-                e *= a[k]                       # d loss / d |m * gate|
-                np.sign(prod, out=gm[k])        # (in place, sign runs 10x slower)
-                gm[k] *= e                      # d/dm; a boolean gate alters no bit
-                if soft:
-                    np.multiply(gm[k], md[k], out=gg[k])
-                    gm[k] *= gd[k]
-            gn = (-gu * x / (norms * norms)).sum(axis=-1, keepdims=True)
-            gs = np.broadcast_to(gn * 0.5 * s2 ** -0.5, x.shape) * x
-            grads.update(views=gu / norms + gs + gs, m=gm, gate=gg)
-        return grads.pop(name)
-
-    parents = [(views, lambda g: backward("views", g)), (m, lambda g: backward("m", g))]
-    parents += [(gate, lambda g: backward("gate", g))] if soft else []
-    return _result(-((ratio * keep).sum(axis=-1) / counts), parents, "hpcl_loss")
 
 
 # ---------------------------------------------------------------------------

@@ -19,18 +19,20 @@ skipped).  Batched inputs average the loss over the batch.
 
 Gating is hard by default: gradients pass through retained entries
 unchanged and are zero elsewhere and into eps.  A soft mode replaces the
-indicator with sigmoid((|m| - eps) / temp), making eps trainable.
+indicators with sigmoid((m - eps) / temp) and sigmoid((-m - eps) / temp),
+making eps trainable.
 
-Cost on (..., N, N) data: the hard supports are two boolean arrays.
-Each branch records one ``ad.hpcl_loss`` op from (m, its gate, the
-views) to the per-window loss.  It forms the similarities, exponentials
-and weights ``|m * gate|`` over cache-sized blocks of windows, keeps only
-per-row statistics and recomputes the blocks in backward, so with hard
-gates the tape holds no float N x N array besides m.
+Cost on (..., N, N) data: a batch's whole chain, both branches included,
+is one recorded op, `hpcl_loss`.  Per cache-sized block of windows it
+forms M = R + Q V Q^T, the gates, similarities and exponentials, keeping
+only per-row statistics, and backward recomputes the block and contracts
+its gradient w.r.t. M against Q and V there: no float N x N array besides
+R is on the tape, and none is allocated for the whole batch.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,14 +41,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import TrainConfig
-from .projection import flatten_per_channel
+from .correlation import compose_correlation
 
 __all__ = [
     "EpsilonParam",
     "init_epsilon",
     "MaskPair",
     "threshold_masks",
-    "contrastive_loss",
+    "hpcl_loss",
     "aux_loss",
 ]
 
@@ -81,10 +83,19 @@ def init_epsilon(init: float) -> EpsilonParam:
 @dataclass
 class MaskPair:
     m: Tensor                   # the correlation estimate that was split
+    eps: EpsilonParam           # the threshold that split it
     pos_support: np.ndarray     # hard boolean supports
     neg_support: np.ndarray
-    pos_gate: Tensor | np.ndarray   # what weights m: the support, or in
-    neg_gate: Tensor | np.ndarray   # soft mode the sigmoid gate tensor
+
+
+def _supports(m: np.ndarray, eps: float, trace: bool):
+    """Hard (pos, neg) supports of ``m`` at ``eps``; ``trace`` reports them."""
+    pos = (m > eps) | np.eye(m.shape[-1], dtype=bool)
+    neg = m < -eps
+    if trace:
+        ad.trace_gate(pos)
+        ad.trace_gate(neg)
+    return pos, neg
 
 
 def threshold_masks(m, eps: EpsilonParam, config: TrainConfig | None = None) -> MaskPair:
@@ -92,73 +103,173 @@ def threshold_masks(m, eps: EpsilonParam, config: TrainConfig | None = None) -> 
 
     ``m`` is (..., N, N).  Off the diagonal the supports are disjoint
     (eps > 0); the diagonal is always in the positive support, and also in
-    the negative one where it falls below -eps.
-    In hard mode the gates are the supports, constant indicators: the
-    loss's gradient w.r.t. m is zero on dropped entries and none reaches
-    eps.  Their decisions go to the active ``ad.record_gates`` sink.
+    the negative one where it falls below -eps.  Hard gates report them to
+    the active ``ad.record_gates`` sink.
     """
-    config = config or TrainConfig()
-    m = ad.as_tensor(m)
+    m, hard = ad.as_tensor(m), not (config or TrainConfig()).soft_gate
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ad.ShapeMismatchError(f"mask input must be square, got {m.shape}")
-    n = m.shape[-1]
-    eye = np.eye(n, dtype=bool)
-    eps_val = eps.numeric()
-    pos_support = (m.data > eps_val) | eye
-    neg_support = m.data < -eps_val
-
-    if config.soft_gate:
-        eps_t = eps.value
-        inv_temp = 1.0 / config.gate_temp
-        pos_gate = ad.sigmoid(ad.scale(ad.subtract(m, eps_t), inv_temp))
-        neg_gate = ad.sigmoid(ad.scale(ad.subtract(ad.scale(m, -1.0), eps_t), inv_temp))
-    else:
-        pos_gate, neg_gate = pos_support, neg_support
-        ad.trace_gate(pos_support)
-        ad.trace_gate(neg_support)
-    return MaskPair(m, pos_support, neg_support, pos_gate, neg_gate)
+    return MaskPair(m, eps, *_supports(m.data, eps.numeric(), hard))
 
 
-def contrastive_loss(x, mask, tau: float,
-                     row_support: np.ndarray | None = None, gate=None) -> Tensor:
-    """InfoNCE-style loss of views ``x`` under pair weights ``|mask * gate|``.
-
-    ``x``: (..., P, N, d) views; ``mask``: (..., N, N) tensor (may carry
-    gradients); ``gate``: a boolean support or a soft-gate tensor of the
-    same shape, by default the nonzero entries of ``mask``.
-    ``row_support`` optionally marks rows to include; by default rows
-    whose mask is identically zero are skipped and the averaging count
-    shrinks accordingly.  Batched inputs average over the windows.
+def hpcl_loss(r, views, tau: float, eps: EpsilonParam | None = None,
+              temp: float | None = None, q=None, v=None, rows=None) -> tuple[Tensor, ...]:
+    """Each branch's window-mean loss as a constant, then their sum as one
+    recorded op.  ``r`` (..., N, N) is M, or with ``q`` (..., N, M) and
+    ``v`` (M, M) the constant R of M = R + Q V Q^T.  With ``eps`` the views
+    (..., P, N, d) are the two branches, weighted by ``|m * gate|`` on the
+    supports of `threshold_masks` or, with ``temp``, sigmoid gates; the
+    negative one is dropped if its support is empty.  Without ``eps`` one
+    branch is weighted by ``|m|``, and ``rows`` may replace the rows of
+    nonempty support that a window averages.  Blocks of windows whose three
+    N x N arrays fit in `ad.BLOCK_BYTES` are recomputed in backward unless
+    the batch is one.  Sums run in the generic-op chain's order, so results
+    have its bits, eps's gradient aside (summed per window first), and none
+    depends on the block size.  A kept row with a non-positive numerator
+    raises `NonFiniteError`.
     """
-    x = ad.as_tensor(x)
-    mask = ad.as_tensor(mask)
-    if x.ndim < 3:
-        raise ad.ShapeMismatchError("views must be (..., P, N, d)")
-    if gate is None:
-        gate = mask.data != 0
-    if row_support is None:
-        row_support = (mask.data != 0).any(axis=-1)
-    return ad.mean(ad.hpcl_loss(flatten_per_channel(x), mask, gate,
-                                row_support, 1.0 / tau))
+    r, views = ad.as_tensor(r), [ad.as_tensor(x) for x in views]
+    q, v = (None, None) if q is None else (ad.as_tensor(q), ad.as_tensor(v))
+    rd, lead = r.data, r.shape[:-2]
+    if (r.ndim < 2 or r.shape[-1] != r.shape[-2]
+            or any(x.ndim < 3 or x.shape[:-3] + x.shape[-2:-1] != r.shape[:-1] for x in views)
+            or q is not None and (q.shape[:-1] != r.shape[:-1] or v.shape != 2 * q.shape[-1:])):
+        raise ad.ShapeMismatchError(f"hpcl_loss: R {r.shape}, views {[x.shape for x in views]}, "
+                                    f"Q {q and q.shape} and V {v and v.shape} do not fit")
+    qd, vd = (None, None) if q is None else (q.data, v.data)
+    soft, inv_tau = temp is not None, 1.0 / tau
+    eps_val = None if eps is None else eps.numeric()
+    eps_t = eps.value if soft else None
+    moved = [np.swapaxes(x.data, -3, -2).shape for x in views]       # (..., N, P, d)
+    flats = [np.swapaxes(x.data, -3, -2).reshape(s[:-2] + (-1,)) for x, s in zip(views, moved)]
+    units = [ad.unit_rows(f) for f in flats]
+    blocks = ad.window_blocks(r.shape, 2, arrays=3)
+    top = [np.empty(r.shape[:-1] + (1,)) for _ in views]
+    num, den, supported = ([np.empty(r.shape[:-1], t) for _ in views]
+                           for t in (float, float, bool))
+
+    def buffers():  # per branch: exponentials, m * gate, d/dm; a scratch
+        return [np.empty(rd[blocks[0]].shape) for _ in range(3 * len(views) + 1)]
+
+    def gated(k, forward=False):     # block k's m, supports and gates
+        m = rd[k] if qd is None else compose_correlation(rd[k], qd[k], vd, count=forward)
+        supports = [m != 0] if eps_val is None else _supports(m, eps_val, forward and not soft)
+        return m, supports, supports if not soft else [
+            ad._logistic((m - eps_val) * (1.0 / temp)),
+            ad._logistic((m * -1.0 - eps_val) * (1.0 / temp))]
+
+    def exps(k, i, m, gate, buf, forward=False):   # branch i's e and m * gate
+        u, e, p = units[i][0][k], buf[3 * i][:len(m)], buf[3 * i + 1][:len(m)]
+        np.matmul(u, np.swapaxes(u, -1, -2), out=e)
+        if forward:
+            top[i][k] = e.max(axis=-1, keepdims=True)
+        e -= top[i][k]
+        e *= inv_tau
+        np.multiply(gate, m, out=p)
+        return np.exp(e, out=e), p
+
+    buf = buffers()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in blocks:
+            m, supports, gates = gated(k, forward=True)
+            for i, (support, gate) in enumerate(zip(supports, gates)):
+                supported[i][k] = support.any(axis=-1)
+                e, p = exps(k, i, m, gate, buf, forward=True)
+                den[i][k] = e.sum(axis=-1)
+                w = np.abs(p, out=buf[-1][:len(m)])
+                num[i][k] = np.multiply(w, e, out=w).sum(axis=-1)
+    kept = (m, gates, buf) if len(blocks) == 1 else None
+    keep = [np.broadcast_to(s if rows is None else rows, s.shape).astype(np.float64)
+            for s in supported]
+    counts = [np.maximum(kp.sum(axis=-1), 1.0) for kp in keep]
+    active = [i for i, s in enumerate(supported) if i == 0 or s.any()]
+    means = [np.asarray(0.0) for _ in views]
+    for i in active:
+        num[i] += 1.0 - keep[i]
+        if (num[i] <= 0).any():            # a NaN is left to the finite check
+            raise ad.NonFiniteError("log of a non-positive value")
+        ratio = np.log(num[i]) - np.log(den[i])
+        means[i] = np.asarray((-((ratio * keep[i]).sum(axis=-1) / counts[i])).mean())
+    live = {key: t is not None and (t.requires_grad or t._node is not None)   # wants a gradient
+            for key, t in [*enumerate(views), ("r", r), ("q", q), ("v", v), ("eps", eps_t)]}
+    need_r, need_q, grads = q is None and live["r"], live["q"] or live["v"], {}
+
+    def backward(name, g):
+        if grads:
+            return grads.pop(name)
+        upstream = np.broadcast_to(g / math.prod(lead), lead).copy()   # each mean's
+        coef = {}
+        for i in active:
+            a = np.multiply((-upstream / counts[i])[..., None], keep[i])
+            coef[i] = (-a / den[i])[..., None], (a / num[i])[..., None]
+        gu = {i: np.empty_like(units[i][0]) for i in active if live[i]}
+        gr = np.empty_like(rd) if need_r else None
+        if need_q:
+            gqa, gqt = np.empty(qd.shape), np.empty(np.swapaxes(qd, -1, -2).shape)
+        geps = {i: np.empty(lead) for i in active} if live["eps"] else {}
+        buf = kept[2] if kept else buffers()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in blocks:
+                m, gates = kept[:2] if kept else gated(k)[::2]
+                terms = []                  # d/dm, in the generic chain's order
+                for i in active:
+                    gate, (b, a) = gates[i], (c[k] for c in coef[i])
+                    e, p = ((buf[3 * i][:len(m)], buf[3 * i + 1][:len(m)]) if kept
+                            else exps(k, i, m, gate, buf))
+                    if i in gu:
+                        u = units[i][0][k]
+                        gs = np.abs(p, out=buf[-1][:len(m)])
+                        gs *= a
+                        gs += b
+                        gs *= e
+                        gs *= inv_tau
+                        gu[i][k] = gs @ u + np.swapaxes(np.swapaxes(u, -1, -2) @ gs, -1, -2)
+                    e *= a                                  # d loss / d |m * gate|
+                    # sign into its own buffer: in place it runs 10x slower
+                    gm = np.sign(p, out=buf[3 * i + 2][:len(m)])
+                    gm *= e
+                    if not soft:                # a boolean gate alters no bit
+                        terms.append(gm)
+                        continue
+                    gz = np.multiply(gm, m) * gate * (1.0 - gate) * (1.0 / temp)   # sigmoid
+                    gm *= gate
+                    nz = np.negative(gz)        # d/d eps, and the negative side's d/dm
+                    if geps:
+                        geps[i][k] = nz.sum(axis=(-2, -1))
+                    terms += [gz, gm] if i == 0 else [gm, nz]
+                gm = functools.reduce(np.add, terms)
+                if need_r:
+                    gr[k] = gm
+                if need_q:
+                    gqa[k] = gm @ qd[k]
+                    gqt[k] = np.swapaxes(qd[k] @ vd, -1, -2) @ gm
+        for i, gui in gu.items():
+            x, (_, norms, s2) = flats[i], units[i]
+            gn = (-gui * x / (norms * norms)).sum(axis=-1, keepdims=True)
+            gs = np.broadcast_to(gn * 0.5 * s2 ** -0.5, x.shape) * x
+            grads[i] = np.swapaxes((gui / norms + gs + gs).reshape(moved[i]), -3, -2)
+        if need_r:
+            grads["r"] = gr
+        if need_q:
+            grads["q"] = gqa @ np.swapaxes(vd, -1, -2) + np.swapaxes(gqt, -1, -2)
+            grads["v"] = ad._sum_to_shape(np.swapaxes(qd, -1, -2) @ gqa, vd.shape)
+        if geps:
+            grads["eps"] = functools.reduce(np.add, [geps[i].sum() for i in active])
+        return grads.pop(name)
+
+    parents = [(views[i], lambda g, i=i: backward(i, g)) for i in active]
+    parents += ([(r, lambda g: backward("r", g))] if q is None else
+                [(q, lambda g: backward("q", g)), (v, lambda g: backward("v", g))])
+    parents += [(eps_t, lambda g: backward("eps", g))] if soft else []
+    return (*map(ad.constant, means),
+            ad._result(functools.reduce(np.add, means), parents, "hpcl_loss"))
 
 
 def aux_loss(x_pos, x_neg, masks: MaskPair, config: TrainConfig | None = None):
-    """Total contrastive objective: l_pos + l_neg on magnitude weights.
-
-    Returns ``(l_pos, l_neg, l_total)`` tensors.  Both branches weight
-    pairs by ``|m * gate|``, so negative correlations enter by magnitude
-    and the log arguments stay positive.
-
-    Each branch's loss is one ``ad.hpcl_loss`` op, which recomputes its
-    N x N blocks in backward: with hard gates the tape holds no float
-    N x N array besides m.
-    """
+    """``(l_pos, l_neg, l_total)``: the branch losses as constants and their
+    recorded sum, one `hpcl_loss` op over ``masks.m`` and its threshold.
+    Both weight pairs by ``|m * gate|``, so negative correlations enter by
+    magnitude and the log arguments stay positive."""
     config = config or TrainConfig()
-    l_pos = contrastive_loss(x_pos, masks.m, config.tau,
-                             masks.pos_support.any(axis=-1), masks.pos_gate)
-    if masks.neg_support.any():
-        l_neg = contrastive_loss(x_neg, masks.m, config.tau,
-                                 masks.neg_support.any(axis=-1), masks.neg_gate)
-    else:
-        l_neg = ad.constant(0.0)
-    return l_pos, l_neg, ad.add(l_pos, l_neg)
+    return hpcl_loss(masks.m, (x_pos, x_neg), config.tau, masks.eps,
+                     config.gate_temp if config.soft_gate else None)

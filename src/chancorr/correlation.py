@@ -14,6 +14,10 @@ splits additively into a static and a time-varying term, which
 `low_rank_additive_split` verifies numerically.  The expressiveness of the
 polynomial basis in ``q`` is probed by `polynomial_degree_error_curve`.
 
+Q and V are autodiff tensors, M is a plain array: training forms it one
+block of windows at a time inside the contrastive op, `hpcl_loss`, which
+contracts its gradient against Q and V in the same block.
+
 Every allocation of a correlation matrix bumps a module counter so the
 harness can assert that the inference path never estimates correlations.
 """
@@ -79,8 +83,8 @@ def pearson_matrix(x: np.ndarray) -> np.ndarray:
     # scale each row by a power of two to a max-abs in [0.5, 1): exact
     # (short of subnormals), so r is unchanged, and no square overflows
     _, exponent = np.frexp(np.maximum(hi, -lo))
-    x = np.ldexp(x, -exponent[..., None])
-    centred = x - x.mean(axis=-1, keepdims=True)
+    centred = np.ldexp(x, -exponent[..., None])
+    centred -= centred.mean(axis=-1, keepdims=True)
     cov = centred @ centred.swapaxes(-1, -2)
     var = np.einsum("...ii->...i", cov)
     degenerate = (var <= 0.0) | (hi == lo)
@@ -155,24 +159,19 @@ def time_invariant_component(params: DceParams) -> Tensor:
     return ad.sigmoid(ad.relu(ad.matmul(params.e1, ad.transpose(params.e2))))
 
 
-def compose_correlation(r, q, v) -> Tensor:
-    """M = R + Q V Q^T.  R is constant: no gradient flows into it.
-
-    ``r`` is (..., N, N) (stacks allowed), ``q`` (..., N, M), ``v`` (M, M).
-    M is not symmetrised: the raw composition is what downstream
-    thresholds consume.
-    """
-    r_const = ad.constant(r.data if isinstance(r, Tensor) else np.asarray(r))
-    q = ad.as_tensor(q)
-    v = ad.as_tensor(v)
-    if r_const.shape[-1] != q.shape[-2]:
-        raise ad.ShapeMismatchError(
-            f"compose_correlation: R {r_const.shape} vs Q {q.shape}")
-    qt = ad.transpose(q, axes=tuple(range(q.ndim - 2)) + (q.ndim - 1, q.ndim - 2))
-    learned = ad.matmul(ad.matmul(q, v), qt)
-    out = ad.add(r_const, learned)
-    _bump(int(np.prod(out.shape[:-2], dtype=int)) if out.ndim > 2 else 1)
-    return out
+def compose_correlation(r: np.ndarray, q: np.ndarray, v: np.ndarray, *,
+                        count: bool = True) -> np.ndarray:
+    """M = R + (Q V) Q^T of plain arrays ``r`` (..., N, N), ``q`` (..., N, M)
+    and ``v`` (M, M), for a block of windows or a whole batch alike: each
+    window gets the same bits.  M is not symmetrised.  ``count`` bumps the
+    allocation counter once per window; recomputing counted ones does not."""
+    if r.shape[-1] != q.shape[-2]:
+        raise ad.ShapeMismatchError(f"compose_correlation: R {r.shape} vs Q {q.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = r + (q @ v) @ np.swapaxes(q, -1, -2)
+    if count:
+        _bump(int(np.prod(m.shape[:-2], dtype=int)) if m.ndim > 2 else 1)
+    return m
 
 
 def low_rank_additive_split(q_static: np.ndarray, q_resid: np.ndarray,

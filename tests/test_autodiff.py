@@ -88,11 +88,6 @@ def test_primitive_gradients_match_fd(seed):
         (lambda a, b: ad.polynomial_expand(a, b), [(k, n, 4), (n, m)], False),
         (lambda a, b: ad.polynomial_expand(a, b), [(n, 3), (n, m)], False),
         (lambda a, b: ad.polynomial_expand(a, b), [(k, n, 1), (n, m)], False),
-        (lambda a, b: ad.hpcl_loss(a, b, np.ones((k, n, n), dtype=bool),
-                                   np.ones((k, n), dtype=bool), 2.0),
-         [(k, n, m), (k, n, n)], False),
-        (lambda a, b, c: ad.hpcl_loss(a, b, c, np.ones(n, dtype=bool), 2.0),
-         [(n, m), (n, n), (n, n)], True),
         (lambda a, b: ad.mse_loss(a, b), [(n, m), (n, m)], False),
     ]
     build, shapes, positive = cases[seed % len(cases)]
@@ -154,45 +149,6 @@ def test_relu_subgradient_convention():
     y.backward()
     # gradient 1 on kept entries (x > 0), 0 on dropped entries and at 0 itself
     assert np.array_equal(x.grad, np.array([0.0, 0.0, 0.0, 1.0, 1.0]))
-
-
-def test_hpcl_loss_m_gradient_is_sign_with_zero_at_zero():
-    # pairs are weighted by |m * gate|: the gradient w.r.t. m is the one
-    # w.r.t. the weight times sign(m), and 0 where m is 0 (either sign)
-    views = ad.constant(np.random.default_rng(71).normal(size=(3, 4)))
-    signed = np.array([[1.0, -2.0, -0.0], [0.0, 1.0, -0.3], [-1.5, 0.7, 1.0]])
-    gate, rows = np.ones((3, 3), dtype=bool), np.ones(3, dtype=bool)
-    grads = []
-    for values in (signed, np.abs(signed)):
-        m = ad.parameter(values)
-        ad.hpcl_loss(views, m, gate, rows, 2.0).backward()
-        grads.append(m.grad)
-    assert grads[0].tobytes() == (grads[1] * np.sign(signed)).tobytes()
-    assert not grads[0][signed == 0].any() and grads[0][signed != 0].all()
-
-
-def test_hpcl_loss_values_and_grad_check():
-    rng = np.random.default_rng(70)
-    tau = 0.5
-    views = ad.parameter(rng.normal(size=(2, 4, 3)))
-    m = ad.parameter(rng.uniform(-1.0, 1.0, size=(2, 4, 4)))
-    gate = ad.parameter(rng.uniform(0.1, 1.0, size=(2, 4, 4)))
-    rows = np.ones((2, 4), dtype=bool)
-    rows[1, 2] = False                  # a dropped row leaves the average
-    unit = views.data / np.linalg.norm(views.data, axis=-1, keepdims=True)
-    e = np.exp(unit @ np.swapaxes(unit, -1, -2) / tau)
-    log_ratio = np.log((np.abs(m.data * gate.data) * e).sum(-1) / e.sum(-1))
-    want = -(log_ratio * rows).sum(-1) / rows.sum(-1)
-    got = ad.hpcl_loss(views, m, gate, rows, 1.0 / tau)
-    assert np.allclose(got.data, want, rtol=0.0, atol=1e-13)
-
-    upstream = ad.constant(rng.normal(size=2))
-    report = ad.grad_check(
-        lambda: ad.tensor_sum(ad.multiply(ad.hpcl_loss(views, m, gate, rows, 1.0 / tau),
-                                          upstream)),
-        [("views", views), ("m", m), ("gate", gate)], tol=1e-6)
-    assert report.passed, str(report)
-    assert [r.checked for r in report.results] == [24, 32, 32]
 
 
 def test_sigmoid_known_values():
@@ -318,12 +274,6 @@ def test_shape_mismatch_raises():
         ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
     with pytest.raises(ad.ShapeMismatchError):
         ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones(3)))
-    with pytest.raises(ad.ShapeMismatchError):
-        ad.hpcl_loss(ad.constant(np.ones((3, 2))), ad.constant(np.ones((2, 3, 3))),
-                     np.ones((2, 3, 3), dtype=bool), np.ones(3, dtype=bool), 1.0)
-    with pytest.raises(ad.ShapeMismatchError):
-        ad.hpcl_loss(ad.constant(np.ones((3, 2))), ad.constant(np.ones((3, 3))),
-                     np.ones(3, dtype=bool), np.ones(3, dtype=bool), 1.0)
 
 
 def test_window_blocks_follow_the_byte_budget():
@@ -348,9 +298,6 @@ def test_non_finite_detection():
     big = ad.constant(np.array([1e308]))
     with pytest.raises(ad.NonFiniteError):
         ad.multiply(big, big)
-    with pytest.raises(ad.NonFiniteError):   # a kept row with zero weights
-        ad.hpcl_loss(ad.constant(np.eye(2)), ad.constant(np.zeros((2, 2))),
-                     np.ones((2, 2), dtype=bool), np.ones(2, dtype=bool), 1.0)
 
 
 def test_no_grad_ops_propagate_non_finite_values():

@@ -41,6 +41,12 @@ def loss_oracle(views, mask, tau):
     return -sum(terms) / len(terms)
 
 
+def one_branch(x, mask, tau, rows=None):
+    """Loss of views ``x`` under pair weights ``|mask|``: the one-branch
+    form of the op."""
+    return ct.hpcl_loss(mask, [x], tau, rows=rows)[-1]
+
+
 def flat_views(x):
     """(P, N, d) -> list of N per-channel flattened vectors."""
     p, n, d = x.shape
@@ -61,7 +67,7 @@ def test_loss_matches_double_loop_oracle():
             mask = rng.uniform(0.0, 1.0, size=(n, n))
             mask[rng.uniform(size=(n, n)) < 0.3] = 0.0
             mask[np.arange(n), np.arange(n)] = 1.0  # keep rows nonempty
-            got = ct.contrastive_loss(ad.constant(x), ad.constant(mask), tau=0.5).item()
+            got = one_branch(ad.constant(x), ad.constant(mask), tau=0.5).item()
             want = loss_oracle(flat_views(x), mask.tolist(), 0.5)
             worst = max(worst, abs(got - want))
     assert worst < 1e-10
@@ -73,7 +79,7 @@ def test_loss_with_empty_rows_skips_them():
     mask = np.zeros((4, 4))
     mask[1, 2] = 0.7
     mask[3, 0] = 0.4  # rows 0 and 2 empty -> averaged over 2 rows only
-    got = ct.contrastive_loss(ad.constant(x), ad.constant(mask), tau=0.5).item()
+    got = one_branch(ad.constant(x), ad.constant(mask), tau=0.5).item()
     want = loss_oracle(flat_views(x), mask.tolist(), 0.5)
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -83,14 +89,14 @@ def test_two_identical_channels_self_mask_gives_log2():
     one = rng.normal(size=(2, 1, 5))
     x = np.repeat(one, 2, axis=1)  # identical channels: all sims are 1
     mask = np.eye(2)
-    loss = ct.contrastive_loss(ad.constant(x), ad.constant(mask), tau=0.5)
+    loss = one_branch(ad.constant(x), ad.constant(mask), tau=0.5)
     assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_full_unit_mask_reaches_zero_lower_bound():
     rng = np.random.default_rng(54)
     x = rng.normal(size=(1, 5, 4))
-    loss = ct.contrastive_loss(ad.constant(x), ad.constant(np.ones((5, 5))), tau=0.5)
+    loss = one_branch(ad.constant(x), ad.constant(np.ones((5, 5))), tau=0.5)
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -100,7 +106,7 @@ def test_loss_nonnegative_for_unit_bounded_weights():
         n = int(rng.integers(2, 7))
         x = rng.normal(size=(2, n, 3))
         mask = rng.uniform(0.0, 1.0, size=(n, n)) * (rng.uniform(size=(n, n)) < 0.6)
-        loss = ct.contrastive_loss(ad.constant(x), ad.constant(mask), tau=0.5).item()
+        loss = one_branch(ad.constant(x), ad.constant(mask), tau=0.5).item()
         assert loss >= -1e-12
 
 
@@ -108,9 +114,9 @@ def test_batched_loss_is_mean_of_windows():
     rng = np.random.default_rng(56)
     xs = rng.normal(size=(3, 2, 4, 5))
     masks = rng.uniform(0.0, 1.0, size=(3, 4, 4))
-    batched = ct.contrastive_loss(ad.constant(xs), ad.constant(masks), tau=0.5).item()
+    batched = one_branch(ad.constant(xs), ad.constant(masks), tau=0.5).item()
     singles = [
-        ct.contrastive_loss(ad.constant(xs[b]), ad.constant(masks[b]), tau=0.5).item()
+        one_branch(ad.constant(xs[b]), ad.constant(masks[b]), tau=0.5).item()
         for b in range(3)
     ]
     assert batched == pytest.approx(np.mean(singles), abs=1e-12)
@@ -121,9 +127,9 @@ def test_channel_permutation_invariance():
     x = rng.normal(size=(2, 5, 4))
     mask = rng.uniform(0.0, 1.0, size=(5, 5))
     perm = rng.permutation(5)
-    a = ct.contrastive_loss(ad.constant(x), ad.constant(mask), tau=0.5).item()
-    b = ct.contrastive_loss(ad.constant(x[:, perm, :]),
-                            ad.constant(mask[np.ix_(perm, perm)]), tau=0.5).item()
+    a = one_branch(ad.constant(x), ad.constant(mask), tau=0.5).item()
+    b = one_branch(ad.constant(x[:, perm, :]),
+                   ad.constant(mask[np.ix_(perm, perm)]), tau=0.5).item()
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -135,8 +141,8 @@ def test_aligning_masked_pair_reduces_loss():
     apart = np.eye(3, 6)[None]  # channels e0, e1, e2
     together = apart.copy()
     together[0, 1] = together[0, 0]  # channels e0, e0, e2
-    base = ct.contrastive_loss(ad.constant(apart), ad.constant(mask), tau=0.5).item()
-    moved = ct.contrastive_loss(ad.constant(together), ad.constant(mask), tau=0.5).item()
+    base = one_branch(ad.constant(apart), ad.constant(mask), tau=0.5).item()
+    moved = one_branch(ad.constant(together), ad.constant(mask), tau=0.5).item()
     assert moved < base
 
 
@@ -204,7 +210,6 @@ def test_threshold_masks_trace_hard_supports():
     eps = ct.init_epsilon(0.3)
     with ad.record_gates([]) as sink:
         masks = ct.threshold_masks(ad.constant(m), eps)
-    assert masks.pos_gate is masks.pos_support
     assert len(sink) == 2
     for packed, support in zip(sink, (masks.pos_support, masks.neg_support)):
         assert np.array_equal(np.unpackbits(packed)[:9].astype(bool), support.ravel())
@@ -255,7 +260,7 @@ def test_negative_weights_enter_by_magnitude():
 
 
 def _fd_problem(rng, config, lead=()):
-    """A closure of threshold + aux loss over fresh DCE and projection
+    """A closure of the HPCL op over fresh DCE, projection and threshold
     parameters, and the parameters it reads."""
     n, p, d = 4, 2, 5
     reps = ad.constant(rng.normal(size=lead + (p, n, d)))
@@ -272,30 +277,33 @@ def _fd_problem(rng, config, lead=()):
     def loss():
         q = corr.time_varying_component(reps, dce)
         v = corr.time_invariant_component(dce)
-        m = corr.compose_correlation(r, q, v)
-        masks = ct.threshold_masks(m, eps, config)
         x_pos, x_neg = pj.divide(hd, reps)
-        _, _, total = ct.aux_loss(x_pos, x_neg, masks, config)
-        return total
+        temp = config.gate_temp if config.soft_gate else None
+        return ct.hpcl_loss(r, (x_pos, x_neg), config.tau, eps, temp, q, v)[-1]
 
     return loss, dce.named_tensors() + hd.named_tensors() + eps.named_tensors()
 
 
 def test_aux_loss_gradients_match_fd_through_masks():
     """Gradients reach projection AND correlation parameters through the
-    retained mask values, matching finite differences."""
+    retained mask values, matching finite differences (one window, whose
+    block the op keeps for backward)."""
     loss, params = _fd_problem(np.random.default_rng(63), TrainConfig())
     report = ad.grad_check(loss, params, tol=1e-4, max_entries_per_param=20)
     assert report.passed, str(report)
 
 
-def test_soft_gate_gradients_match_fd_in_batches():
-    """Soft gates: the threshold trains too, through every window."""
+def test_soft_gate_gradients_match_fd_in_batches(monkeypatch):
+    """Soft gates: the threshold trains too, through every window, with
+    each window a block that backward recomputes."""
+    monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
     config = TrainConfig(soft_gate=True, gate_temp=0.2)
     loss, params = _fd_problem(np.random.default_rng(66), config, lead=(3,))
     report = ad.grad_check(loss, params, tol=1e-4, max_entries_per_param=12)
     assert report.passed, str(report)
     assert report.results[-1].name == "hpcl.eps_raw" and report.results[-1].checked
+    checked = {res.name: res.checked for res in report.results}
+    assert all(checked[name] for name in ("dce.q", "dce.coef_w", "dce.e1", "dce.e2"))
 
 
 # ---------------------------------------------------------------------------
@@ -428,16 +436,215 @@ def test_fused_contrastive_loss_bit_identical_to_generic_composite(given_rows, b
     rows = (mask > 0).any(axis=-1)
     g_out = np.full(x.shape[:-3], 1.0 / (batch or 1))
     loss, g_x, g_mask, _ = reference_branch(x, mask, mask != 0, rows, 0.5, g_out)
-    got = _run(lambda a, w: ct.contrastive_loss(a, w, 0.5, rows if given_rows else None),
+    got = _run(lambda a, w: one_branch(a, w, 0.5, rows if given_rows else None),
                [x, mask])
     _assert_same_bits(got, (loss.mean(), [g_x, g_mask]))
 
 
+def test_hpcl_loss_m_gradient_is_sign_with_zero_at_zero():
+    # pairs are weighted by |m|: the gradient w.r.t. m is the one w.r.t.
+    # the weight times sign(m), and 0 where m is 0 (either sign)
+    views = ad.constant(np.random.default_rng(71).normal(size=(1, 3, 4)))
+    signed = np.array([[1.0, -2.0, -0.0], [0.0, 1.0, -0.3], [-1.5, 0.7, 1.0]])
+    grads = []
+    for values in (signed, np.abs(signed)):
+        m = ad.parameter(values)
+        ct.hpcl_loss(m, [views], 0.5)[-1].backward()
+        grads.append(m.grad)
+    assert grads[0].tobytes() == (grads[1] * np.sign(signed)).tobytes()
+    assert not grads[0][signed == 0].any() and grads[0][signed != 0].all()
+
+
+def test_hpcl_loss_values_and_grad_check():
+    rng = np.random.default_rng(70)
+    tau, temp, n = 0.5, 0.2, 4
+    x_pos, x_neg = (ad.parameter(rng.normal(size=(2, 1, n, 3))) for _ in range(2))
+    m = ad.parameter(rng.uniform(-1.0, 1.0, size=(2, n, n)))
+    m.data[1, 2] = np.abs(m.data[1, 2])
+    eps = ct.init_epsilon(0.3)
+    e_val = eps.numeric()
+    pos_rows = ((m.data > e_val) | np.eye(n, dtype=bool)).any(-1)
+    neg_rows = (m.data < -e_val).any(-1)
+    assert neg_rows.any() and not neg_rows.all()    # a dropped row leaves the average
+    want = []
+    for x, gate, rows in ((x_pos, 1.0 / (1.0 + np.exp(-(m.data - e_val) / temp)), pos_rows),
+                          (x_neg, 1.0 / (1.0 + np.exp(-(-m.data - e_val) / temp)), neg_rows)):
+        unit = x.data[:, 0] / np.linalg.norm(x.data[:, 0], axis=-1, keepdims=True)
+        e = np.exp(unit @ np.swapaxes(unit, -1, -2) / tau)
+        log_ratio = np.log((np.abs(m.data * gate) * e).sum(-1) / e.sum(-1))
+        want.append((-(log_ratio * rows).sum(-1) / rows.sum(-1)).mean())
+    got = ct.hpcl_loss(m, (x_pos, x_neg), tau, eps, temp)
+    assert np.allclose([t.item() for t in got], want + [sum(want)], rtol=0.0, atol=1e-13)
+
+    report = ad.grad_check(
+        lambda: ct.hpcl_loss(m, (x_pos, x_neg), tau, eps, temp)[-1],
+        [("x_pos", x_pos), ("x_neg", x_neg), ("m", m), ("eps", eps.raw)], tol=1e-6)
+    assert report.passed, str(report)
+    assert [r.checked for r in report.results] == [24, 24, 32, 1]
+
+
+def test_hpcl_loss_rejects_bad_shapes_and_empty_kept_rows():
+    views, q, v = np.ones((2, 1, 3, 2)), np.ones((2, 3, 2)), np.ones((2, 2))
+    for r, xs, qv in ((np.ones((2, 3, 3)), [np.ones((3, 1, 3, 2))], ()),
+                      (np.ones((2, 3, 4)), [views], ()),
+                      (np.ones((2, 3, 3)), [np.ones((2, 3, 2))], ()),
+                      (np.ones((2, 3, 3)), [views], (q[:, :2], v)),
+                      (np.ones((2, 3, 3)), [views], (q, v[:1]))):
+        with pytest.raises(ad.ShapeMismatchError):
+            ct.hpcl_loss(r, xs, 0.5, None, None, *qv)
+    with pytest.raises(ad.NonFiniteError):   # a kept row with zero weights
+        ct.hpcl_loss(np.zeros((2, 2)), [np.eye(2)[None]], 1.0, rows=np.ones(2, dtype=bool))
+
+
+def _chain_branch_op(views, m, gate, rows: np.ndarray, inv_tau: float):
+    """One branch's per-window loss: the op each branch recorded before
+    `ct.hpcl_loss` took over the whole chain, as it was."""
+    views, m = ad.as_tensor(views), ad.as_tensor(m)
+    gd = gate.data if (soft := isinstance(gate, ad.Tensor)) else gate
+    if views.ndim < 2 or m.shape != views.shape[:-1] + m.shape[-1:] or gd.shape != m.shape:
+        raise ad.ShapeMismatchError(f"hpcl_loss: views {views.shape}, m {m.shape} and "
+                                    f"gate {gd.shape} must be (..., N, D) and (..., N, N)")
+    x, md, inv_tau = views.data, m.data, float(inv_tau)
+    keep = np.broadcast_to(rows, x.shape[:-1]).astype(np.float64)
+    counts = np.maximum(keep.sum(axis=-1), 1.0)
+    blocks = ad.window_blocks(md.shape, 2, arrays=3)
+    top, num, den = np.empty(x.shape[:-1] + (1,)), np.empty(keep.shape), np.empty(keep.shape)
+
+    def exps(k, e, p, forward=False):   # block k's rows, exponentials, m * gate
+        u, e, p = unit[k], e[:len(md[k])], p[:len(md[k])]
+        np.matmul(u, np.swapaxes(u, -1, -2), out=e)
+        if forward:
+            top[k] = e.max(axis=-1, keepdims=True)
+        e -= top[k]
+        e *= inv_tau
+        np.copyto(p, gd[k])
+        p *= md[k]
+        return u, np.exp(e, out=e), p
+
+    unit, norms, s2 = ad.unit_rows(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        buffers = [np.empty(md[blocks[0]].shape) for _ in range(2)]
+        for k in blocks:
+            _, e, prod = exps(k, *buffers, forward=True)
+            den[k] = e.sum(axis=-1)
+            num[k] = np.multiply(np.abs(prod, out=prod), e, out=prod).sum(axis=-1)
+    num += 1.0 - keep
+    if (num <= 0).any():            # a NaN is left to the finite checks
+        raise ad.NonFiniteError("log of a non-positive value")
+    ratio, grads = np.log(num) - np.log(den), {}
+
+    def backward(name, g):
+        if not grads:           # one pass over the blocks serves every input
+            a = np.multiply((-g / counts)[..., None], keep)
+            b, a = (-a / den)[..., None], (a / num)[..., None]
+            gu, gm = np.empty_like(unit), np.empty_like(md)
+            gg = np.empty_like(md) if soft else None
+            buffers = [np.empty(md[blocks[0]].shape) for _ in range(3)]
+            for k in blocks:        # reused buffers: an allocation costs a pass
+                u, e, prod = exps(k, *buffers[:2])
+                gs = np.abs(prod, out=buffers[2][:len(prod)])
+                gs *= a[k]
+                gs += b[k]
+                gs *= e
+                gs *= inv_tau
+                gu[k] = gs @ u + np.swapaxes(np.swapaxes(u, -1, -2) @ gs, -1, -2)
+                e *= a[k]                       # d loss / d |m * gate|
+                np.sign(prod, out=gm[k])        # (in place, sign runs 10x slower)
+                gm[k] *= e                      # d/dm; a boolean gate alters no bit
+                if soft:
+                    np.multiply(gm[k], md[k], out=gg[k])
+                    gm[k] *= gd[k]
+            gn = (-gu * x / (norms * norms)).sum(axis=-1, keepdims=True)
+            gs = np.broadcast_to(gn * 0.5 * s2 ** -0.5, x.shape) * x
+            grads.update(views=gu / norms + gs + gs, m=gm, gate=gg)
+        return grads.pop(name)
+
+    parents = [(views, lambda g: backward("views", g)), (m, lambda g: backward("m", g))]
+    parents += [(gate, lambda g: backward("gate", g))] if soft else []
+    return ad._result(-((ratio * keep).sum(axis=-1) / counts), parents, "hpcl_loss")
+
+
+def _chain(r, q, v, eps, x_pos, x_neg, config):
+    """``(l_pos, l_neg, total)`` of the generic-op chain that `ct.hpcl_loss`
+    replaces: M = R + Q V Q^T from autodiff ops (R alone without ``q``),
+    the supports and, in soft mode, sigmoid gates from autodiff ops, and one
+    `_chain_branch_op` per branch."""
+    m = ad.constant(r)
+    if q is not None:
+        qt = ad.transpose(q, axes=tuple(range(q.ndim - 2)) + (q.ndim - 1, q.ndim - 2))
+        m = ad.add(m, ad.matmul(ad.matmul(q, v), qt))
+    eps_val = eps.numeric()
+    pos = (m.data > eps_val) | np.eye(m.shape[-1], dtype=bool)
+    neg = m.data < -eps_val
+    gates = (pos, neg)
+    if config.soft_gate:
+        eps_t, inv_temp = eps.value, 1.0 / config.gate_temp
+        gates = (ad.sigmoid(ad.scale(ad.subtract(m, eps_t), inv_temp)),
+                 ad.sigmoid(ad.scale(ad.subtract(ad.scale(m, -1.0), eps_t), inv_temp)))
+
+    def branch(x, gate, support):
+        views = pj.flatten_per_channel(x)
+        return ad.mean(_chain_branch_op(views, m, gate, support.any(axis=-1), 1.0 / config.tau))
+
+    l_pos = branch(x_pos, gates[0], pos)
+    l_neg = branch(x_neg, gates[1], neg) if neg.any() else ad.constant(0.0)
+    return l_pos, l_neg, ad.add(l_pos, l_neg)
+
+
+@pytest.mark.parametrize("several_blocks", [False, True])
+@pytest.mark.parametrize("dce_mode", ["full", "pearson-only"])
+@pytest.mark.parametrize("hd_mode", ["dual", "single-branch"])
+@pytest.mark.parametrize("soft_gate", [False, True])
+def test_op_is_bitwise_the_chain_it_replaces(monkeypatch, soft_gate, hd_mode, dce_mode,
+                                             several_blocks):
+    n, b, p, d = 6, 5, 2, 3
+    if several_blocks:          # two windows a block, the last one short
+        monkeypatch.setattr(ad, "BLOCK_BYTES", 2 * 3 * n * n * 8)
+    rng = np.random.default_rng(80 + 8 * soft_gate + 4 * (hd_mode == "dual")
+                                + 2 * (dce_mode == "full") + several_blocks)
+    config = TrainConfig(soft_gate=soft_gate, gate_temp=0.2, tau=0.4)
+    reps = ad.constant(rng.normal(size=(b, p, n, d)))
+    x = rng.normal(size=(b, n, 30))
+    x[:, 1] = -x[:, 0] + 0.5 * rng.normal(size=(b, 30))      # a negative pair
+    r = corr.pearson_matrix(x)
+    dce = corr.init_dce_params(n, d, degree=2, rank=2, embed_dim=3, rng=rng)
+    hd = pj.init_hd_params(p, d, depth=1, rng=rng, shared=hd_mode == "single-branch")
+    eps = ct.init_epsilon(0.25)
+    params = dce.named_tensors() + hd.named_tensors() + eps.named_tensors()
+    for _, t in params:
+        t.data[...] += rng.normal(0.0, 0.3, size=t.shape)
+
+    def run(chain):
+        for _, t in params:
+            t.grad = None
+        q = v = None
+        if dce_mode == "full":
+            q, v = corr.time_varying_component(reps, dce), corr.time_invariant_component(dce)
+        x_pos, x_neg = pj.divide(hd, reps)
+        temp = config.gate_temp if soft_gate else None
+        terms = (_chain(r, q, v, eps, x_pos, x_neg, config) if chain else
+                 ct.hpcl_loss(r, (x_pos, x_neg), config.tau, eps, temp, q, v))
+        terms[-1].backward()
+        return [t.data.tobytes() for t in terms], {name: t.grad for name, t in params}
+
+    got, got_grads = run(chain=False)
+    want, want_grads = run(chain=True)
+    assert got == want
+    assert want[1] != np.float64(0.0).tobytes()             # both branches ran
+    for name, g in want_grads.items():
+        if name == "hpcl.eps_raw" and soft_gate:
+            # the op sums eps's gradient per window, then over windows
+            assert got_grads[name] == pytest.approx(g, rel=1e-14, abs=0.0)
+        elif g is None:
+            assert got_grads[name] is None, name
+        else:
+            assert got_grads[name].tobytes() == g.tobytes(), name
+
+
 def test_nan_similarity_raises():
-    views = np.array([[1.0, np.nan], [0.2, 1.0]])
+    views = np.array([[[1.0, np.nan], [0.2, 1.0]]])          # one patch
     with pytest.raises(ad.NonFiniteError):
-        ad.hpcl_loss(ad.constant(views), ad.constant(np.eye(2)), np.eye(2, dtype=bool),
-                     np.ones(2, dtype=bool), 2.0)
+        ct.hpcl_loss(np.eye(2), [views], 0.5)
 
 
 def test_kept_row_with_underflowing_numerator_raises():
@@ -447,10 +654,10 @@ def test_kept_row_with_underflowing_numerator_raises():
     mask = np.zeros((3, 3))
     mask[0, 1] = 1.0
     with pytest.raises(ad.NonFiniteError):
-        ct.contrastive_loss(ad.constant(x), ad.constant(mask), tau=1e-4)
+        one_branch(ad.constant(x), ad.constant(mask), tau=1e-4)
     # the same row is fine at an ordinary tau
     assert np.isfinite(
-        ct.contrastive_loss(ad.constant(x), ad.constant(mask), tau=0.5).item())
+        one_branch(ad.constant(x), ad.constant(mask), tau=0.5).item())
 
 
 # ---------------------------------------------------------------------------
@@ -458,56 +665,56 @@ def test_kept_row_with_underflowing_numerator_raises():
 
 
 def _branch_inputs(rng, b, n, d=5):
-    views = rng.normal(size=(b, n, d))
+    """One-branch inputs: views as one patch, (b, 1, n, d); a weight mask
+    that keeps the diagonal and |m| > 0.3; its rows."""
+    views = rng.normal(size=(b, 1, n, d))
     m = np.clip(rng.normal(scale=0.6, size=(b, n, n)), -1.0, 1.0)
-    support = np.abs(m) > 0.3
-    support[:, np.arange(n), np.arange(n)] = True
-    return views, m, support, support.any(axis=-1)
+    m[np.abs(m) <= 0.3] = 0.0
+    m[:, np.arange(n), np.arange(n)] = 1.0
+    return views, m, (m != 0).any(axis=-1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_views_in_the_last_block_raise(monkeypatch, bad):
     monkeypatch.setattr(ad, "BLOCK_BYTES", 2 * 24 * 8 * 8)    # two windows a block
-    views, m, support, rows = _branch_inputs(np.random.default_rng(67), 5, 8)
-    views[-1, -1, -1] = bad
+    views, m, rows = _branch_inputs(np.random.default_rng(67), 5, 8)
+    views[-1, -1, -1, -1] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # the error, not a numpy warning
         with pytest.raises(ad.NonFiniteError):
-            ad.hpcl_loss(ad.constant(views), ad.parameter(m), support, rows, 2.0)
+            ct.hpcl_loss(ad.parameter(m), [ad.constant(views)], 0.5, rows=rows)
 
 
 def test_underflowing_kept_row_in_the_last_block_raises(monkeypatch):
     # as below, but in one window of a batch that runs a window a block
     monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
-    views, m, support, rows = _branch_inputs(np.random.default_rng(68), 4, 3, d=4)
-    views[-1] = np.eye(3, 4)
-    support[-1], rows[-1] = False, False
-    support[-1, 0, 1] = rows[-1, 0] = True
-    m[-1, 0, 1] = 1.0
-    assert np.isfinite(ad.hpcl_loss(ad.constant(views), ad.constant(m), support,
-                                    rows, 2.0).data).all()
+    views, m, rows = _branch_inputs(np.random.default_rng(68), 4, 3, d=4)
+    views[-1, 0] = np.eye(3, 4)
+    m[-1], rows[-1] = 0.0, False
+    m[-1, 0, 1] = rows[-1, 0] = True
+    assert np.isfinite(ct.hpcl_loss(m, [views], 0.5, rows=rows)[-1].data)
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # the error, not a numpy warning
         with pytest.raises(ad.NonFiniteError):
-            ad.hpcl_loss(ad.constant(views), ad.constant(m), support, rows, 1e4)
+            ct.hpcl_loss(m, [views], 1e-4, rows=rows)
 
 
 @pytest.mark.parametrize("n", [8, 64])
 def test_unbatched_window_matches_its_row_of_a_blocked_batch(monkeypatch, n):
+    # the batch loss is the mean of its windows': scaling one window's loss
+    # by 1/3 hands it the upstream gradient the batch mean hands each row
     monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
-    rng = np.random.default_rng(69 + n)
-    views, m, gate, rows = _branch_inputs(rng, 3, n)
-    weights = rng.uniform(0.5, 1.5, size=3)
+    views, m, rows = _branch_inputs(np.random.default_rng(69 + n), 3, n)
 
-    def run(lead):
+    def run(lead, weight=1.0):
         params = [ad.parameter(a[lead].copy()) for a in (views, m)]
-        out = ad.hpcl_loss(*params, gate[lead], rows[lead], 2.0)
-        ad.tensor_sum(ad.multiply(out, ad.constant(weights[lead]))).backward()
-        return out.data, [p.grad for p in params]
+        loss = ct.hpcl_loss(params[1], [params[0]], 0.5, rows=rows[lead])[-1]
+        ad.scale(loss, weight).backward()
+        return loss.data, [p.grad for p in params]
 
     batch, grads = run(slice(None))
-    for i in range(3):
-        one, one_grads = run(i)
-        assert one.tobytes() == batch[i].tobytes()
+    ones = [run(i, 1.0 / 3) for i in range(3)]
+    assert np.array([one for one, _ in ones]).mean().tobytes() == batch.tobytes()
+    for i, (_, one_grads) in enumerate(ones):
         for got, want in zip(one_grads, grads):
             assert got.tobytes() == want[i].tobytes()

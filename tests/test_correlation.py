@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chancorr import autodiff as ad
+from chancorr import contrastive as ct
 from chancorr import correlation as corr
 
 
@@ -201,8 +202,8 @@ def test_compose_zero_q_returns_rule_part():
     r = corr.pearson_matrix(rng.normal(size=(4, 30)))
     q = np.zeros((4, 2))
     v = rng.uniform(0.2, 0.8, size=(2, 2))
-    m = corr.compose_correlation(r, ad.constant(q), ad.constant(v))
-    assert np.allclose(m.data, r, atol=1e-15)
+    m = corr.compose_correlation(r, q, v)
+    assert np.allclose(m, r, atol=1e-15)
 
 
 def test_compose_matches_triple_loop():
@@ -212,9 +213,9 @@ def test_compose_matches_triple_loop():
         r = corr.pearson_matrix(rng.normal(size=(n, 20)))
         q = rng.normal(size=(n, m_rank))
         v = rng.uniform(0.0, 1.0, size=(m_rank, m_rank))
-        got = corr.compose_correlation(r, ad.constant(q), ad.constant(v))
+        got = corr.compose_correlation(r, q, v)
         want = compose_triple_loop(r, q, v)
-        assert np.abs(got.data - want).max() < 1e-12
+        assert np.abs(got - want).max() < 1e-12
 
 
 def test_compose_learned_part_linear_in_v():
@@ -223,28 +224,45 @@ def test_compose_learned_part_linear_in_v():
     v1 = rng.uniform(size=(3, 3))
     v2 = rng.uniform(size=(3, 3))
     zero_r = np.zeros((4, 4))
-    m1 = corr.compose_correlation(zero_r, ad.constant(q), ad.constant(v1)).data
-    m2 = corr.compose_correlation(zero_r, ad.constant(q), ad.constant(v2)).data
-    m12 = corr.compose_correlation(
-        zero_r, ad.constant(q), ad.constant(2.0 * v1 + 0.5 * v2)).data
+    m1 = corr.compose_correlation(zero_r, q, v1)
+    m2 = corr.compose_correlation(zero_r, q, v2)
+    m12 = corr.compose_correlation(zero_r, q, 2.0 * v1 + 0.5 * v2)
     assert np.allclose(m12, 2.0 * m1 + 0.5 * m2, atol=1e-12)
 
 
 def test_compose_no_gradient_into_rule_part():
+    # the contrastive op composes M = R + Q V Q^T and differentiates it
+    # w.r.t. Q and V only: R enters as a constant
     rng = np.random.default_rng(21)
     r_tensor = ad.parameter(corr.pearson_matrix(rng.normal(size=(3, 20))))
     q = ad.parameter(rng.normal(size=(3, 2)))
-    v = ad.constant(rng.uniform(size=(2, 2)))
-    m = corr.compose_correlation(r_tensor, q, v)
-    ad.tensor_sum(m).backward()
-    assert r_tensor.grad is None  # R enters as a constant copy
-    assert q.grad is not None
+    v = ad.parameter(rng.uniform(size=(2, 2)))
+    views = ad.constant(rng.normal(size=(2, 3, 4)))
+    eps = ct.init_epsilon(0.1)
+    ct.hpcl_loss(r_tensor, (views, views), 0.5, eps, None, q, v)[-1].backward()
+    assert r_tensor.grad is None
+    assert q.grad is not None and v.grad is not None
 
 
 def test_allocation_counter_increments():
     before = corr.correlation_matrix_allocations()
     corr.pearson_matrix(np.random.default_rng(1).normal(size=(3, 16)))
     assert corr.correlation_matrix_allocations() == before + 1
+
+
+def test_hpcl_op_counts_each_composed_window_once(monkeypatch):
+    # once per window in the forward, none for backward's recomputation
+    monkeypatch.setattr(ad, "BLOCK_BYTES", 1)          # a window a block
+    rng = np.random.default_rng(22)
+    r = corr.pearson_matrix(rng.normal(size=(5, 3, 20)))
+    q = ad.parameter(rng.normal(size=(5, 3, 2)))
+    views = ad.constant(rng.normal(size=(5, 2, 3, 4)))
+    before = corr.correlation_matrix_allocations()
+    total = ct.hpcl_loss(r, (views, views), 0.5, ct.init_epsilon(0.1), None,
+                         q, ad.constant(rng.uniform(size=(2, 2))))[-1]
+    assert corr.correlation_matrix_allocations() == before + 5
+    total.backward()
+    assert corr.correlation_matrix_allocations() == before + 5
 
 
 # ---------------------------------------------------------------------------

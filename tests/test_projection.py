@@ -72,21 +72,27 @@ def test_matches_numpy_oracle():
 
 
 def test_channel_weights_sum_to_one():
-    # recover the implicit weights: (out - x) / proj-part is rank-checked
-    # indirectly; here we just verify the softmax producing them via oracle
+    # with w2 = 0 and b2 = 1, proj is 1 everywhere, so out - x is the
+    # channel gate broadcast over patches and features
     rng = np.random.default_rng(34)
     layer = randomized_layer(2, 5, rng)
-    x = rng.normal(size=(2, 7, 5))
+    layer.w2.data[...] = 0.0
+    layer.b2.data[...] = 1.0
+    x = rng.normal(size=(3, 2, 7, 5))
+    gate = pj.channel_aware_project(layer, ad.constant(x)).data - x
+    w = gate[:, 0, :, 0]                                       # (window, channel)
+    assert np.allclose(gate, w[:, None, :, None], rtol=0.0, atol=1e-14)
+    assert np.allclose(w.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
+    assert ((w > 0) & (w < 1)).all()
+    # the oracle: the softmax of MLP2's logits over the channels
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
     ln = (x - mu) / np.sqrt(var + 1e-5) * layer.ln_scale.data + layer.ln_shift.data
-    flat = np.swapaxes(ln, 0, 1).reshape(7, -1)
+    flat = np.swapaxes(ln, 1, 2).reshape(3, 7, -1)
     squeeze = np.maximum(flat @ layer.v1.data + layer.c1.data, 0.0)
     logits = (squeeze @ layer.v2.data + layer.c2.data)[..., 0]
-    e = np.exp(logits - logits.max())
-    w = e / e.sum()
-    assert w.sum() == pytest.approx(1.0, abs=1e-12)
-    assert ((w > 0) & (w < 1)).all()
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    assert np.allclose(w, e / e.sum(axis=-1, keepdims=True), rtol=0.0, atol=1e-13)
 
 
 def test_identical_channels_get_uniform_weights():
