@@ -27,7 +27,8 @@ is one recorded op, `hpcl_loss`.  Per cache-sized block of windows it
 forms M = R + Q V Q^T, the gates, similarities and exponentials, keeping
 only per-row statistics, and backward recomputes the block and contracts
 its gradient w.r.t. M against Q and V there: no float N x N array besides
-R is on the tape, and none is allocated for the whole batch.
+R is on the tape, and none for the whole batch, unless the batch is one
+block, which backward then reuses.
 """
 
 from __future__ import annotations
@@ -112,34 +113,32 @@ def threshold_masks(m, eps: EpsilonParam, config: TrainConfig | None = None) -> 
     return MaskPair(m, eps, *_supports(m.data, eps.numeric(), hard))
 
 
-def hpcl_loss(r, views, tau: float, eps: EpsilonParam | None = None,
-              temp: float | None = None, q=None, v=None, rows=None) -> tuple[Tensor, ...]:
+def hpcl_loss(r, views, tau: float, eps: EpsilonParam, temp: float | None = None,
+              q=None, v=None, supports=None) -> tuple[Tensor, ...]:
     """Each branch's window-mean loss as a constant, then their sum as one
     recorded op.  ``r`` (..., N, N) is M, or with ``q`` (..., N, M) and
-    ``v`` (M, M) the constant R of M = R + Q V Q^T.  With ``eps`` the views
-    (..., P, N, d) are the two branches, weighted by ``|m * gate|`` on the
-    supports of `threshold_masks` or, with ``temp``, sigmoid gates; the
-    negative one is dropped if its support is empty.  Without ``eps`` one
-    branch is weighted by ``|m|``, and ``rows`` may replace the rows of
-    nonempty support that a window averages.  Blocks of windows whose three
-    N x N arrays fit in `ad.BLOCK_BYTES` are recomputed in backward unless
-    the batch is one.  Sums run in the generic-op chain's order, so results
-    have its bits, eps's gradient aside (summed per window first), and none
-    depends on the block size.  A kept row with a non-positive numerator
-    raises `NonFiniteError`.
+    ``v`` (M, M) the constant R of M = R + Q V Q^T.  The views
+    ``(x_pos, x_neg)``, each (..., P, N, d), are weighted by ``|m * gate|``
+    on the supports of `threshold_masks` at ``eps`` (or, for a given M,
+    ``supports``, a `MaskPair`'s) or, with ``temp``, sigmoid gates; the
+    negative branch is dropped if its support is empty.  Blocks of windows
+    whose three N x N arrays fit in `ad.BLOCK_BYTES` are recomputed in
+    backward unless the batch is one.  Sums run in the generic-op chain's
+    order, so results have its bits, eps's gradient aside (summed per window
+    first), and none depends on the block size.  A kept row with a
+    non-positive numerator raises `NonFiniteError`.
     """
     r, views = ad.as_tensor(r), [ad.as_tensor(x) for x in views]
     q, v = (None, None) if q is None else (ad.as_tensor(q), ad.as_tensor(v))
     rd, lead = r.data, r.shape[:-2]
-    if (r.ndim < 2 or r.shape[-1] != r.shape[-2]
+    if (r.ndim < 2 or r.shape[-1] != r.shape[-2] or len(views) != 2
             or any(x.ndim < 3 or x.shape[:-3] + x.shape[-2:-1] != r.shape[:-1] for x in views)
             or q is not None and (q.shape[:-1] != r.shape[:-1] or v.shape != 2 * q.shape[-1:])):
         raise ad.ShapeMismatchError(f"hpcl_loss: R {r.shape}, views {[x.shape for x in views]}, "
                                     f"Q {q and q.shape} and V {v and v.shape} do not fit")
     qd, vd = (None, None) if q is None else (q.data, v.data)
     soft, inv_tau = temp is not None, 1.0 / tau
-    eps_val = None if eps is None else eps.numeric()
-    eps_t = eps.value if soft else None
+    eps_val, eps_t = eps.numeric(), eps.value if soft else None
     moved = [np.swapaxes(x.data, -3, -2).shape for x in views]       # (..., N, P, d)
     flats = [np.swapaxes(x.data, -3, -2).reshape(s[:-2] + (-1,)) for x, s in zip(views, moved)]
     units = [ad.unit_rows(f) for f in flats]
@@ -149,12 +148,13 @@ def hpcl_loss(r, views, tau: float, eps: EpsilonParam | None = None,
                            for t in (float, float, bool))
 
     def buffers():  # per branch: exponentials, m * gate, d/dm; a scratch
-        return [np.empty(rd[blocks[0]].shape) for _ in range(3 * len(views) + 1)]
+        return [np.empty(rd[blocks[0]].shape) for _ in range(3 * 2 + 1)]
 
     def gated(k, forward=False):     # block k's m, supports and gates
         m = rd[k] if qd is None else compose_correlation(rd[k], qd[k], vd, count=forward)
-        supports = [m != 0] if eps_val is None else _supports(m, eps_val, forward and not soft)
-        return m, supports, supports if not soft else [
+        pair = (_supports(m, eps_val, forward and not soft) if supports is None
+                else [s[k] for s in supports])
+        return m, pair, pair if not soft else [
             ad._logistic((m - eps_val) * (1.0 / temp)),
             ad._logistic((m * -1.0 - eps_val) * (1.0 / temp))]
 
@@ -171,16 +171,15 @@ def hpcl_loss(r, views, tau: float, eps: EpsilonParam | None = None,
     buf = buffers()
     with np.errstate(over="ignore", invalid="ignore"):
         for k in blocks:
-            m, supports, gates = gated(k, forward=True)
-            for i, (support, gate) in enumerate(zip(supports, gates)):
+            m, pair, gates = gated(k, forward=True)
+            for i, (support, gate) in enumerate(zip(pair, gates)):
                 supported[i][k] = support.any(axis=-1)
                 e, p = exps(k, i, m, gate, buf, forward=True)
                 den[i][k] = e.sum(axis=-1)
                 w = np.abs(p, out=buf[-1][:len(m)])
                 num[i][k] = np.multiply(w, e, out=w).sum(axis=-1)
     kept = (m, gates, buf) if len(blocks) == 1 else None
-    keep = [np.broadcast_to(s if rows is None else rows, s.shape).astype(np.float64)
-            for s in supported]
+    keep = [s.astype(np.float64) for s in supported]
     counts = [np.maximum(kp.sum(axis=-1), 1.0) for kp in keep]
     active = [i for i, s in enumerate(supported) if i == 0 or s.any()]
     means = [np.asarray(0.0) for _ in views]
@@ -267,9 +266,10 @@ def hpcl_loss(r, views, tau: float, eps: EpsilonParam | None = None,
 
 def aux_loss(x_pos, x_neg, masks: MaskPair, config: TrainConfig | None = None):
     """``(l_pos, l_neg, l_total)``: the branch losses as constants and their
-    recorded sum, one `hpcl_loss` op over ``masks.m`` and its threshold.
-    Both weight pairs by ``|m * gate|``, so negative correlations enter by
-    magnitude and the log arguments stay positive."""
+    recorded sum, one `hpcl_loss` op over ``masks.m``, its threshold and its
+    supports.  Both weight pairs by ``|m * gate|``, so negative correlations
+    enter by magnitude and the log arguments stay positive."""
     config = config or TrainConfig()
     return hpcl_loss(masks.m, (x_pos, x_neg), config.tau, masks.eps,
-                     config.gate_temp if config.soft_gate else None)
+                     config.gate_temp if config.soft_gate else None,
+                     supports=(masks.pos_support, masks.neg_support))

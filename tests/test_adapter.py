@@ -305,8 +305,9 @@ def _nxn_buffers_on_tape(roots, n):
 def test_training_tape_holds_few_nxn_buffers(monkeypatch):
     # pins the N x N memory of one training step's tape to R, which the
     # contrastive op keeps to recompute M = R + Q V Q^T, its gates and its
-    # exponentials block by block in backward, as at N = 256; a batch that
-    # fits one block keeps that block instead
+    # exponentials block by block in backward, as at N = 256.  A batch that
+    # fits one block keeps that block instead: M, the soft gates (hard ones
+    # are boolean) and 3 buffers a branch plus a scratch one
     n = 7
     backbone, x, y = tiny_backbone(seed=4, n=n, b=6)
     out = backbone_forward(backbone, x)
@@ -320,7 +321,8 @@ def test_training_tape_holds_few_nxn_buffers(monkeypatch):
         assert _nxn_buffers_on_tape([losses["prediction"], losses["aux"]], n) == 1
         monkeypatch.setattr(ad, "BLOCK_BYTES", 3 << 19)    # the batch is one block
         losses = training_losses(*args)
-        assert _nxn_buffers_on_tape([losses["prediction"], losses["aux"]], n) > 1
+        kept = 1 + 2 * soft_gate + 3 * 2 + 1
+        assert _nxn_buffers_on_tape([losses["prediction"], losses["aux"]], n) == 1 + kept
 
 
 def _step_bytes(state, out, y_norm, r):

@@ -41,10 +41,17 @@ def loss_oracle(views, mask, tau):
     return -sum(terms) / len(terms)
 
 
-def one_branch(x, mask, tau, rows=None):
-    """Loss of views ``x`` under pair weights ``|mask|``: the one-branch
-    form of the op."""
-    return ct.hpcl_loss(mask, [x], tau, rows=rows)[-1]
+TINY = ct.init_epsilon(1e-12)
+
+
+def one_branch(x, mask, tau):
+    """Loss of views ``x`` under pair weights ``mask`` >= 0, rows without
+    weight skipped: the op's negative branch on M = -mask, whose support is
+    ``mask > eps``.  Its positive branch keeps the diagonal, with a unit
+    weight where ``mask`` has none, so that a row of it is never empty."""
+    mask = ad.as_tensor(mask).data
+    m = np.where(np.eye(mask.shape[-1], dtype=bool) & (mask == 0), 1.0, -mask)
+    return ct.hpcl_loss(m, (x, x), tau, TINY)[1]
 
 
 def flat_views(x):
@@ -213,6 +220,10 @@ def test_threshold_masks_trace_hard_supports():
     assert len(sink) == 2
     for packed, support in zip(sink, (masks.pos_support, masks.neg_support)):
         assert np.array_equal(np.unpackbits(packed)[:9].astype(bool), support.ravel())
+    x = np.random.default_rng(58).normal(size=(2, 3, 4))
+    with ad.record_gates(sink):            # aux_loss reads the pair's supports
+        ct.aux_loss(x, x, masks)
+    assert len(sink) == 2
     with ad.record_gates([]) as sink:      # soft gates are smooth: no decision
         ct.threshold_masks(ad.constant(m), eps, TrainConfig(soft_gate=True))
     assert sink == []
@@ -426,33 +437,35 @@ def test_fused_aux_loss_bit_identical_to_generic_composite(soft_gate, batch):
 
 
 @pytest.mark.parametrize("batch", [0, 3])
-@pytest.mark.parametrize("given_rows", [False, True])
-def test_fused_contrastive_loss_bit_identical_to_generic_composite(given_rows, batch):
-    rng = np.random.default_rng(65 + batch + given_rows)
-    x, _, _ = _views_and_corr(rng, batch)
-    mask = rng.uniform(0.0, 1.0, size=x.shape[:-3] + (6, 6))
+@pytest.mark.parametrize("negative", [False, True])
+def test_fused_contrastive_loss_bit_identical_to_generic_composite(negative, batch):
+    # sparse weights with exact zeros on one branch, an empty row of them
+    # on the negative one; the other branch keeps only the diagonal
+    rng = np.random.default_rng(65 + batch + negative)
+    x_pos, x_neg, _ = _views_and_corr(rng, batch)
+    mask = rng.uniform(0.0, 1.0, size=x_pos.shape[:-3] + (6, 6))
     mask[rng.uniform(size=mask.shape) < 0.4] = 0.0
-    mask[..., 2, :] = 0.0                       # one empty row per window
-    rows = (mask > 0).any(axis=-1)
-    g_out = np.full(x.shape[:-3], 1.0 / (batch or 1))
-    loss, g_x, g_mask, _ = reference_branch(x, mask, mask != 0, rows, 0.5, g_out)
-    got = _run(lambda a, w: one_branch(a, w, 0.5, rows if given_rows else None),
-               [x, mask])
-    _assert_same_bits(got, (loss.mean(), [g_x, g_mask]))
+    mask[..., 2, :] = 0.0
+    mask[..., np.arange(6), np.arange(6)] = 1.0
+    m = -mask if negative else mask
+    config, raw = TrainConfig(), np.array(math.log(math.expm1(1e-12)))
+
+    def fused(xp, xn, mt):
+        return ct.hpcl_loss(mt, (xp, xn), config.tau, TINY)[2]
+
+    total, (g_xp, g_xn, g_m, _) = reference_aux_loss(x_pos, x_neg, m, raw, config)
+    want = (total, [g_xp, g_xn if negative else None, g_m])   # an empty branch drops
+    _assert_same_bits(_run(fused, [x_pos, x_neg, m]), want)
 
 
 def test_hpcl_loss_m_gradient_is_sign_with_zero_at_zero():
-    # pairs are weighted by |m|: the gradient w.r.t. m is the one w.r.t.
-    # the weight times sign(m), and 0 where m is 0 (either sign)
+    # pairs are weighted by |m|, and a larger weight lowers the loss: the
+    # gradient w.r.t. m has the sign of -m, and is 0 where m is 0 (either sign)
     views = ad.constant(np.random.default_rng(71).normal(size=(1, 3, 4)))
     signed = np.array([[1.0, -2.0, -0.0], [0.0, 1.0, -0.3], [-1.5, 0.7, 1.0]])
-    grads = []
-    for values in (signed, np.abs(signed)):
-        m = ad.parameter(values)
-        ct.hpcl_loss(m, [views], 0.5)[-1].backward()
-        grads.append(m.grad)
-    assert grads[0].tobytes() == (grads[1] * np.sign(signed)).tobytes()
-    assert not grads[0][signed == 0].any() and grads[0][signed != 0].all()
+    m = ad.parameter(signed)
+    ct.hpcl_loss(m, (views, views), 0.5, TINY)[-1].backward()
+    assert np.array_equal(np.sign(m.grad), -np.sign(signed))
 
 
 def test_hpcl_loss_values_and_grad_check():
@@ -491,9 +504,11 @@ def test_hpcl_loss_rejects_bad_shapes_and_empty_kept_rows():
                       (np.ones((2, 3, 3)), [views], (q[:, :2], v)),
                       (np.ones((2, 3, 3)), [views], (q, v[:1]))):
         with pytest.raises(ad.ShapeMismatchError):
-            ct.hpcl_loss(r, xs, 0.5, None, None, *qv)
-    with pytest.raises(ad.NonFiniteError):   # a kept row with zero weights
-        ct.hpcl_loss(np.zeros((2, 2)), [np.eye(2)[None]], 1.0, rows=np.ones(2, dtype=bool))
+            ct.hpcl_loss(r, xs * 2, 0.5, TINY, None, *qv)
+    with pytest.raises(ad.ShapeMismatchError):   # two branches, always
+        ct.hpcl_loss(np.ones((2, 3, 3)), [views], 0.5, TINY)
+    with pytest.raises(ad.NonFiniteError):   # a kept diagonal row with zero weight
+        ct.hpcl_loss(np.zeros((2, 2)), [np.eye(2)[None]] * 2, 1.0, TINY)
 
 
 def _chain_branch_op(views, m, gate, rows: np.ndarray, inv_tau: float):
@@ -644,7 +659,7 @@ def test_op_is_bitwise_the_chain_it_replaces(monkeypatch, soft_gate, hd_mode, dc
 def test_nan_similarity_raises():
     views = np.array([[[1.0, np.nan], [0.2, 1.0]]])          # one patch
     with pytest.raises(ad.NonFiniteError):
-        ct.hpcl_loss(np.eye(2), [views], 0.5)
+        ct.hpcl_loss(np.eye(2), [views] * 2, 0.5, TINY)
 
 
 def test_kept_row_with_underflowing_numerator_raises():
@@ -665,38 +680,39 @@ def test_kept_row_with_underflowing_numerator_raises():
 
 
 def _branch_inputs(rng, b, n, d=5):
-    """One-branch inputs: views as one patch, (b, 1, n, d); a weight mask
-    that keeps the diagonal and |m| > 0.3; its rows."""
+    """Views as one patch, (b, 1, n, d), for both branches; a correlation
+    with a unit diagonal and no entry of |m| <= 0.3."""
     views = rng.normal(size=(b, 1, n, d))
     m = np.clip(rng.normal(scale=0.6, size=(b, n, n)), -1.0, 1.0)
     m[np.abs(m) <= 0.3] = 0.0
     m[:, np.arange(n), np.arange(n)] = 1.0
-    return views, m, (m != 0).any(axis=-1)
+    return views, m
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_views_in_the_last_block_raise(monkeypatch, bad):
     monkeypatch.setattr(ad, "BLOCK_BYTES", 2 * 24 * 8 * 8)    # two windows a block
-    views, m, rows = _branch_inputs(np.random.default_rng(67), 5, 8)
+    views, m = _branch_inputs(np.random.default_rng(67), 5, 8)
     views[-1, -1, -1, -1] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # the error, not a numpy warning
         with pytest.raises(ad.NonFiniteError):
-            ct.hpcl_loss(ad.parameter(m), [ad.constant(views)], 0.5, rows=rows)
+            ct.hpcl_loss(ad.parameter(m), [ad.constant(views)] * 2, 0.5, TINY)
 
 
 def test_underflowing_kept_row_in_the_last_block_raises(monkeypatch):
-    # as below, but in one window of a batch that runs a window a block
+    # as above, but in one window of a batch that runs a window a block:
+    # its negative branch keeps only row 0's pair at similarity 0
     monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
-    views, m, rows = _branch_inputs(np.random.default_rng(68), 4, 3, d=4)
+    views, m = _branch_inputs(np.random.default_rng(68), 4, 3, d=4)
     views[-1, 0] = np.eye(3, 4)
-    m[-1], rows[-1] = 0.0, False
-    m[-1, 0, 1] = rows[-1, 0] = True
-    assert np.isfinite(ct.hpcl_loss(m, [views], 0.5, rows=rows)[-1].data)
+    m[-1] = np.eye(3)
+    m[-1, 0, 1] = -1.0
+    assert np.isfinite(ct.hpcl_loss(m, [views] * 2, 0.5, TINY)[-1].data)
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # the error, not a numpy warning
         with pytest.raises(ad.NonFiniteError):
-            ct.hpcl_loss(m, [views], 1e-4, rows=rows)
+            ct.hpcl_loss(m, [views] * 2, 1e-4, TINY)
 
 
 @pytest.mark.parametrize("n", [8, 64])
@@ -704,17 +720,18 @@ def test_unbatched_window_matches_its_row_of_a_blocked_batch(monkeypatch, n):
     # the batch loss is the mean of its windows': scaling one window's loss
     # by 1/3 hands it the upstream gradient the batch mean hands each row
     monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
-    views, m, rows = _branch_inputs(np.random.default_rng(69 + n), 3, n)
+    views, m = _branch_inputs(np.random.default_rng(69 + n), 3, n)
 
     def run(lead, weight=1.0):
-        params = [ad.parameter(a[lead].copy()) for a in (views, m)]
-        loss = ct.hpcl_loss(params[1], [params[0]], 0.5, rows=rows[lead])[-1]
+        params = [ad.parameter(a[lead].copy()) for a in (views, views[..., ::-1], m)]
+        *branches, loss = ct.hpcl_loss(params[2], params[:2], 0.5, TINY)
         ad.scale(loss, weight).backward()
-        return loss.data, [p.grad for p in params]
+        return [b.data for b in branches], [p.grad for p in params]
 
     batch, grads = run(slice(None))
     ones = [run(i, 1.0 / 3) for i in range(3)]
-    assert np.array([one for one, _ in ones]).mean().tobytes() == batch.tobytes()
+    for i, branch in enumerate(batch):      # the total adds the branch means
+        assert np.array([one[i] for one, _ in ones]).mean().tobytes() == branch.tobytes()
     for i, (_, one_grads) in enumerate(ones):
         for got, want in zip(one_grads, grads):
             assert got.tobytes() == want[i].tobytes()
