@@ -27,8 +27,7 @@ from .config import TrainConfig
 from .contrastive import EpsilonParam, hpcl_loss, init_epsilon
 # unused since training runs `hpcl_loss`; `perfbench` traces them here
 from .contrastive import aux_loss, threshold_masks  # noqa: F401
-from .correlation import (DceParams, compose_correlation, init_dce_params,
-                          time_invariant_component, time_varying_component)
+from .correlation import DceParams, compose_correlation, dce_factors, init_dce_params
 from .fusion import FusionParams, fuse_predict, init_fusion_params
 from .projection import HdParams, divide, flatten_per_channel, init_hd_params
 
@@ -111,42 +110,43 @@ def correlation_estimate(state: AdapterState, repr_t, r: np.ndarray) -> Tensor:
     r = np.asarray(r, dtype=np.float64)
     if state.dce is None:
         return ad.constant(r)
-    with ad.no_grad():
-        q, v = time_varying_component(repr_t, state.dce), time_invariant_component(state.dce)
-    return ad.constant(compose_correlation(r, q.data, v.data))
+    q, v, _ = dce_factors(ad.as_tensor(repr_t).data, state.dce)
+    return ad.constant(compose_correlation(r, q, v))
 
 
-def hpcl_terms(state: AdapterState, repr_t, r: np.ndarray | None, x_pos, x_neg):
-    """HPCL terms ``(l_pos, l_neg, total)`` of one batch, with
-    ``state.train_config``: one `hpcl_loss` op from the Pearson stack ``r``
-    (B, N, N), the learned factors Q and V, the threshold and both views.
-    Constant zeros when HPCL is off; ``r`` must be given when it is on."""
+def hpcl_terms(state: AdapterState, repr_t, r: np.ndarray | None, x_pos, x_neg,
+               weight: float = 1.0):
+    """HPCL terms ``(l_pos, l_neg, weight * (l_pos + l_neg))`` of one batch,
+    with ``state.train_config``: one `hpcl_loss` op from the Pearson stack
+    ``r`` (B, N, N), the representation and the estimator that form Q and V,
+    the threshold and both views.  Constant zeros when HPCL is off; ``r``
+    must be given when it is on."""
     config = state.train_config
     if not config.hpcl:
         zero = ad.constant(0.0)
         return zero, zero, zero
     if r is None:
         raise ValueError("HPCL is on but no correlation input was given")
-    q = v = None
-    if state.dce is not None:
-        q, v = time_varying_component(repr_t, state.dce), time_invariant_component(state.dce)
     return hpcl_loss(r, (x_pos, x_neg), config.tau, state.eps,
-                     config.gate_temp if config.soft_gate else None, q, v)
+                     config.gate_temp if config.soft_gate else None, state.dce,
+                     ad.as_tensor(repr_t).data, weight=weight)
 
 
 def training_losses(state: AdapterState, rep: np.ndarray, yhat_norm: np.ndarray,
-                    y_norm: np.ndarray, r: np.ndarray | None):
+                    y_norm: np.ndarray, r: np.ndarray | None, aux_weight: float = 1.0):
     """Forward pass for one batch; returns the loss tensors.
 
     rep (B, P, N, d), yhat_norm / y_norm (B, N, F), r (B, N, N) or None when
     HPCL is off.  Output dict holds ``prediction`` (normalized-space MSE),
-    ``l_pos``/``l_neg``/``aux``, and ``ystar`` for inspection.
+    the branch losses ``l_pos``/``l_neg`` as constants, ``aux``, their sum
+    times ``aux_weight`` as the recorded HPCL op (no gradient at weight 0),
+    and ``ystar`` for inspection.
     """
     repr_t = ad.constant(rep)
     x_pos, x_neg = divide(state.hd, repr_t)
     ystar = fuse_predict(state.fusion, x_pos, x_neg, ad.constant(yhat_norm))
     pred = ad.mse_loss(ystar, ad.constant(y_norm))
-    l_pos, l_neg, total = hpcl_terms(state, repr_t, r, x_pos, x_neg)
+    l_pos, l_neg, total = hpcl_terms(state, repr_t, r, x_pos, x_neg, aux_weight)
     return {"prediction": pred, "l_pos": l_pos, "l_neg": l_neg, "aux": total,
             "ystar": ystar}
 

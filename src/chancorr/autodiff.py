@@ -16,8 +16,9 @@ Conventions
   `NonFiniteError` on violation.  Under ``no_grad`` the ops do only the
   arithmetic and let NaN/Inf propagate; each caller that evaluates under
   ``no_grad`` checks its final output once with `check_finite`.
-* Hard gates (``relu``, the projection layer's relus, and the boolean
-  supports of the contrastive op) follow the subgradient convention:
+* Hard gates (the projection layer's relus, the relu of the correlation
+  estimator's V, and the boolean supports of the contrastive op) follow
+  the subgradient convention:
   gradient 1 on kept entries, 0 on dropped ones.  Gate decisions can be
   traced (see ``record_gates``) so the finite difference checker can
   exclude coordinates whose perturbation flips a gate, where a two-sided
@@ -53,11 +54,8 @@ __all__ = [
     "multiply",
     "matmul",
     "scale",
-    "tanh",
     "sigmoid",
     "softplus",
-    "relu",
-    "polynomial_expand",
     "tensor_sum",
     "mean",
     "reshape",
@@ -112,7 +110,7 @@ def no_grad():
 
 @contextlib.contextmanager
 def record_gates(sink: list | None):
-    """Collect gate decisions (``relu``, threshold supports) into ``sink``.
+    """Collect gate decisions (relus, threshold supports) into ``sink``.
 
     Each gated op appends a packed boolean array describing which entries
     were kept.  Comparing sinks from two forward passes tells the gradient
@@ -360,12 +358,6 @@ def matmul(a, b) -> Tensor:
 # nonlinearities
 
 
-def tanh(x) -> Tensor:
-    x = as_tensor(x)
-    data = np.tanh(x.data)
-    return _result(data, [(x, lambda g, d=data: g * (1.0 - d * d))], "tanh")
-
-
 def _logistic(xd: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)), with ``exp`` evaluated on the non-positive side
     only, for overflow safety."""
@@ -388,14 +380,6 @@ def softplus(x) -> Tensor:
     data = np.logaddexp(0.0, x.data)
     sig = _logistic(x.data)
     return _result(data, [(x, lambda g, s=sig: g * s)], "softplus")
-
-
-def relu(x) -> Tensor:
-    """max(x, 0); a NaN input stays NaN in the output."""
-    x = as_tensor(x)
-    data = np.maximum(x.data, 0.0)
-    trace_gate(data)
-    return _result(data, [(x, lambda g, d=data: g * (d > 0))], "relu")
 
 
 # ---------------------------------------------------------------------------
@@ -470,41 +454,6 @@ def mse_loss(pred, target) -> Tensor:
     pred, target = as_tensor(pred), as_tensor(target)
     diff = subtract(pred, target)
     return mean(multiply(diff, diff))
-
-
-def polynomial_expand(coeffs, q) -> Tensor:
-    """Q = sum_i coeffs[..., i] * q**i (i = 0..K, q**0 == 1) of (..., N, K+1)
-    coefficients and an (N, M) basis, as (..., N, M).  Terms and their
-    ``q`` gradients add in ascending i; at K = 0 ``q`` gets no gradient."""
-    coeffs, q = as_tensor(coeffs), as_tensor(q)
-    if coeffs.ndim < 2 or coeffs.shape[-1] < 1:
-        raise ShapeMismatchError(f"polynomial_expand: coefficients {coeffs.shape} "
-                                 "must be (..., N, K+1)")
-    cs = coeffs.shape[:-1] + (1,)
-    _broadcastable(cs, q.shape, "polynomial_expand")
-    c, qd = coeffs.data, q.data
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        powers = [qd if i == 1 else qd ** float(i) for i in range(1, c.shape[-1])]
-        data = np.broadcast_to(c[..., :1], np.broadcast_shapes(cs, q.shape)).copy()
-        for i, p in enumerate(powers, start=1):
-            data += c[..., i:i + 1] * p
-
-    def grad_c(g):
-        gc = np.zeros(coeffs.shape)
-        for i, p in enumerate([None] + powers):
-            gc[..., i:i + 1] += _sum_to_shape(g if p is None else np.multiply(g, p, order="C"), cs)
-        return gc
-
-    def grad_q(g):
-        gq = None
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for i in range(1, c.shape[-1]):
-                t = _sum_to_shape(np.multiply(g, c[..., i:i + 1], order="C"), q.shape)
-                t = t if i == 1 else t * float(i) * qd ** (i - 1.0)
-                gq = t if gq is None else gq + t
-        return gq
-
-    return _result(data, [(coeffs, grad_c), (q, grad_q)], "polynomial_expand")
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,11 @@ class BackboneState:
     head: np.ndarray           # (n_patches * repr_dim, horizon)
     train_mse: float = float("nan")   # normalized-space fit error
     ridge: float = 0.0
+    # how the fit ended: ALS rounds run, what stopped them ("stall" or
+    # "cap", "" if unknown) and the ridge escalations of all its solves
+    als_rounds: int = 0
+    als_stop: str = ""
+    ridge_escalations: int = 0
 
 
 @dataclass
@@ -116,18 +121,19 @@ def _patchify(xn, config):
 
 
 def _solve_ridge(gram, rhs, ridge, what):
-    """Solve (gram + ridge*scale*I) w = rhs, escalating ridge when singular."""
+    """Solve (gram + ridge*scale*I) w = rhs, escalating ridge when singular.
+    Returns the solution, the ridge used and the escalations it took."""
     dim = gram.shape[0]
     scale = max(np.trace(gram) / dim, 1.0)
     lam = ridge
-    for _ in range(6):
+    for tries in range(6):
         try:
             sol = np.linalg.solve(gram + lam * scale * np.eye(dim), rhs)
         except np.linalg.LinAlgError:
             lam *= 100.0
             continue
         if np.isfinite(sol).all():
-            return sol, lam
+            return sol, lam, tries
         lam *= 100.0
     raise FloatingPointError(f"{what}: normal equations singular even at ridge {lam}")
 
@@ -140,8 +146,10 @@ def pretrain_backbone(x, y, config: BackboneConfig,
     Every (window, channel) pair is one training instance; targets are
     normalized with the statistics of their own input window.  Alternation
     stops after ``ALS_ROUNDS`` rounds or when the fit error stalls
-    (relative improvement below ``ALS_REL_TOL``).  ``ridge`` must be finite
-    and above 0: a singular solve escalates it by multiplying.
+    (relative improvement below ``ALS_REL_TOL``); the state records which,
+    the rounds run and the ridge escalations, and a fit that the cap
+    stopped is returned as it stands.  ``ridge`` must be finite and above
+    0: a singular solve escalates it by multiplying.
 
     Both fits read the corpus only through X^T X and X^T Y, formed once, so
     a round costs the same for any number of instances; each round's fit
@@ -175,13 +183,14 @@ def pretrain_backbone(x, y, config: BackboneConfig,
 
     rng = np.random.default_rng(config.seed)
     embed = rng.normal(0.0, 1.0 / np.sqrt(l), size=(l, d))
-    prev_mse = None
+    prev_mse, escalations = None, 0
     for round_idx in range(ALS_ROUNDS):
         # head fit on z[n, p*d+j] = sum_i X[n, p*l+i] * embed[i, j]
         gram = np.einsum("ij,piqk,km->pjqm", embed, xx, embed, optimize=True)
         rhs = np.einsum("ij,pif->pjf", embed, xy)
-        head, lam_used = _solve_ridge(gram.reshape(p_count * d, -1),
-                                      rhs.reshape(p_count * d, f), ridge, "head fit")
+        head, lam_used, tries = _solve_ridge(gram.reshape(p_count * d, -1),
+                                             rhs.reshape(p_count * d, f), ridge, "head fit")
+        escalations += tries
         hp = head.reshape(p_count, d, f)
         weights = np.einsum("ij,pjf->pif", embed, hp).reshape(p_count * l, f)
         mse = float(((flat @ weights - targets) ** 2).mean())
@@ -192,10 +201,14 @@ def pretrain_backbone(x, y, config: BackboneConfig,
         # embed fit on G[n, i*d+j, f] = sum_p X[n, p*l+i] * head_p[j, f]
         gram = np.einsum("piqk,pjf,qmf->ijkm", xx, hp, hp, optimize=True)
         rhs = np.einsum("pif,pjf->ij", xy, hp)
-        sol, _ = _solve_ridge(gram.reshape(l * d, -1), rhs.reshape(-1), ridge, "embed fit")
+        sol, _, tries = _solve_ridge(gram.reshape(l * d, -1), rhs.reshape(-1), ridge,
+                                     "embed fit")
+        escalations += tries
         embed = sol.reshape(l, d)
-    return BackboneState(config=config, embed=embed, head=head,
-                         train_mse=mse, ridge=lam_used)
+    return BackboneState(config=config, embed=embed, head=head, train_mse=mse,
+                         ridge=lam_used, als_rounds=round_idx + 1,
+                         als_stop="stall" if stalled else "cap",
+                         ridge_escalations=escalations)
 
 
 def backbone_forward(state: BackboneState, x) -> BackboneOutput:
@@ -233,6 +246,9 @@ def save_backbone(state: BackboneState, path) -> None:
         "seed": cfg.seed,
         "train_mse": state.train_mse,
         "ridge": state.ridge,
+        "als_rounds": state.als_rounds,
+        "als_stop": state.als_stop,
+        "ridge_escalations": state.ridge_escalations,
     }, {"embed": state.embed, "head": state.head})
 
 
@@ -245,6 +261,9 @@ def load_backbone(path) -> BackboneState:
                              patch_len=patch_len, repr_dim=repr_dim, seed=seed)
         train_mse = float(config.get("train_mse", float("nan")))
         ridge = float(config.get("ridge", 0.0))
+        report = {key: kind(config.get(key, kind()))     # absent from older files
+                  for key, kind in (("als_rounds", int), ("als_stop", str),
+                                    ("ridge_escalations", int))}
     except (TypeError, ValueError) as exc:
         raise serialize.SerializationError(
             f"{path}: bad header value ({exc})") from exc
@@ -252,4 +271,4 @@ def load_backbone(path) -> BackboneState:
         "embed": (cfg.patch_len, cfg.repr_dim),
         "head": (cfg.n_patches * cfg.repr_dim, cfg.horizon)})
     return BackboneState(config=cfg, embed=arrays["embed"], head=arrays["head"],
-                         train_mse=train_mse, ridge=ridge)
+                         train_mse=train_mse, ridge=ridge, **report)

@@ -121,10 +121,10 @@ def bench_train_step(n_list, reps: int, seed: int) -> BenchResult:
     """Median time of the training-only work in one optimization step.
 
     Training adds to the shared prediction path exactly the pieces that
-    touch N x N objects: the batch Pearson estimate, `hpcl_terms` (the
-    composed correlation, threshold masks and contrastive objective of
-    training), their backward pass and the update of the parameters they
-    reach.  Timing those in isolation checks the quadratic claim; the
+    touch N x N objects: the batch Pearson estimate, `hpcl_terms` (one op
+    that forms Q and V, the composed correlation, its supports, the
+    contrastive objective and, in the same pass, every gradient), its
+    backward and the update of the parameters it reaches.  Timing those in isolation checks the quadratic claim; the
     prediction path is the inference benchmark's subject.
     """
     rng = np.random.default_rng(seed)

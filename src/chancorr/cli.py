@@ -105,6 +105,9 @@ def cmd_pretrain(args) -> int:
     train, _, _ = make_windows(series, spec, cfg.lookback, cfg.horizon)
     state = pretrain_backbone(train.x, train.y, cfg, **_given(args, "ridge"))
     save_backbone(state, args.out)
+    stop = {"stall": "the stall test", "cap": "the ALS_ROUNDS cap"}[state.als_stop]
+    sys.stderr.write(f"ALS: {state.als_rounds} rounds, stopped by {stop}, "
+                     f"{state.ridge_escalations} ridge escalations\n")
     print(f"wrote {args.out}: train_mse={state.train_mse:.6g} "
           f"({len(train)} windows)")
     return 0

@@ -14,9 +14,10 @@ splits additively into a static and a time-varying term, which
 `low_rank_additive_split` verifies numerically.  The expressiveness of the
 polynomial basis in ``q`` is probed by `polynomial_degree_error_curve`.
 
-Q and V are autodiff tensors, M is a plain array: training forms it one
-block of windows at a time inside the contrastive op, `hpcl_loss`, which
-contracts its gradient against Q and V in the same block.
+Q, V and M are plain arrays from `dce_factors` and `compose_correlation`:
+training forms them inside the contrastive op, `hpcl_loss`, M one block of
+windows at a time, and takes M's gradient through Q and V to the
+estimator's parameters in the same pass.
 
 Every allocation of a correlation matrix bumps a module counter so the
 harness can assert that the inference path never estimates correlations.
@@ -36,8 +37,7 @@ __all__ = [
     "init_dce_params",
     "default_rank",
     "pearson_matrix",
-    "time_varying_component",
-    "time_invariant_component",
+    "dce_factors",
     "compose_correlation",
     "low_rank_additive_split",
     "polynomial_degree_error_curve",
@@ -139,24 +139,51 @@ def init_dce_params(n_channels: int, repr_dim: int, degree: int,
     )
 
 
-def time_varying_component(repr_tensor, params: DceParams) -> Tensor:
-    """Window-specific basis Q from the backbone representation.
+def dce_factors(rep: np.ndarray, params: DceParams):
+    """Q (..., N, M) and V (M, M) of the learned estimator as plain arrays,
+    and ``grads(gq, gv)``, which takes their gradients to the parameters',
+    in `DceParams.named_tensors` order (None for ``q`` at degree 0).
 
-    ``repr_tensor`` is (..., P, N, d): mean-pool over patches, apply the
-    shared per-channel affine, squash with tanh to get the K+1 polynomial
-    coefficients, then expand against the basis.  Returns (..., N, M).
+    Q: mean-pool the representation ``rep`` (..., P, N, d) over patches,
+    apply the shared per-channel affine, squash with tanh to the K+1
+    polynomial coefficients c and expand, Q = sum_i c_i q^i.  V =
+    sigmoid(relu(E1 E2^T)), whose relu reports to `ad.record_gates`.  Values
+    and gradients keep the float order of the generic-op chain.
     """
-    repr_tensor = ad.as_tensor(repr_tensor)
-    if repr_tensor.ndim < 3:
-        raise ad.ShapeMismatchError("representation must be (..., P, N, d)")
-    pooled = ad.mean(repr_tensor, axis=-3)  # (..., N, d)
-    coeffs = ad.tanh(ad.add(ad.matmul(pooled, params.coef_w), params.coef_b))
-    return ad.polynomial_expand(coeffs, params.q)
+    rep = np.asarray(rep, dtype=np.float64)
+    qp, w, b, e1, e2 = (t.data for _, t in params.named_tensors())
+    if rep.ndim < 3 or rep.shape[-2:] != (qp.shape[0], w.shape[0]):
+        raise ad.ShapeMismatchError(f"representation {rep.shape} must be (..., P, N, d) "
+                                    f"with N, d = {qp.shape[0]}, {w.shape[0]}")
+    pooled = rep.mean(axis=-3)                                    # (..., N, d)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        c = np.tanh(pooled @ w + b)                               # (..., N, K+1)
+        powers = [qp if i == 1 else qp ** float(i) for i in range(1, c.shape[-1])]
+        q = np.broadcast_to(c[..., :1], c.shape[:-1] + qp.shape[-1:]).copy()
+        for i, p in enumerate(powers, start=1):
+            q += c[..., i:i + 1] * p
+    kept = np.maximum(e1 @ np.transpose(e2), 0.0)
+    ad.trace_gate(kept)
+    v = ad._logistic(kept)
 
+    def grads(gq, gv):
+        cs = c.shape[:-1] + (1,)
+        gc = np.zeros(c.shape)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for i, p in enumerate([None] + powers):
+                gc[..., i:i + 1] += ad._sum_to_shape(
+                    gq if p is None else np.multiply(gq, p, order="C"), cs)
+            gqp = None
+            for i in range(1, c.shape[-1]):
+                t = ad._sum_to_shape(np.multiply(gq, c[..., i:i + 1], order="C"), qp.shape)
+                t = t if i == 1 else t * float(i) * qp ** (i - 1.0)
+                gqp = t if gqp is None else gqp + t
+        ga = gc * (1.0 - c * c)                                   # tanh
+        gw = ad._sum_to_shape(np.swapaxes(pooled, -1, -2) @ ga, w.shape)
+        gk = gv * v * (1.0 - v) * (kept > 0)                      # sigmoid, relu
+        return gqp, gw, ad._sum_to_shape(ga, b.shape), gk @ e2, np.transpose(e1.T @ gk)
 
-def time_invariant_component(params: DceParams) -> Tensor:
-    """V = sigmoid(relu(E1 E2^T)): entries in (0, 1), shape (M, M)."""
-    return ad.sigmoid(ad.relu(ad.matmul(params.e1, ad.transpose(params.e2))))
+    return q, v, grads
 
 
 def compose_correlation(r: np.ndarray, q: np.ndarray, v: np.ndarray, *,

@@ -168,15 +168,14 @@ def fit(config: TrainConfig, train: WindowSet, val: WindowSet,
                 opt.zero_grad()
                 losses = training_losses(
                     state, out_tr.repr[idx], out_tr.yhat_norm[idx],
-                    y_norm[idx], None if r_cache is None else r_cache[idx])
-                loss = losses["prediction"]
-                if lam > 0.0:
-                    loss = ad.add(loss, ad.scale(losses["aux"], lam))
-                loss.backward()
+                    y_norm[idx], None if r_cache is None else r_cache[idx], lam)
+                ad.add(losses["prediction"], losses["aux"]).backward()
                 opt.step()
                 w = len(idx)
-                for key in sums:
-                    sums[key] += float(losses[key].data) * w
+                row = {key: losses[key].data for key in ("prediction", "l_pos", "l_neg")}
+                row["aux"] = row["l_pos"] + row["l_neg"]        # L_aux unweighted
+                for key, value in row.items():
+                    sums[key] += float(value) * w
                 seen += w
         except ad.NonFiniteError as exc:
             _restore(state, best)

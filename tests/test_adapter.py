@@ -303,11 +303,9 @@ def _nxn_buffers_on_tape(roots, n):
 
 
 def test_training_tape_holds_few_nxn_buffers(monkeypatch):
-    # pins the N x N memory of one training step's tape to R, which the
-    # contrastive op keeps to recompute M = R + Q V Q^T, its gates and its
-    # exponentials block by block in backward, as at N = 256.  A batch that
-    # fits one block keeps that block instead: M, the soft gates (hard ones
-    # are boolean) and 3 buffers a branch plus a scratch one
+    # pins the N x N memory of one training step's tape to none: the
+    # contrastive op forms every gradient in its forward, block by block,
+    # and its closures hold only those, whatever the gates and the blocks
     n = 7
     backbone, x, y = tiny_backbone(seed=4, n=n, b=6)
     out = backbone_forward(backbone, x)
@@ -315,14 +313,11 @@ def test_training_tape_holds_few_nxn_buffers(monkeypatch):
     for soft_gate in (False, True):
         state = init_adapter(backbone, n, small_config(soft_gate=soft_gate))
         args = (state, out.repr, out.yhat_norm, (y - out.mean) / out.std, r)
-        monkeypatch.setattr(ad, "BLOCK_BYTES", 1)          # a window a block
-        losses = training_losses(*args)
-        assert losses["l_neg"].item() != 0.0               # both branches ran
-        assert _nxn_buffers_on_tape([losses["prediction"], losses["aux"]], n) == 1
-        monkeypatch.setattr(ad, "BLOCK_BYTES", 3 << 19)    # the batch is one block
-        losses = training_losses(*args)
-        kept = 1 + 2 * soft_gate + 3 * 2 + 1
-        assert _nxn_buffers_on_tape([losses["prediction"], losses["aux"]], n) == 1 + kept
+        for block_bytes in (1, 3 << 19):              # a window a block, one block
+            monkeypatch.setattr(ad, "BLOCK_BYTES", block_bytes)
+            losses = training_losses(*args)
+            assert losses["l_neg"].item() != 0.0               # both branches ran
+            assert _nxn_buffers_on_tape([losses["prediction"], losses["aux"]], n) == 0
 
 
 def _step_bytes(state, out, y_norm, r):

@@ -197,6 +197,50 @@ def test_recovers_planted_patch_linear_model():
     assert state.train_mse < 1e-8
 
 
+@pytest.mark.parametrize("seed, rounds, stop", [(83, None, "stall"),
+                                                 (87, bb.ALS_ROUNDS, "cap")])
+def test_fit_reports_how_als_ended(tmp_path, seed, rounds, stop):
+    # the seed-87 corpus runs every round and stays far from an exact fit;
+    # the report says so, and saving and loading keeps it and every bit
+    x, y = planted_corpus(np.random.default_rng(seed))
+    state = bb.pretrain_backbone(x, y, CFG, ridge=1e-10)
+    assert (state.als_stop, state.ridge_escalations) == (stop, 0)
+    assert state.als_rounds == rounds or rounds is None and state.als_rounds < bb.ALS_ROUNDS
+    bb.save_backbone(state, tmp_path / "bb.bin")
+    loaded = bb.load_backbone(tmp_path / "bb.bin")
+    assert (loaded.als_rounds, loaded.als_stop, loaded.ridge_escalations) == \
+        (state.als_rounds, stop, 0)
+    assert loaded.embed.tobytes() == state.embed.tobytes()
+
+
+def test_escalations_add_over_the_solves(monkeypatch):
+    x, y = trend_corpus(np.random.default_rng(95))
+    solve, calls = np.linalg.solve, []
+
+    def flaky(a, b):                    # every fit's first try is singular
+        calls.append(a)
+        if len(calls) % 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(bb, "ALS_ROUNDS", 2)   # head, embed, head
+    monkeypatch.setattr(np.linalg, "solve", flaky)
+    state = bb.pretrain_backbone(x, y, CFG, ridge=1e-6)
+    assert (state.ridge_escalations, state.als_rounds, len(calls)) == (3, 2, 6)
+
+
+def test_older_backbone_files_load_without_the_report(tmp_path):
+    state = fitted_state()
+    path = tmp_path / "bb.bin"
+    header = {"kind": "backbone", "lookback": CFG.lookback, "horizon": CFG.horizon,
+              "patch_len": CFG.patch_len, "repr_dim": CFG.repr_dim, "seed": CFG.seed,
+              "train_mse": state.train_mse, "ridge": state.ridge}
+    serialize.save_arrays(path, header, {"embed": state.embed, "head": state.head})
+    loaded = bb.load_backbone(path)
+    assert (loaded.als_rounds, loaded.als_stop, loaded.ridge_escalations) == (0, "", 0)
+    assert loaded.head.tobytes() == state.head.tobytes()
+
+
 def als_oracle(x, y, cfg, ridge):
     """Alternating ridge least squares with every fit's normal equations
     rebuilt from the (window, channel) instances, 128 at a time.

@@ -6,6 +6,7 @@ installed entry point are exactly what is asserted here.
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -236,7 +237,7 @@ def test_non_finite_checkpoint_payload_exits_3(tmp_path, capsys):
             assert "NaN or Inf" in capsys.readouterr().err
 
 
-def test_omitted_options_take_the_library_defaults(tmp_path):
+def test_omitted_options_take_the_library_defaults(tmp_path, capsys):
     data, truth = tmp_path / "series.csv", tmp_path / "truth.json"
     assert run("synth", "--regime", "dynamic", "--length", 600,
                "--out", data, "--truth", truth) == 0
@@ -247,7 +248,11 @@ def test_omitted_options_take_the_library_defaults(tmp_path):
     assert (doc["noise_std"], doc["seed"]) == (0.4, 0)
 
     ckpt = tmp_path / "backbone.npz"
+    capsys.readouterr()
     assert run("pretrain", "--data", data, "--out", ckpt) == 0
+    # how the fit ended goes to stderr; the library's fit reads the same
+    assert re.fullmatch(r"ALS: \d+ rounds, stopped by the (stall test|ALS_ROUNDS cap), "
+                        r"\d+ ridge escalations\n", capsys.readouterr().err)
     cfg = BackboneConfig()
     # pretrain's own split: every window trains
     spec = SplitSpec(train_frac=1.0, val_frac=0.0, test_frac=0.0)

@@ -1,6 +1,7 @@
 """Contrastive objective against a double-loop oracle, mask semantics."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -286,19 +287,16 @@ def _fd_problem(rng, config, lead=()):
     eps = ct.init_epsilon(0.25)
 
     def loss():
-        q = corr.time_varying_component(reps, dce)
-        v = corr.time_invariant_component(dce)
         x_pos, x_neg = pj.divide(hd, reps)
         temp = config.gate_temp if config.soft_gate else None
-        return ct.hpcl_loss(r, (x_pos, x_neg), config.tau, eps, temp, q, v)[-1]
+        return ct.hpcl_loss(r, (x_pos, x_neg), config.tau, eps, temp, dce, reps.data)[-1]
 
     return loss, dce.named_tensors() + hd.named_tensors() + eps.named_tensors()
 
 
 def test_aux_loss_gradients_match_fd_through_masks():
     """Gradients reach projection AND correlation parameters through the
-    retained mask values, matching finite differences (one window, whose
-    block the op keeps for backward)."""
+    retained mask values, matching finite differences (one window)."""
     loss, params = _fd_problem(np.random.default_rng(63), TrainConfig())
     report = ad.grad_check(loss, params, tol=1e-4, max_entries_per_param=20)
     assert report.passed, str(report)
@@ -306,7 +304,7 @@ def test_aux_loss_gradients_match_fd_through_masks():
 
 def test_soft_gate_gradients_match_fd_in_batches(monkeypatch):
     """Soft gates: the threshold trains too, through every window, with
-    each window a block that backward recomputes."""
+    each window a block."""
     monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
     config = TrainConfig(soft_gate=True, gate_temp=0.2)
     loss, params = _fd_problem(np.random.default_rng(66), config, lead=(3,))
@@ -497,12 +495,15 @@ def test_hpcl_loss_values_and_grad_check():
 
 
 def test_hpcl_loss_rejects_bad_shapes_and_empty_kept_rows():
-    views, q, v = np.ones((2, 1, 3, 2)), np.ones((2, 3, 2)), np.ones((2, 2))
+    views = np.ones((2, 1, 3, 2))
+    dce = corr.init_dce_params(3, 2, degree=1, rank=2, embed_dim=2,
+                               rng=np.random.default_rng(0))
     for r, xs, qv in ((np.ones((2, 3, 3)), [np.ones((3, 1, 3, 2))], ()),
                       (np.ones((2, 3, 4)), [views], ()),
                       (np.ones((2, 3, 3)), [np.ones((2, 3, 2))], ()),
-                      (np.ones((2, 3, 3)), [views], (q[:, :2], v)),
-                      (np.ones((2, 3, 3)), [views], (q, v[:1]))):
+                      (np.ones((2, 3, 3)), [views], (dce, np.ones((3, 1, 3, 2)))),
+                      (np.ones((2, 3, 3)), [views], (dce, np.ones((2, 1, 4, 2)))),
+                      (np.ones((2, 3, 3)), [views], (dce, np.ones((2, 1, 3, 3))))):
         with pytest.raises(ad.ShapeMismatchError):
             ct.hpcl_loss(r, xs * 2, 0.5, TINY, None, *qv)
     with pytest.raises(ad.ShapeMismatchError):   # two branches, always
@@ -579,13 +580,58 @@ def _chain_branch_op(views, m, gate, rows: np.ndarray, inv_tau: float):
     return ad._result(-((ratio * keep).sum(axis=-1) / counts), parents, "hpcl_loss")
 
 
-def _chain(r, q, v, eps, x_pos, x_neg, config):
+def _chain_tanh(x):
+    data = np.tanh(x.data)
+    return ad._result(data, [(x, lambda g, d=data: g * (1.0 - d * d))], "tanh")
+
+
+def _chain_relu(x):
+    data = np.maximum(x.data, 0.0)
+    ad.trace_gate(data)
+    return ad._result(data, [(x, lambda g, d=data: g * (d > 0))], "relu")
+
+
+def _chain_polynomial_expand(coeffs, q):
+    """Q = sum_i coeffs[..., i] * q**i, the op the estimator recorded."""
+    cs = coeffs.shape[:-1] + (1,)
+    c, qd = coeffs.data, q.data
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        powers = [qd if i == 1 else qd ** float(i) for i in range(1, c.shape[-1])]
+        data = np.broadcast_to(c[..., :1], np.broadcast_shapes(cs, q.shape)).copy()
+        for i, p in enumerate(powers, start=1):
+            data += c[..., i:i + 1] * p
+
+    def grad_c(g):
+        gc = np.zeros(coeffs.shape)
+        for i, p in enumerate([None] + powers):
+            gc[..., i:i + 1] += ad._sum_to_shape(
+                g if p is None else np.multiply(g, p, order="C"), cs)
+        return gc
+
+    def grad_q(g):
+        gq = None
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for i in range(1, c.shape[-1]):
+                t = ad._sum_to_shape(np.multiply(g, c[..., i:i + 1], order="C"), q.shape)
+                t = t if i == 1 else t * float(i) * qd ** (i - 1.0)
+                gq = t if gq is None else gq + t
+        return gq
+
+    return ad._result(data, [(coeffs, grad_c), (q, grad_q)], "polynomial_expand")
+
+
+def _chain(r, reps, dce, eps, x_pos, x_neg, config):
     """``(l_pos, l_neg, total)`` of the generic-op chain that `ct.hpcl_loss`
-    replaces: M = R + Q V Q^T from autodiff ops (R alone without ``q``),
-    the supports and, in soft mode, sigmoid gates from autodiff ops, and one
+    replaces: Q and V from autodiff ops on the estimator ``dce``, M = R +
+    Q V Q^T from autodiff ops (R alone without ``dce``), the supports and,
+    in soft mode, sigmoid gates from autodiff ops, and one
     `_chain_branch_op` per branch."""
     m = ad.constant(r)
-    if q is not None:
+    if dce is not None:
+        pooled = ad.mean(reps, axis=-3)
+        coeffs = _chain_tanh(ad.add(ad.matmul(pooled, dce.coef_w), dce.coef_b))
+        q = _chain_polynomial_expand(coeffs, dce.q)
+        v = ad.sigmoid(_chain_relu(ad.matmul(dce.e1, ad.transpose(dce.e2))))
         qt = ad.transpose(q, axes=tuple(range(q.ndim - 2)) + (q.ndim - 1, q.ndim - 2))
         m = ad.add(m, ad.matmul(ad.matmul(q, v), qt))
     eps_val = eps.numeric()
@@ -606,21 +652,18 @@ def _chain(r, q, v, eps, x_pos, x_neg, config):
     return l_pos, l_neg, ad.add(l_pos, l_neg)
 
 
-@pytest.mark.parametrize("several_blocks", [False, True])
-@pytest.mark.parametrize("dce_mode", ["full", "pearson-only"])
-@pytest.mark.parametrize("hd_mode", ["dual", "single-branch"])
-@pytest.mark.parametrize("soft_gate", [False, True])
-def test_op_is_bitwise_the_chain_it_replaces(monkeypatch, soft_gate, hd_mode, dce_mode,
-                                             several_blocks):
+def _op_and_chain(rng, soft_gate, hd_mode, dce_mode, negative_pair=slice(None),
+                  noise=0.5):
+    """``run(chain, weight)`` for one problem: the losses' bytes and every
+    parameter's gradient after backward from the op at ``weight``, or from
+    the chain under ``ad.scale(total, weight)``.  Also its threshold and the
+    least entry of each window's M."""
     n, b, p, d = 6, 5, 2, 3
-    if several_blocks:          # two windows a block, the last one short
-        monkeypatch.setattr(ad, "BLOCK_BYTES", 2 * 3 * n * n * 8)
-    rng = np.random.default_rng(80 + 8 * soft_gate + 4 * (hd_mode == "dual")
-                                + 2 * (dce_mode == "full") + several_blocks)
     config = TrainConfig(soft_gate=soft_gate, gate_temp=0.2, tau=0.4)
     reps = ad.constant(rng.normal(size=(b, p, n, d)))
     x = rng.normal(size=(b, n, 30))
-    x[:, 1] = -x[:, 0] + 0.5 * rng.normal(size=(b, 30))      # a negative pair
+    pair = x[negative_pair, 0]                              # a negative pair
+    x[negative_pair, 1] = -pair + noise * rng.normal(size=pair.shape)
     r = corr.pearson_matrix(x)
     dce = corr.init_dce_params(n, d, degree=2, rank=2, embed_dim=3, rng=rng)
     hd = pj.init_hd_params(p, d, depth=1, rng=rng, shared=hd_mode == "single-branch")
@@ -628,32 +671,133 @@ def test_op_is_bitwise_the_chain_it_replaces(monkeypatch, soft_gate, hd_mode, dc
     params = dce.named_tensors() + hd.named_tensors() + eps.named_tensors()
     for _, t in params:
         t.data[...] += rng.normal(0.0, 0.3, size=t.shape)
+    dce = dce if dce_mode == "full" else None
 
-    def run(chain):
+    def run(chain, weight=1.0):
         for _, t in params:
             t.grad = None
-        q = v = None
-        if dce_mode == "full":
-            q, v = corr.time_varying_component(reps, dce), corr.time_invariant_component(dce)
         x_pos, x_neg = pj.divide(hd, reps)
         temp = config.gate_temp if soft_gate else None
-        terms = (_chain(r, q, v, eps, x_pos, x_neg, config) if chain else
-                 ct.hpcl_loss(r, (x_pos, x_neg), config.tau, eps, temp, q, v))
+        if chain:
+            terms = _chain(r, reps, dce, eps, x_pos, x_neg, config)
+            terms = (*terms[:2], ad.scale(terms[2], weight))
+        else:
+            terms = ct.hpcl_loss(r, (x_pos, x_neg), config.tau, eps, temp, dce,
+                                 reps.data, weight=weight)
         terms[-1].backward()
         return [t.data.tobytes() for t in terms], {name: t.grad for name, t in params}
 
-    got, got_grads = run(chain=False)
-    want, want_grads = run(chain=True)
-    assert got == want
+    m = r if dce is None else corr.compose_correlation(r, *corr.dce_factors(reps.data, dce)[:2])
+    return run, eps, m.min(axis=(-2, -1))
+
+
+def _assert_op_is_the_chain(run, soft_gate, weights=(1.0, 0.7, 1.0 / 3)):
+    for weight in weights:
+        got, got_grads = run(chain=False, weight=weight)
+        want, want_grads = run(chain=True, weight=weight)
+        assert got == want, weight
+        for name, g in want_grads.items():
+            if name == "hpcl.eps_raw" and soft_gate:
+                # the op sums eps's gradient per window, then over windows
+                assert got_grads[name] == pytest.approx(g, rel=1e-14, abs=0.0)
+            elif g is None:
+                assert got_grads[name] is None, name
+            else:
+                assert got_grads[name].tobytes() == g.tobytes(), (name, weight)
+    return want
+
+
+@pytest.mark.parametrize("several_blocks", [False, True])
+@pytest.mark.parametrize("dce_mode", ["full", "pearson-only"])
+@pytest.mark.parametrize("hd_mode", ["dual", "single-branch"])
+@pytest.mark.parametrize("soft_gate", [False, True])
+def test_op_is_bitwise_the_chain_it_replaces(monkeypatch, soft_gate, hd_mode, dce_mode,
+                                             several_blocks):
+    # at the weights 1, 0.7 and 1/3, the op's gradients are those the chain
+    # gets from ``ad.scale(total, weight)``, as `fit` recorded the term
+    if several_blocks:          # two windows a block, the last one short
+        monkeypatch.setattr(ad, "BLOCK_BYTES", 2 * 3 * 6 * 6 * 8)
+    rng = np.random.default_rng(80 + 8 * soft_gate + 4 * (hd_mode == "dual")
+                                + 2 * (dce_mode == "full") + several_blocks)
+    want = _assert_op_is_the_chain(_op_and_chain(rng, soft_gate, hd_mode, dce_mode)[0],
+                                   soft_gate)
     assert want[1] != np.float64(0.0).tobytes()             # both branches ran
-    for name, g in want_grads.items():
-        if name == "hpcl.eps_raw" and soft_gate:
-            # the op sums eps's gradient per window, then over windows
-            assert got_grads[name] == pytest.approx(g, rel=1e-14, abs=0.0)
-        elif g is None:
-            assert got_grads[name] is None, name
-        else:
-            assert got_grads[name].tobytes() == g.tobytes(), name
+
+
+@pytest.mark.parametrize("negative", ["nowhere", "in the last window"])
+@pytest.mark.parametrize("several_blocks", [False, True])
+@pytest.mark.parametrize("soft_gate", [False, True])
+def test_op_is_bitwise_the_chain_when_negative_support_is_sparse(
+        monkeypatch, soft_gate, several_blocks, negative):
+    # a negative branch without support in any window is dropped; one with
+    # support only in the last block still counts in the blocks before it
+    if several_blocks:
+        monkeypatch.setattr(ad, "BLOCK_BYTES", 2 * 3 * 6 * 6 * 8)
+    counts, compose = [], ct.compose_correlation
+    monkeypatch.setattr(ct, "compose_correlation",
+                        lambda *a, count: counts.append(count) or compose(*a, count=count))
+    last = negative != "nowhere"
+    run, eps, lows = _op_and_chain(np.random.default_rng(90), soft_gate, "dual", "full",
+                                   negative_pair=-1 if last else slice(0), noise=0.05)
+    # a threshold that only the last window's M crosses, or none does
+    cut = (max(-lows[:-1]) + (-lows[-1] if last else 1.0)) / 2
+    assert -lows[-1] > cut > max(-lows[:-1]) if last else cut > max(-lows)
+    eps.raw.data = np.array(math.log(math.expm1(cut)))
+    want = _assert_op_is_the_chain(run, soft_gate)
+    assert (want[1] != np.float64(0.0).tobytes()) == last
+    # the blocks before the last one ran again, with the negative branch
+    assert (False in counts) == (last and several_blocks)
+
+
+@pytest.mark.parametrize("soft_gate", [False, True])
+def test_backward_reads_no_input_and_forms_no_nxn_array(monkeypatch, soft_gate):
+    # the op forms its gradients in the forward: with R, the views, the
+    # representation and every parameter spoiled after it and
+    # `compose_correlation` gone, backward hands out a clean run's bytes,
+    # and allocates less than one window's N x N array on the way
+    n, b = 64, 4
+    monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
+    rng = np.random.default_rng(72)
+    x = rng.normal(size=(b, n, 30))
+    x[:, 1] = -x[:, 0]
+    r, reps = corr.pearson_matrix(x), rng.normal(size=(b, 1, n, 2))
+    views = [ad.parameter(rng.normal(size=(b, 1, n, 2))) for _ in range(2)]
+    dce = corr.init_dce_params(n, 2, degree=2, rank=2, embed_dim=2, rng=rng)
+    eps = ct.init_epsilon(0.3)
+    params = views + [t for _, t in dce.named_tensors()] + [eps.raw]
+
+    def grads(spoil):
+        for t in params:
+            t.grad = None
+        *branches, total = ct.hpcl_loss(r, views, 0.5, eps, 0.2 if soft_gate else None,
+                                        dce, reps)
+        assert branches[1].item() != 0.0                   # both branches ran
+        if spoil:
+            monkeypatch.setattr(ct, "compose_correlation", None)
+            for a in (r, reps, *(t.data for t in params)):
+                a[...] = np.nan
+            tracemalloc.start()
+        try:
+            total.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 or not spoil, peak
+        return [None if t.grad is None else t.grad.tobytes() for t in params]
+
+    assert grads(spoil=False) == grads(spoil=True)
+
+
+def test_weight_scales_the_total_and_zero_records_no_edge():
+    rng = np.random.default_rng(73)
+    views, m = _branch_inputs(rng, 3, 5)
+    xs = [ad.parameter(views), ad.parameter(views[..., ::-1])]
+    one = ct.hpcl_loss(ad.parameter(m), xs, 0.5, TINY)
+    for weight in (0.7, 0.0):
+        got = ct.hpcl_loss(ad.parameter(m), xs, 0.5, TINY, weight=weight)
+        assert [t.data.tobytes() for t in got[:2]] == [t.data.tobytes() for t in one[:2]]
+        assert got[2].data.tobytes() == (one[2].data * weight).tobytes()
+        assert (got[2]._node is None) == (weight == 0.0)
 
 
 def test_nan_similarity_raises():
@@ -717,15 +861,15 @@ def test_underflowing_kept_row_in_the_last_block_raises(monkeypatch):
 
 @pytest.mark.parametrize("n", [8, 64])
 def test_unbatched_window_matches_its_row_of_a_blocked_batch(monkeypatch, n):
-    # the batch loss is the mean of its windows': scaling one window's loss
-    # by 1/3 hands it the upstream gradient the batch mean hands each row
+    # the batch loss is the mean of its windows': weighting one window's
+    # loss by 1/3 hands it the upstream gradient the batch mean hands each row
     monkeypatch.setattr(ad, "BLOCK_BYTES", 1)
     views, m = _branch_inputs(np.random.default_rng(69 + n), 3, n)
 
     def run(lead, weight=1.0):
         params = [ad.parameter(a[lead].copy()) for a in (views, views[..., ::-1], m)]
-        *branches, loss = ct.hpcl_loss(params[2], params[:2], 0.5, TINY)
-        ad.scale(loss, weight).backward()
+        *branches, loss = ct.hpcl_loss(params[2], params[:2], 0.5, TINY, weight=weight)
+        loss.backward()
         return [b.data for b in branches], [p.grad for p in params]
 
     batch, grads = run(slice(None))

@@ -137,22 +137,121 @@ def test_pearson_batched_stack():
 # learned components
 
 
+def forced(n, d, coeffs, q, rng):
+    """Estimator parameters whose polynomial coefficients are ``coeffs`` for
+    every channel of any representation: a zero affine, tanh^-1 as bias."""
+    params = corr.init_dce_params(n, d, degree=len(coeffs) - 1, rank=q.shape[1],
+                                  embed_dim=2, rng=rng)
+    params.coef_w.data[...] = 0.0
+    params.coef_b.data[...] = np.arctanh(coeffs)
+    params.q.data[...] = q
+    return params
+
+
 def test_polynomial_expand_forced_coefficients():
-    # degree 2, q = 0.5 everywhere, coefficients (1, 2, 4):
-    # Q = 1*1 + 2*0.5 + 4*0.25 = 3.0
-    q = np.full((3, 2), 0.5)
-    coeffs = np.tile(np.array([1.0, 2.0, 4.0]), (3, 1))
-    out = ad.polynomial_expand(ad.constant(coeffs), ad.constant(q))
-    assert np.allclose(out.data, 3.0)
+    # degree 2, q = 0.5 everywhere, coefficients (0.5, -0.25, 0.75):
+    # Q = 0.5 - 0.25*0.5 + 0.75*0.25 = 0.5625
+    rng = np.random.default_rng(13)
+    params = forced(3, 4, [0.5, -0.25, 0.75], np.full((3, 2), 0.5), rng)
+    q, _, _ = corr.dce_factors(rng.normal(size=(2, 3, 4)), params)
+    assert np.allclose(q, 0.5625, atol=1e-15)
 
 
 def test_polynomial_expand_identity_coefficients():
-    # degree 1 with coefficients (0, 1) reproduces q itself
+    # degree 1 with coefficients (0, c) scales q by c
     rng = np.random.default_rng(14)
-    q = rng.normal(size=(4, 3))
-    coeffs = np.tile(np.array([0.0, 1.0]), (4, 1))
-    out = ad.polynomial_expand(ad.constant(coeffs), ad.constant(q))
-    assert np.allclose(out.data, q, atol=1e-15)
+    basis = rng.normal(size=(4, 3))
+    params = forced(4, 2, [0.0, 0.5], basis, rng)
+    q, _, _ = corr.dce_factors(rng.normal(size=(5, 2, 4, 2)), params)
+    assert np.allclose(q, 0.5 * basis, atol=1e-15)
+
+
+def composite_polynomial(c, q, g):
+    """Q = sum_i c[..., i] * q**i as the generic-op composite formed it
+    (slice, broadcast copy, multiply, power, add), in plain numpy.  Returns
+    Q and, for the upstream gradient ``g``, the gradients w.r.t. ``c`` and
+    ``q`` (None at K = 0)."""
+    k = c.shape[-1] - 1
+    cols = [c[..., i:i + 1] for i in range(k + 1)]
+    powers = [None, q] + [q ** float(i) for i in range(2, k + 1)]
+    out = np.broadcast_to(cols[0], cols[0].shape[:-1] + q.shape[-1:]).copy()
+    for i in range(1, k + 1):
+        out = out + cols[i] * powers[i]
+    dc = dq = None
+    for i in range(k + 1):          # each slice scatters its column into zeros
+        col = g if i == 0 else np.multiply(g, powers[i], order="C")
+        scattered = np.zeros(c.shape)
+        scattered[..., i:i + 1] = col.sum(axis=-1, keepdims=True)
+        dc = scattered if dc is None else dc + scattered
+    for i in range(1, k + 1):       # the q terms, in ascending i
+        t = np.multiply(g, cols[i], order="C")
+        t = t.sum(axis=0) if t.ndim > q.ndim else t
+        t = t if i == 1 else t * float(i) * q ** (i - 1.0)
+        dq = t if dq is None else dq + t
+    return out, dc, dq
+
+
+def composite_factors(rep, params, gq, gv):
+    """Q, V and every parameter's gradient for the upstream ``gq``, ``gv``:
+    the generic ops' chain (mean, matmul, add, tanh, the polynomial; matmul,
+    transpose, relu, sigmoid) written out in plain numpy."""
+    qp, w, b, e1, e2 = (t.data for _, t in params.named_tensors())
+    pooled = rep.mean(axis=-3)
+    c = np.tanh(pooled @ w + b)
+    q, dc, dq = composite_polynomial(c, qp, gq)
+    da = dc * (1.0 - c * c)
+    lead = tuple(range(da.ndim - 1))
+    dw = np.swapaxes(pooled, -1, -2) @ da
+    dw = dw.sum(axis=0) if dw.ndim > 2 else dw
+    z = np.maximum(e1 @ e2.T, 0.0)
+    v = 1.0 / (1.0 + np.exp(-z))
+    dz = gv * v * (1.0 - v) * (z > 0)
+    return q, v, [dq, dw, da.sum(axis=lead), dz @ e2, (e1.T @ dz).T]
+
+
+@pytest.mark.parametrize("n", [8, 256])
+@pytest.mark.parametrize("batch", [(), (1,), (48,)])
+def test_q_is_bitwise_the_composite(n, batch):
+    # the shared helper keeps the generic-op chain's values and gradients
+    rng = np.random.default_rng(n + len(batch) + sum(batch))
+    for k in range(6):
+        params = corr.init_dce_params(n, 5, degree=k, rank=16, embed_dim=3, rng=rng)
+        params.q.data = rng.uniform(-1.5, 1.5, size=(n, 16))
+        params.coef_w.data = rng.normal(size=(5, k + 1))
+        params.coef_b.data = rng.normal(size=k + 1)
+        rep = rng.normal(size=batch + (2, n, 5))
+        gq, gv = rng.normal(size=batch + (n, 16)), rng.normal(size=(16, 16))
+        q, v, back = corr.dce_factors(rep, params)
+        want_q, want_v, want = composite_factors(rep, params, gq, gv)
+        assert q.tobytes() == want_q.tobytes(), k
+        assert v.tobytes() == want_v.tobytes(), k
+        for name, got, g in zip(["q", "w", "b", "e1", "e2"], back(gq, gv), want):
+            assert got is None if g is None else got.tobytes() == g.tobytes(), (k, name)
+
+
+def test_dce_factors_rejects_mismatched_shapes():
+    params = corr.init_dce_params(4, 3, degree=2, rank=2, embed_dim=2,
+                                  rng=np.random.default_rng(0))
+    for shape in ((4, 3), (2, 5, 3), (2, 4, 2), (1, 2, 5, 3)):
+        with pytest.raises(ad.ShapeMismatchError):
+            corr.dce_factors(np.ones(shape), params)
+
+
+def test_mixing_relu_subgradient_convention():
+    # V = sigmoid(relu(E1 E2^T)): gradient passes where E1 E2^T > 0 only,
+    # not at 0 itself; each decision reports to the gate trace
+    params = corr.init_dce_params(3, 2, degree=1, rank=3, embed_dim=1,
+                                  rng=np.random.default_rng(1))
+    params.e1.data = np.array([[1.0], [0.0], [-1.0]])
+    params.e2.data = np.array([[2.0], [1.0], [0.0]])
+    trace = []
+    with ad.record_gates(trace):
+        _, v, back = corr.dce_factors(np.ones((1, 3, 2)), params)
+    z = params.e1.data @ params.e2.data.T
+    assert np.array_equal(np.unpackbits(trace[0])[:9].reshape(3, 3), z > 0)
+    ge1 = back(np.zeros((3, 3)), np.ones((3, 3)))[3]
+    assert np.array_equal(ge1, ((v * (1.0 - v)) * (z > 0)) @ params.e2.data)
+    assert ge1[1:].tolist() == [[0.0], [0.0]]
 
 
 def test_time_varying_shapes_and_batch_consistency():
@@ -160,36 +259,47 @@ def test_time_varying_shapes_and_batch_consistency():
     params = corr.init_dce_params(n_channels=5, repr_dim=6, degree=3, rank=2,
                                   embed_dim=4, rng=rng)
     reps = rng.normal(size=(3, 2, 5, 6))
-    q_batch = corr.time_varying_component(ad.constant(reps), params)
+    q_batch = corr.dce_factors(reps, params)[0]
     assert q_batch.shape == (3, 5, 2)
     for b in range(3):
-        q_one = corr.time_varying_component(ad.constant(reps[b]), params)
-        assert np.allclose(q_batch.data[b], q_one.data, atol=1e-14)
+        q_one = corr.dce_factors(reps[b], params)[0]
+        assert np.allclose(q_batch[b], q_one, atol=1e-14)
 
 
 def test_time_varying_gradient_matches_fd():
+    # d/dtheta of sum(Q * Q) + sum(V * G) against central differences
     rng = np.random.default_rng(16)
     params = corr.init_dce_params(n_channels=4, repr_dim=5, degree=2, rank=3,
                                   embed_dim=3, rng=rng)
-    reps = ad.constant(rng.normal(size=(2, 4, 5)))
+    reps = rng.normal(size=(2, 4, 5))
+    weights = rng.normal(size=(3, 3))
 
     def loss():
-        q = corr.time_varying_component(reps, params)
-        return ad.tensor_sum(ad.multiply(q, q))
+        q, v, _ = corr.dce_factors(reps, params)
+        return (q * q).sum() + (v * weights).sum()
 
-    report = ad.grad_check(loss, params.named_tensors(), tol=1e-4)
-    assert report.passed, str(report)
+    q, _, back = corr.dce_factors(reps, params)
+    for (name, t), grad in zip(params.named_tensors(), back(2.0 * q, weights)):
+        flat = t.data.reshape(-1)
+        for i in range(flat.size):
+            x0 = flat[i]
+            flat[i] = x0 + 1e-6
+            up = loss()
+            flat[i] = x0 - 1e-6
+            down = loss()
+            flat[i] = x0
+            assert grad.reshape(-1)[i] == pytest.approx((up - down) / 2e-6, abs=1e-6), name
 
 
 def test_time_invariant_range_and_zero_case():
     rng = np.random.default_rng(17)
     params = corr.init_dce_params(4, 5, degree=3, rank=3, embed_dim=4, rng=rng)
-    v = corr.time_invariant_component(params).data
+    v = corr.dce_factors(np.ones((1, 4, 5)), params)[1]
     assert v.shape == (3, 3)
     assert ((v > 0.0) & (v < 1.0)).all()
     # E1 E2^T == 0  ->  relu 0 -> sigmoid -> exactly 0.5 everywhere
     params.e1.data[:] = 0.0
-    v0 = corr.time_invariant_component(params).data
+    v0 = corr.dce_factors(np.ones((1, 4, 5)), params)[1]
     assert np.allclose(v0, 0.5)
 
 
@@ -235,13 +345,13 @@ def test_compose_no_gradient_into_rule_part():
     # w.r.t. Q and V only: R enters as a constant
     rng = np.random.default_rng(21)
     r_tensor = ad.parameter(corr.pearson_matrix(rng.normal(size=(3, 20))))
-    q = ad.parameter(rng.normal(size=(3, 2)))
-    v = ad.parameter(rng.uniform(size=(2, 2)))
+    dce = corr.init_dce_params(3, 4, degree=2, rank=2, embed_dim=2, rng=rng)
     views = ad.constant(rng.normal(size=(2, 3, 4)))
     eps = ct.init_epsilon(0.1)
-    ct.hpcl_loss(r_tensor, (views, views), 0.5, eps, None, q, v)[-1].backward()
+    ct.hpcl_loss(r_tensor, (views, views), 0.5, eps, None, dce,
+                 rng.normal(size=(2, 3, 4)))[-1].backward()
     assert r_tensor.grad is None
-    assert q.grad is not None and v.grad is not None
+    assert all(t.grad is not None for _, t in dce.named_tensors())
 
 
 def test_allocation_counter_increments():
@@ -251,15 +361,15 @@ def test_allocation_counter_increments():
 
 
 def test_hpcl_op_counts_each_composed_window_once(monkeypatch):
-    # once per window in the forward, none for backward's recomputation
+    # once per window in the forward; backward forms none
     monkeypatch.setattr(ad, "BLOCK_BYTES", 1)          # a window a block
     rng = np.random.default_rng(22)
     r = corr.pearson_matrix(rng.normal(size=(5, 3, 20)))
-    q = ad.parameter(rng.normal(size=(5, 3, 2)))
+    dce = corr.init_dce_params(3, 4, degree=2, rank=2, embed_dim=2, rng=rng)
     views = ad.constant(rng.normal(size=(5, 2, 3, 4)))
     before = corr.correlation_matrix_allocations()
     total = ct.hpcl_loss(r, (views, views), 0.5, ct.init_epsilon(0.1), None,
-                         q, ad.constant(rng.uniform(size=(2, 2))))[-1]
+                         dce, rng.normal(size=(5, 2, 3, 4)))[-1]
     assert corr.correlation_matrix_allocations() == before + 5
     total.backward()
     assert corr.correlation_matrix_allocations() == before + 5

@@ -84,6 +84,23 @@ def test_backbone_is_frozen_during_fit():
     assert np.array_equal(backbone.head, before[1])
 
 
+def test_warmup_epochs_form_no_hpcl_gradient(monkeypatch):
+    # `fit` hands the op each epoch's lambda: 0 in the warm-up, which records
+    # no edge, so backward forms no HPCL gradient there
+    backbone, train, val, _ = scenario()
+    seen, real = [], train_module.training_losses
+
+    def spy(*args):
+        losses = real(*args)
+        seen.append((args[-1], losses["aux"]._node is None))
+        return losses
+
+    monkeypatch.setattr(train_module, "training_losses", spy)
+    fit(quick_config(epochs=3, aux_warmup_epochs=2, lambda_aux=0.5, patience=5),
+        train, val, backbone)
+    assert sorted(set(seen)) == [(0.0, True), (0.5, False)]
+
+
 def test_divergence_raises_with_best_checkpoint():
     backbone, train, val, _ = scenario(seed=5)
     poisoned = WindowSet(x=train.x, y=train.y.copy(), starts=train.starts)
