@@ -156,8 +156,7 @@ def hpcl_loss(r, views, tau: float, eps: EpsilonParam, temp: float | None = None
                           ("eps", eps_t)]}
     wants = ad._grad_enabled and weight != 0.0 and (dce is not None or any(live.values()))
     upstream = weight / math.prod(lead)                 # each window mean's
-    gx = [np.empty(s[:-2] + (s[-2] * s[-1],)) if wants and live[i] else None
-          for i, s in enumerate(moved)]
+    gx = [None, None]       # the views' row gradients, once their branch runs
     gr = np.empty_like(rd) if wants and live["r"] else None
     if wants and dce is not None:
         gqa, gqt = np.empty(qd.shape), np.empty(np.swapaxes(qd, -1, -2).shape)
@@ -184,7 +183,7 @@ def hpcl_loss(r, views, tau: float, eps: EpsilonParam, temp: float | None = None
             u, norms, s2 = ad.unit_rows(x)
             e, p = buf[3 * i][:len(m)], buf[3 * i + 1][:len(m)]
             np.matmul(u, np.swapaxes(u, -1, -2), out=e)
-            e -= e.max(axis=-1, keepdims=True)
+            e -= np.max(e, axis=-1, keepdims=True, initial=-np.inf)
             e *= inv_tau
             np.exp(e, out=e)
             np.multiply(gate, m, out=p)
@@ -197,7 +196,9 @@ def hpcl_loss(r, views, tau: float, eps: EpsilonParam, temp: float | None = None
                 continue
             a = np.multiply((-upstream / np.maximum(keep.sum(axis=-1), 1.0))[..., None], keep)
             b, a = (-a / den[i][k])[..., None], (a / rows)[..., None]
-            if gx[i] is not None:           # the view's rows, through their norms
+            if live[i]:                     # the view's rows, through their norms
+                if gx[i] is None:
+                    gx[i] = np.empty(moved[i][:-2] + (moved[i][-2] * moved[i][-1],))
                 gs = np.abs(p, out=buf[-1][:len(m)])
                 gs *= a
                 gs += b

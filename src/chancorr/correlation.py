@@ -76,10 +76,10 @@ def pearson_matrix(x: np.ndarray) -> np.ndarray:
     row is scaled by a power of two before its squares are formed.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 2:
-        raise ValueError("pearson_matrix expects (..., N, L)")
+    if x.ndim < 2 or x.shape[-1] == 0:
+        raise ValueError("pearson_matrix expects (..., N, L) with L >= 1")
     n = x.shape[-2]
-    hi, lo = x.max(axis=-1), x.min(axis=-1)
+    hi, lo = np.max(x, axis=-1, initial=-np.inf), np.min(x, axis=-1, initial=np.inf)
     # scale each row by a power of two to a max-abs in [0.5, 1): exact
     # (short of subnormals), so r is unchanged, and no square overflows
     _, exponent = np.frexp(np.maximum(hi, -lo))
@@ -164,7 +164,7 @@ def dce_factors(rep: np.ndarray, params: DceParams):
             q += c[..., i:i + 1] * p
     kept = np.maximum(e1 @ np.transpose(e2), 0.0)
     ad.trace_gate(kept)
-    v = ad._logistic(kept)
+    v = 1.0 / (1.0 + np.exp(-kept))         # `ad._logistic`'s bits on kept >= 0
 
     def grads(gq, gv):
         cs = c.shape[:-1] + (1,)
