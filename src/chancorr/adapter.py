@@ -11,7 +11,8 @@ Training runs through the autodiff graph (``training_losses``); inference
 ``no_grad``, with no correlation matrices built.  It runs over blocks of
 windows whose largest intermediate fits in ``ad.BLOCK_BYTES``, checks each
 block's result for NaN/Inf once, and returns the same bits whatever the
-block size.
+block size.  `train.evaluate` cuts raw windows into the same blocks, so
+the backbone runs per block too.
 """
 
 from dataclasses import dataclass, asdict
@@ -151,21 +152,22 @@ def training_losses(state: AdapterState, rep: np.ndarray, yhat_norm: np.ndarray,
             "ystar": ystar}
 
 
-def _in_blocks(fn, rep: np.ndarray, *rest: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``fn(rep, *rest)`` run over the blocks of `ad.window_blocks`, each
-    window one (P, N, d) float64 intermediate, its results joined.
+def _in_blocks(fn, shape: tuple, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``fn(*arrays)`` run over the blocks `ad.window_blocks` cuts from
+    ``shape``, a batch of (P, N, d) float64 windows that ``arrays`` share
+    their leading axis with, its results joined.
 
     Every op of the inference path acts on each window alone, so the
     results do not depend on the block size.
     """
-    blocks = ad.window_blocks(rep.shape, 3)
+    blocks = ad.window_blocks(shape, 3)
     if len(blocks) == 1:
-        return fn(rep, *rest)
+        return fn(*arrays)
     outs = None
     for k in blocks:
-        block = fn(*(a[k] for a in (rep, *rest)))
+        block = fn(*(a[k] for a in arrays))
         if outs is None:
-            outs = tuple(np.empty((len(rep),) + b.shape[1:], b.dtype) for b in block)
+            outs = tuple(np.empty((shape[0],) + b.shape[1:], b.dtype) for b in block)
         for o, b in zip(outs, block):
             o[k] = b
     return outs
@@ -175,7 +177,9 @@ def predict(state: AdapterState, out: BackboneOutput) -> np.ndarray:
     """Raw-space adapter forecast.  Inference path: projections + fusion
     only — no correlation estimate, no contrastive terms.  It runs over
     blocks of windows bounded by ``ad.BLOCK_BYTES``; the forecast does not
-    depend on the block size."""
+    depend on the block size.  Under ``no_grad`` each projection layer
+    overwrites its own temporaries, `divide`'s shared layer norm among
+    them, and never ``out``."""
     def forecast(rep, yhat_norm, std, mean):
         with ad.no_grad():
             x_pos, x_neg = divide(state.hd, ad.constant(rep))
@@ -185,7 +189,8 @@ def predict(state: AdapterState, out: BackboneOutput) -> np.ndarray:
         ad.check_finite(ystar, "predict")
         return (ystar,)
 
-    return _in_blocks(forecast, out.repr, out.yhat_norm, out.std, out.mean)[0]
+    return _in_blocks(forecast, out.repr.shape, out.repr, out.yhat_norm, out.std,
+                      out.mean)[0]
 
 
 def branch_views(state: AdapterState, out: BackboneOutput):
@@ -200,7 +205,7 @@ def branch_views(state: AdapterState, out: BackboneOutput):
         ad.check_finite(neg, "branch_views")
         return pos, neg
 
-    return _in_blocks(views, out.repr)
+    return _in_blocks(views, out.repr.shape, out.repr)
 
 
 def save_adapter(state: AdapterState, path) -> None:

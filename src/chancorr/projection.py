@@ -17,19 +17,30 @@ softmax subtracts the largest logit first.
 A layer is one recorded autodiff op with one numpy forward kernel, run the
 same way with or without recording.  It works in place on its own
 temporaries and never writes to x.  Under ``no_grad`` it keeps nothing:
-ln and the output overwrite the arrays they are computed from.  In grad
-mode it keeps what its hand-written backward reads: the full-size norm,
-ln, hidden, flat and proj arrays, plus the small squeeze activations,
-gate weights and inverse deviations.  Forward and backward run the float
-operations of the formulas above one step at a time, in the order a
-recording of each step would, so no bit depends on the fusion into one
-op; for the same reason x gets two edges, the residual's first and the
-norm path's last.  Both relus report to the active ``ad.record_gates``
-sink, MLP1's first; in grad mode the output is checked for NaN and Inf.
+ln overwrites the layer norm it is computed from, unless that norm is
+shared (below), and the output overwrites proj.  In grad mode it keeps
+what its hand-written backward reads: the full-size norm, ln, hidden,
+flat and proj arrays, plus the small squeeze activations, gate weights
+and inverse deviations.  Forward and backward run the float operations of
+the formulas above one step at a time, in the order a recording of each
+step would, so no bit depends on the fusion into one op; for the same
+reason x gets two edges, the residual's first and the norm path's last.
+The broadcasts of a d-vector (the affine's scale and shift, both MLP1
+biases, and the scale again in backward) and of the channel gate run on
+(..., P, N*d) long rows against the vector tiled N times or the gate
+repeated d times: the same products and sums, in far fewer numpy inner
+loops.  Backward rebuilds those rows rather than keep them, so the tape
+holds what it would with short rows.  Both relus report to the active
+``ad.record_gates`` sink, MLP1's first; in grad mode the output is
+checked for NaN and Inf.
 
 Two independent stacks (`divide`) produce the positive-space and
 negative-space views consumed by the contrastive objectives; a shared
-single-branch variant exists for ablations.
+single-branch variant exists for ablations.  `divide` layer-normalises x
+once: both first layers read that norm, and under ``no_grad`` the
+positive one writes its ln to a new array and the negative one, the
+norm's last reader, over the norm.  Each view, gradient and gate trace
+keeps the bits of two separate stacks.
 """
 
 from __future__ import annotations
@@ -136,33 +147,62 @@ def flatten_per_channel(x: Tensor) -> Tensor:
     return ad.reshape(swapped, new_shape)
 
 
+def _layer_norm(layer: ProjectionLayerParams, x: Tensor):
+    """Layer norm of ``x``, an input of ``layer``, before its affine, as a
+    new C-ordered array, and the inverse deviations it was scaled by."""
+    d, flat = len(layer.w1.data), len(layer.v1.data)
+    if x.ndim < 3 or (x.shape[-1], x.shape[-3] * x.shape[-1]) != (d, flat):
+        raise ad.ShapeMismatchError(f"projection input {x.shape} must be (..., P, N, d) "
+                                    f"with d = {d} and P*d = {flat}")
+    xd = x.data
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.subtract(xd, xd.mean(axis=-1, keepdims=True), order="C")
+        inv = 1.0 / np.sqrt((norm * norm).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+        norm *= inv
+    return norm, inv
+
+
+def _rows(a):
+    """(..., P, N, d) as (..., P, N*d) long rows, a view of ``a`` (a
+    reshape that would copy, and so lose a write through it, raises)."""
+    return a.reshape(a.shape[:-2] + (-1,), copy=False)
+
+
+def _gate_rows(weights, d):
+    """The (..., N) channel gate repeated d times, as (..., 1, N*d) rows."""
+    return np.repeat(weights, d, axis=-1)[..., None, :]
+
+
 def channel_aware_project(layer: ProjectionLayerParams, x) -> Tensor:
     """Apply one squeeze/excite projection layer to (..., P, N, d), as one
     recorded op (see the module docstring)."""
     x = ad.as_tensor(x)
+    return _project(layer, x, *_layer_norm(layer, x), own_norm=True)
+
+
+def _project(layer, x, norm, inv, own_norm):
+    """The layer op on ``x`` from its layer norm ``norm`` and ``inv``, which
+    it only reads unless ``own_norm`` and recording is off."""
     tensors = [getattr(layer, name) for name in _PARAM_NAMES]
     ln_scale, ln_shift, w1, b1, w2, b2, v1, c1, v2, c2 = (t.data for t in tensors)
-    if x.ndim < 3 or (x.shape[-1], x.shape[-3] * x.shape[-1]) != (len(w1), len(v1)):
-        raise ad.ShapeMismatchError(f"projection input {x.shape} must be (..., P, N, d) "
-                                    f"with d = {len(w1)} and P*d = {len(v1)}")
     xd, keep = x.data, ad._grad_enabled
+    n_channels = x.shape[-2]
+    # the d-vectors tiled N times, for broadcasts over long rows
+    scale_row, shift_row, b1_row, b2_row = np.tile(np.stack((ln_scale, ln_shift, b1, b2)),
+                                                   n_channels)
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = xd - xd.mean(axis=-1, keepdims=True)
-        squares = norm * norm               # spent once inv is known: flat reuses it
-        inv = 1.0 / np.sqrt(squares.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
-        norm *= inv
-        # under no_grad nothing is kept for backward, so ln and the output
-        # overwrite the arrays they are computed from
-        ln = np.multiply(norm, ln_scale, out=None if keep else norm)
-        ln += ln_shift
+        # under no_grad nothing is kept for backward, so ln overwrites a
+        # norm no other layer reads, and the output overwrites proj
+        ln = np.multiply(_rows(norm), scale_row,
+                         out=_rows(norm) if own_norm and not keep else None)
+        ln += shift_row
+        ln = ln.reshape(norm.shape)
         hidden = ln @ w1
-        hidden += b1
+        np.add(_rows(hidden), b1_row, out=_rows(hidden))
         ad.trace_gate(np.maximum(hidden, 0.0, out=hidden))
         proj = hidden @ w2
-        proj += b2
-        flat = squares.reshape(ln.swapaxes(-3, -2).shape)     # (..., N, P, d)
-        flat[...] = ln.swapaxes(-3, -2)
-        flat = flat.reshape(flat.shape[:-2] + (-1,))
+        np.add(_rows(proj), b2_row, out=_rows(proj))
+        flat = ln.swapaxes(-3, -2).reshape(ln.shape[:-3] + (n_channels, -1))  # (..., N, P*d)
         squeeze = flat @ v1
         squeeze += c1
         ad.trace_gate(np.maximum(squeeze, 0.0, out=squeeze))
@@ -171,19 +211,22 @@ def channel_aware_project(layer: ProjectionLayerParams, x) -> Tensor:
         logits = logits.reshape(logits.shape[:-1])
         weights = np.exp(logits - logits.max(axis=-1, keepdims=True))
         weights = weights / weights.sum(axis=-1, keepdims=True)
-        gate = weights.reshape(weights.shape[:-1] + (1, weights.shape[-1], 1))
-        out = np.multiply(proj, gate, out=None if keep else proj)
+        out = np.multiply(_rows(proj), _gate_rows(weights, len(w1)),
+                          out=None if keep else _rows(proj)).reshape(proj.shape)
         out += xd
+    del scale_row, shift_row, b1_row, b2_row    # freed before the output check
 
     grads = {}
     sum_to = ad._sum_to_shape
+    gate_shape = weights.shape[:-1] + (1, n_channels, 1)
 
     def backward(name, g):
         if grads:
             return grads.pop(name)
         # one pass serves every input but x, which gets g itself from the
         # residual and the norm path's gradient from grad_x; g is read only
-        g_proj = np.multiply(g, gate, order="C")
+        g_proj = np.multiply(g.reshape(g.shape[:-2] + (-1,)),
+                             _gate_rows(weights, len(w1))).reshape(g.shape)
         grads.update(w2=sum_to(hidden.swapaxes(-1, -2) @ g_proj, w2.shape),
                      b2=sum_to(g_proj, b2.shape))
         g_hidden = g_proj @ w2.swapaxes(-1, -2)
@@ -194,7 +237,7 @@ def channel_aware_project(layer: ProjectionLayerParams, x) -> Tensor:
         g_ln = g_hidden @ w1.swapaxes(-1, -2)
         del g_hidden
 
-        g_gate = sum_to(np.multiply(g, proj, order="C"), gate.shape).reshape(weights.shape)
+        g_gate = sum_to(np.multiply(g, proj, order="C"), gate_shape).reshape(weights.shape)
         g_logits = weights * (g_gate - (g_gate * weights).sum(axis=-1, keepdims=True))
         g_logits = g_logits.reshape(g_logits.shape + (1,))
         g_squeeze = g_logits @ v2.swapaxes(-1, -2)
@@ -211,7 +254,8 @@ def channel_aware_project(layer: ProjectionLayerParams, x) -> Tensor:
         return grads.pop(name)
 
     def grad_x(g):
-        g_norm = np.multiply(backward("ln", g), ln_scale, order="C")
+        g_norm = np.multiply(_rows(backward("ln", g)),
+                             np.tile(ln_scale, n_channels)).reshape(norm.shape)
         gn = (g_norm * norm).mean(axis=-1, keepdims=True)
         g_norm -= g_norm.mean(axis=-1, keepdims=True)
         g_norm -= norm * gn
@@ -231,5 +275,14 @@ def project_stack(layers, x) -> Tensor:
 
 
 def divide(params: HdParams, x) -> tuple[Tensor, Tensor]:
-    """Project a representation into its positive- and negative-space views."""
-    return project_stack(params.pos_layers, x), project_stack(params.neg_layers, x)
+    """Project a representation into its positive- and negative-space views.
+
+    x is layer-normalised once, for both stacks' first layers; under
+    ``no_grad`` the negative one then overwrites that norm with its ln."""
+    x = ad.as_tensor(x)
+    norm, inv = _layer_norm(params.pos_layers[0], x)
+    pos = project_stack(params.pos_layers[1:],
+                        _project(params.pos_layers[0], x, norm, inv, own_norm=False))
+    neg = project_stack(params.neg_layers[1:],
+                        _project(params.neg_layers[0], x, norm, inv, own_norm=True))
+    return pos, neg

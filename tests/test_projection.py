@@ -292,3 +292,83 @@ def test_stack_gradients_flow_to_all_layers():
     loss.backward()
     for name, t in params.named_tensors():
         assert t.grad is not None, name
+
+
+def _run(fn, x, leaves, grad):
+    """The shapes and bytes of ``fn``'s views of ``x`` and, in grad mode, of
+    the gradients of a random-weighted sum of them with respect to x and
+    ``leaves``, plus the gate trace; ``x`` is read as a parameter."""
+    sink, rng = [], np.random.default_rng(0)
+    with ad.record_gates(sink), contextlib.ExitStack() as stack:
+        if not grad:
+            stack.enter_context(ad.no_grad())
+        x_t = ad.parameter(x)
+        views = fn(x_t)
+    arrays = [v.data for v in views]
+    if grad:
+        loss = ad.constant(0.0)
+        for view in views:
+            weight = ad.constant(rng.normal(size=view.shape))
+            loss = ad.add(loss, ad.tensor_sum(ad.multiply(view, weight)))
+        loss.backward()
+        arrays += [t.grad for t in [x_t] + leaves]
+        for t in leaves:
+            t.grad = None
+    return [(a.shape, a.tobytes()) for a in arrays], [t.tobytes() for t in sink]
+
+
+def _randomized_params(depth, shared, rng):
+    """Stacks with every parameter drawn, the layer norm's affine too."""
+    def layer():
+        out = randomized_layer(3, 4, rng)
+        for t in (out.ln_scale, out.ln_shift, out.b1, out.c1):
+            t.data = t.data + rng.normal(0, 0.3, size=t.shape)
+        return out
+
+    pos = [layer() for _ in range(depth)]
+    neg = pos if shared else [layer() for _ in range(depth)]
+    return pj.HdParams(pos_layers=pos, neg_layers=neg)
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+@pytest.mark.parametrize("shared", [False, True])
+def test_divide_equals_two_independent_stacks_bitwise(depth, shared):
+    # divide layer-normalises x once for both stacks' first layers; its
+    # views, gradients and gate trace are those of two separate stacks
+    rng = np.random.default_rng(44 + depth)
+    params = _randomized_params(depth, shared, rng)
+    leaves = [t for _, t in params.named_tensors()]
+    x = rng.normal(size=(5, 3, 6, 4))
+
+    def stacks(x_t):
+        return (pj.project_stack(params.pos_layers, x_t),
+                pj.project_stack(params.neg_layers, x_t))
+
+    for grad in (True, False):
+        want = _run(stacks, x, leaves, grad)
+        assert len(want[1]) == 4 * depth                  # two relus per layer
+        assert _run(lambda x_t: pj.divide(params, x_t), x, leaves, grad) == want
+
+
+@pytest.mark.parametrize("view", ["fancy", "swapaxes"])
+def test_non_contiguous_input_gives_the_bits_of_a_contiguous_copy(view):
+    # a reshape of a non-C-contiguous array is a copy, so a write through
+    # it would be lost; the kernel's long rows must not write through one
+    rng = np.random.default_rng(46)
+    params = _randomized_params(2, False, rng)
+    leaves = [t for _, t in params.named_tensors()]
+    base = rng.normal(size=(5, 6, 3, 4))                 # (B, N, P, d)
+    if view == "fancy":
+        x = base.swapaxes(1, 2).copy()[:, :, rng.permutation(6), :]
+    else:
+        x = base.swapaxes(1, 2)
+    assert not x.flags.c_contiguous
+    copy = np.ascontiguousarray(x)
+    layer = params.pos_layers[0]
+    for fn, layer_leaves in (
+            (lambda x_t: [pj.channel_aware_project(layer, x_t)],
+             [t for _, t in layer.named_tensors()]),
+            (lambda x_t: pj.divide(params, x_t), leaves)):
+        for grad in (True, False):
+            want = _run(fn, copy, layer_leaves, grad)
+            assert _run(fn, x, layer_leaves, grad) == want

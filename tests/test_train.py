@@ -1,5 +1,7 @@
 """Training loop: inertness, determinism, early stopping, divergence, export."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,17 @@ def test_evaluate_matches_window_loop_oracle():
         ae += float(np.abs(diff).sum())
     assert abs(mse - se / small.y.size) < 1e-12
     assert abs(mae - ae / small.y.size) < 1e-12
+
+
+@pytest.mark.parametrize("chunk", [0, -1, 2.5, True, "8", None])
+def test_evaluate_rejects_a_chunk_that_is_not_a_positive_integer(chunk):
+    backbone, train, val, test = scenario(seed=6)
+    state = init_adapter(backbone, 4, quick_config())
+    message = f"chunk must be an integer >= 1, got {chunk!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evaluate(state, backbone, test, chunk=chunk)
+    assert evaluate(state, backbone, test, chunk=np.int64(7)) == evaluate(
+        state, backbone, test, chunk=7)
 
 
 def test_evaluate_raises_if_a_correlation_matrix_is_built(monkeypatch):
