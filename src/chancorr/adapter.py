@@ -11,8 +11,8 @@ Training runs through the autodiff graph (``training_losses``); inference
 ``no_grad``, with no correlation matrices built.  It runs over blocks of
 windows whose largest intermediate fits in ``ad.BLOCK_BYTES``, checks each
 block's result for NaN/Inf once, and returns the same bits whatever the
-block size.  `train.evaluate` cuts raw windows into the same blocks, so
-the backbone runs per block too.
+block size.  ``predict_windows`` cuts raw windows into the same blocks and
+runs the backbone per block too.
 """
 
 from dataclasses import dataclass, asdict
@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import serialize
 from .autodiff import Tensor
-from .backbone import BackboneOutput, BackboneState
+from .backbone import BackboneOutput, BackboneState, backbone_forward
 from .config import TrainConfig
 from .contrastive import EpsilonParam, hpcl_loss, init_epsilon
 # unused since training runs `hpcl_loss`; `perfbench` traces them here
@@ -173,6 +173,16 @@ def _in_blocks(fn, shape: tuple, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return outs
 
 
+def _forecast(state: AdapterState, rep, yhat_norm, mean, std) -> tuple[np.ndarray]:
+    """The raw-space adapter forecast of one block of backbone output."""
+    with ad.no_grad():
+        x_pos, x_neg = divide(state.hd, ad.constant(rep))
+        ystar_norm = fuse_predict(state.fusion, x_pos, x_neg, ad.constant(yhat_norm))
+    ystar = ystar_norm.data * std + mean
+    ad.check_finite(ystar, "predict")
+    return (ystar,)
+
+
 def predict(state: AdapterState, out: BackboneOutput) -> np.ndarray:
     """Raw-space adapter forecast.  Inference path: projections + fusion
     only — no correlation estimate, no contrastive terms.  It runs over
@@ -180,17 +190,20 @@ def predict(state: AdapterState, out: BackboneOutput) -> np.ndarray:
     depend on the block size.  Under ``no_grad`` each projection layer
     overwrites its own temporaries, `divide`'s shared layer norm among
     them, and never ``out``."""
-    def forecast(rep, yhat_norm, std, mean):
-        with ad.no_grad():
-            x_pos, x_neg = divide(state.hd, ad.constant(rep))
-            ystar_norm = fuse_predict(state.fusion, x_pos, x_neg,
-                                      ad.constant(yhat_norm))
-        ystar = ystar_norm.data * std + mean
-        ad.check_finite(ystar, "predict")
-        return (ystar,)
+    return _in_blocks(lambda *block: _forecast(state, *block), out.repr.shape,
+                      out.repr, out.yhat_norm, out.mean, out.std)[0]
 
-    return _in_blocks(forecast, out.repr.shape, out.repr, out.yhat_norm, out.std,
-                      out.mean)[0]
+
+def predict_windows(state: AdapterState, backbone: BackboneState, x) -> np.ndarray:
+    """``predict(state, backbone_forward(backbone, x))`` for raw windows x
+    of shape (..., N, L), with the backbone run on each block of `predict`
+    too, so no step holds more than a block's (P, N, d) representations."""
+    def forecast(x_block):
+        out = backbone_forward(backbone, x_block)
+        return _forecast(state, out.repr, out.yhat_norm, out.mean, out.std)
+
+    shape = np.shape(x)[:-2] + (state.n_patches, state.n_channels, state.repr_dim)
+    return _in_blocks(forecast, shape, x)[0]
 
 
 def branch_views(state: AdapterState, out: BackboneOutput):

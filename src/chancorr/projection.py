@@ -25,14 +25,8 @@ and inverse deviations.  Forward and backward run the float operations of
 the formulas above one step at a time, in the order a recording of each
 step would, so no bit depends on the fusion into one op; for the same
 reason x gets two edges, the residual's first and the norm path's last.
-The broadcasts of a d-vector (the affine's scale and shift, both MLP1
-biases, and the scale again in backward) and of the channel gate run on
-(..., P, N*d) long rows against the vector tiled N times or the gate
-repeated d times: the same products and sums, in far fewer numpy inner
-loops.  Backward rebuilds those rows rather than keep them, so the tape
-holds what it would with short rows.  Both relus report to the active
-``ad.record_gates`` sink, MLP1's first; in grad mode the output is
-checked for NaN and Inf.
+Both relus report to the active ``ad.record_gates`` sink, MLP1's first;
+in grad mode the output is checked for NaN and Inf.
 
 Two independent stacks (`divide`) produce the positive-space and
 negative-space views consumed by the contrastive objectives; a shared
@@ -162,17 +156,6 @@ def _layer_norm(layer: ProjectionLayerParams, x: Tensor):
     return norm, inv
 
 
-def _rows(a):
-    """(..., P, N, d) as (..., P, N*d) long rows, a view of ``a`` (a
-    reshape that would copy, and so lose a write through it, raises)."""
-    return a.reshape(a.shape[:-2] + (-1,), copy=False)
-
-
-def _gate_rows(weights, d):
-    """The (..., N) channel gate repeated d times, as (..., 1, N*d) rows."""
-    return np.repeat(weights, d, axis=-1)[..., None, :]
-
-
 def channel_aware_project(layer: ProjectionLayerParams, x) -> Tensor:
     """Apply one squeeze/excite projection layer to (..., P, N, d), as one
     recorded op (see the module docstring)."""
@@ -186,23 +169,17 @@ def _project(layer, x, norm, inv, own_norm):
     tensors = [getattr(layer, name) for name in _PARAM_NAMES]
     ln_scale, ln_shift, w1, b1, w2, b2, v1, c1, v2, c2 = (t.data for t in tensors)
     xd, keep = x.data, ad._grad_enabled
-    n_channels = x.shape[-2]
-    # the d-vectors tiled N times, for broadcasts over long rows
-    scale_row, shift_row, b1_row, b2_row = np.tile(np.stack((ln_scale, ln_shift, b1, b2)),
-                                                   n_channels)
     with np.errstate(over="ignore", invalid="ignore"):
         # under no_grad nothing is kept for backward, so ln overwrites a
         # norm no other layer reads, and the output overwrites proj
-        ln = np.multiply(_rows(norm), scale_row,
-                         out=_rows(norm) if own_norm and not keep else None)
-        ln += shift_row
-        ln = ln.reshape(norm.shape)
+        ln = np.multiply(norm, ln_scale, out=norm if own_norm and not keep else None)
+        ln += ln_shift
         hidden = ln @ w1
-        np.add(_rows(hidden), b1_row, out=_rows(hidden))
+        hidden += b1
         ad.trace_gate(np.maximum(hidden, 0.0, out=hidden))
         proj = hidden @ w2
-        np.add(_rows(proj), b2_row, out=_rows(proj))
-        flat = ln.swapaxes(-3, -2).reshape(ln.shape[:-3] + (n_channels, -1))  # (..., N, P*d)
+        proj += b2
+        flat = ln.swapaxes(-3, -2).reshape(ln.shape[:-3] + (x.shape[-2], -1))  # (..., N, P*d)
         squeeze = flat @ v1
         squeeze += c1
         ad.trace_gate(np.maximum(squeeze, 0.0, out=squeeze))
@@ -211,22 +188,19 @@ def _project(layer, x, norm, inv, own_norm):
         logits = logits.reshape(logits.shape[:-1])
         weights = np.exp(logits - logits.max(axis=-1, keepdims=True))
         weights = weights / weights.sum(axis=-1, keepdims=True)
-        out = np.multiply(_rows(proj), _gate_rows(weights, len(w1)),
-                          out=None if keep else _rows(proj)).reshape(proj.shape)
+        gate = weights.reshape(weights.shape[:-1] + (1, weights.shape[-1], 1))
+        out = np.multiply(proj, gate, out=None if keep else proj)
         out += xd
-    del scale_row, shift_row, b1_row, b2_row    # freed before the output check
 
     grads = {}
     sum_to = ad._sum_to_shape
-    gate_shape = weights.shape[:-1] + (1, n_channels, 1)
 
     def backward(name, g):
         if grads:
             return grads.pop(name)
         # one pass serves every input but x, which gets g itself from the
         # residual and the norm path's gradient from grad_x; g is read only
-        g_proj = np.multiply(g.reshape(g.shape[:-2] + (-1,)),
-                             _gate_rows(weights, len(w1))).reshape(g.shape)
+        g_proj = np.multiply(g, gate, order="C")
         grads.update(w2=sum_to(hidden.swapaxes(-1, -2) @ g_proj, w2.shape),
                      b2=sum_to(g_proj, b2.shape))
         g_hidden = g_proj @ w2.swapaxes(-1, -2)
@@ -237,7 +211,7 @@ def _project(layer, x, norm, inv, own_norm):
         g_ln = g_hidden @ w1.swapaxes(-1, -2)
         del g_hidden
 
-        g_gate = sum_to(np.multiply(g, proj, order="C"), gate_shape).reshape(weights.shape)
+        g_gate = sum_to(np.multiply(g, proj, order="C"), gate.shape).reshape(weights.shape)
         g_logits = weights * (g_gate - (g_gate * weights).sum(axis=-1, keepdims=True))
         g_logits = g_logits.reshape(g_logits.shape + (1,))
         g_squeeze = g_logits @ v2.swapaxes(-1, -2)
@@ -254,8 +228,7 @@ def _project(layer, x, norm, inv, own_norm):
         return grads.pop(name)
 
     def grad_x(g):
-        g_norm = np.multiply(_rows(backward("ln", g)),
-                             np.tile(ln_scale, n_channels)).reshape(norm.shape)
+        g_norm = np.multiply(backward("ln", g), ln_scale, order="C")
         gn = (g_norm * norm).mean(axis=-1, keepdims=True)
         g_norm -= g_norm.mean(axis=-1, keepdims=True)
         g_norm -= norm * gn

@@ -3,7 +3,7 @@
 ``fit`` runs Adam on MSE + lambda_aux * L_aux over few-shot train windows,
 early-stops on validation MSE, and returns the best-validation adapter plus
 a MetricsReport.  ``evaluate`` scores the inference path (projections +
-fusion only) in raw space, running the backbone and `predict` together on
+fusion only) in raw space, running the backbone and the adapter together on
 each block of raw windows.  ``ablate`` reproduces the five comparison rows.
 All CSV output is deterministic (%.17g, no timings).
 """
@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .adapter import (AdapterState, _in_blocks, backbone_parameter_count,
-                      branch_views, init_adapter, named_parameters,
-                      parameter_count, predict, state_tensors, training_losses)
+from .adapter import (AdapterState, backbone_parameter_count, branch_views,
+                      init_adapter, named_parameters, parameter_count, predict,
+                      predict_windows, state_tensors, training_losses)
 from .backbone import (BackboneConfig, BackboneState, backbone_forward,
                        pretrain_backbone)
 from .config import TrainConfig, with_updates
@@ -222,9 +222,9 @@ def evaluate(state: AdapterState, backbone: BackboneState, test: WindowSet,
 
     Runs the inference path only; the correlation-allocation counter is
     checked before/after to enforce that no correlation matrices are built
-    (a RuntimeError if one was).  The backbone and `predict` run together
-    on each block of windows that `predict` would cut, so no step holds
-    more than a block's (P, N, d) representations.  ``chunk``, an integer
+    (a RuntimeError if one was).  The backbone and the adapter run together
+    on each block of windows (`predict_windows`), so no step holds more
+    than a block's (P, N, d) representations.  ``chunk``, an integer
     >= 1 (else a `ValueError`), fixes the order in which the per-chunk
     errors are pooled, and so the last bits of the score; it bounds only
     the joined forecasts.  Data with another channel count than the
@@ -233,13 +233,8 @@ def evaluate(state: AdapterState, backbone: BackboneState, test: WindowSet,
     if isinstance(chunk, bool) or not isinstance(chunk, numbers.Integral) or chunk < 1:
         raise ValueError(f"evaluate chunk must be an integer >= 1, got {chunk!r}")
     _check_channels(state, test)
-    window = (state.n_patches, state.n_channels, state.repr_dim)
-
-    def forecast(x):
-        return (predict(state, backbone_forward(backbone, x)),)
-
     allocations_before = correlation_matrix_allocations()
-    scores = _mse_mae((_in_blocks(forecast, (len(x),) + window, x)[0], y)
+    scores = _mse_mae((predict_windows(state, backbone, x), y)
                       for x, y in _chunks(test, chunk))
     if correlation_matrix_allocations() != allocations_before:
         raise RuntimeError("inference path built a correlation matrix")

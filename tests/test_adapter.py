@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chancorr import adapter as adapter_module
 from chancorr import autodiff as ad
 from chancorr.adapter import (backbone_parameter_count, branch_views,
                               correlation_estimate, hpcl_terms, init_adapter,
@@ -16,7 +17,6 @@ from chancorr.adapter import (backbone_parameter_count, branch_views,
                               state_tensors, training_losses)
 from chancorr.backbone import (BackboneConfig, BackboneOutput, BackboneState,
                                backbone_forward, pretrain_backbone)
-from chancorr import train as train_module
 from chancorr.config import TrainConfig, with_updates
 from chancorr.correlation import correlation_matrix_allocations, pearson_matrix
 from chancorr.data import WindowSet
@@ -210,7 +210,7 @@ def test_predict_peak_memory_is_bounded_by_the_block_budget():
 def test_evaluate_peak_memory_is_bounded_by_the_block_budget():
     # Run on whole 64-window chunks, the backbone alone built a 25 MB
     # (64, 6, 256, 32) representation and its contiguous copy: the peak
-    # measured 66 MB.  Run per block, it measured 16.4 MB, the 3.1 MB
+    # measured 66 MiB.  Run per block, it measured 16.0 MiB, the 3 MiB
     # forecast plus about nine block-sized arrays.
     backbone, state, windows = serving_setup(256, batch=64)
     tracemalloc.start()
@@ -288,12 +288,11 @@ def test_inference_and_hpcl_blocks_come_from_the_one_rule(monkeypatch):
     # evaluate runs the backbone on the blocks the rule cuts from each chunk
     backbone, state, windows = serving_setup(8, batch=300)
     fed = []
-    monkeypatch.setattr(train_module, "backbone_forward",
+    monkeypatch.setattr(adapter_module, "backbone_forward",
                         lambda bb, x: fed.append(len(x)) or backbone_forward(bb, x))
     calls.clear()
     evaluate(state, backbone, windows, chunk=200)
-    # each chunk is cut by the rule, then `predict` finds one block in each
-    assert calls == [((m, 6, 8, 32), 3, 1) for m in (200, 128, 72, 100, 100)]
+    assert calls == [((m, 6, 8, 32), 3, 1) for m in (200, 100)]
     assert fed == [128, 72, 100]
     backbone, x, y = tiny_backbone(seed=7, n=8, b=6)
     state = init_adapter(backbone, 8, small_config())

@@ -352,8 +352,9 @@ def test_divide_equals_two_independent_stacks_bitwise(depth, shared):
 
 @pytest.mark.parametrize("view", ["fancy", "swapaxes"])
 def test_non_contiguous_input_gives_the_bits_of_a_contiguous_copy(view):
-    # a reshape of a non-C-contiguous array is a copy, so a write through
-    # it would be lost; the kernel's long rows must not write through one
+    # a reshape of a non-C-contiguous array is a copy, so a kernel that
+    # wrote through one would lose the write; the layer norm is C-ordered
+    # whatever x's layout, so every layout gives the same bits
     rng = np.random.default_rng(46)
     params = _randomized_params(2, False, rng)
     leaves = [t for _, t in params.named_tensors()]
