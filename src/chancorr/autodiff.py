@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,20 +93,26 @@ COSINE_EPS = 1e-24  # added to squared row norms in cosine similarity
 # (block-size sweeps picked it; see BENCH_6.json and BENCH_7.json).
 BLOCK_BYTES = 3 << 19
 
-_grad_enabled = True
-_gate_sink: list | None = None
+
+class _Mode(threading.local):
+    """Whether ops record a graph, and where gate decisions go: per thread,
+    each starting from these defaults, so no thread's mode reaches another."""
+    grad_enabled = True
+    gate_sink: list | None = None
+
+
+_mode = _Mode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording inside the context (inference mode)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable this thread's graph recording inside the context (inference mode)."""
+    prev = _mode.grad_enabled
+    _mode.grad_enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _mode.grad_enabled = prev
 
 
 @contextlib.contextmanager
@@ -115,22 +122,21 @@ def record_gates(sink: list | None):
     Each gated op appends a packed boolean array describing which entries
     were kept.  Comparing sinks from two forward passes tells the gradient
     checker whether a perturbation crossed a gate boundary.  A ``None``
-    sink records nothing.
+    sink records nothing.  Only this thread's gated ops report to it.
     """
-    global _gate_sink
-    prev = _gate_sink
-    _gate_sink = sink
+    prev = _mode.gate_sink
+    _mode.gate_sink = sink
     try:
         yield sink
     finally:
-        _gate_sink = prev
+        _mode.gate_sink = prev
 
 
 def trace_gate(kept: np.ndarray) -> None:
     """Report a gate decision to the active trace, if any: ``kept`` is a
     boolean support, or a relu output whose positive entries were kept."""
-    if _gate_sink is not None:
-        _gate_sink.append(np.packbits(kept if kept.dtype == bool else kept > 0, axis=None))
+    if _mode.gate_sink is not None:
+        _mode.gate_sink.append(np.packbits(kept if kept.dtype == bool else kept > 0, axis=None))
 
 
 def check_finite(data: np.ndarray, op: str) -> None:
@@ -245,7 +251,7 @@ def _result(data: np.ndarray, parents, op: str) -> Tensor:
     out.data = data
     out.requires_grad = False
     out.grad = None
-    if _grad_enabled:
+    if _mode.grad_enabled:
         check_finite(data, op)
         live = [(p._node or p, fn) for p, fn in parents if p.requires_grad or p._node]
         out._node = _Node(live) if live else None

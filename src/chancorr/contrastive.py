@@ -154,7 +154,7 @@ def hpcl_loss(r, views, tau: float, eps: EpsilonParam, temp: float | None = None
     live = {key: t is not None and (t.requires_grad or t._node is not None)   # wants a gradient
             for key, t in [*enumerate(views), ("r", None if dce is not None else r),
                           ("eps", eps_t)]}
-    wants = ad._grad_enabled and weight != 0.0 and (dce is not None or any(live.values()))
+    wants = ad._mode.grad_enabled and weight != 0.0 and (dce is not None or any(live.values()))
     upstream = weight / math.prod(lead)                 # each window mean's
     gx = [None, None]       # the views' row gradients, once their branch runs
     gr = np.empty_like(rd) if wants and live["r"] else None

@@ -21,8 +21,10 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import ConfigError
 from .serialize import atomic_open
@@ -360,21 +362,11 @@ class WindowSet:
         return self.x.shape[0]
 
 
-def _region_windows(values, lo, hi, lookback, horizon, stride, gaps):
-    width = lookback + horizon
+def _region_starts(lo, hi, width, stride, ends):
     starts = np.arange(lo, hi - width + 1, stride, dtype=np.int64)
     # keep a start only if the first gap after it comes at or past the
-    # window's end (the series length stands in for "no gap")
-    ends = np.append(np.asarray(gaps, dtype=np.int64), values.shape[1])
-    starts = starts[ends[np.searchsorted(ends, starts, side="right")]
-                    >= starts + width]
-    if len(starts) == 0:
-        return WindowSet(x=np.zeros((0, values.shape[0], lookback)),
-                         y=np.zeros((0, values.shape[0], horizon)),
-                         starts=starts)
-    x = np.stack([values[:, s:s + lookback] for s in starts])
-    y = np.stack([values[:, s + lookback:s + width] for s in starts])
-    return WindowSet(x=x, y=y, starts=starts)
+    # window's end (``ends`` closes with the series length: "no gap")
+    return starts[ends[np.searchsorted(ends, starts, side="right")] >= starts + width]
 
 
 def make_windows(series: MultivariateSeries, spec: SplitSpec,
@@ -383,26 +375,31 @@ def make_windows(series: MultivariateSeries, spec: SplitSpec,
     boundary or one of the series' ``gaps``.
 
     Few-shot keeps the chronologically LAST round(frac * count) train windows
-    (at least one).  Returns (train, val, test) WindowSets.
+    (at least one).  Returns (train, val, test) WindowSets whose arrays are
+    copies that own their data; only the kept windows are built, one gather
+    per array.  ``lookback`` and ``horizon`` must be integers >= 1.
     """
-    t_total = series.length
+    for name, value in (("lookback", lookback), ("horizon", horizon)):
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+            raise DataError(f"{name} must be an integer >= 1, got {value!r}")
+    t_total, width = series.length, lookback + horizon
     t1 = int(round(spec.train_frac * t_total))
     t2 = min(t1 + int(round(spec.val_frac * t_total)), t_total)
-    regions = [(0, t1), (t1, t2), (t2, t_total)]
-    names = ["train", "val", "test"]
-    fracs = [spec.train_frac, spec.val_frac, spec.test_frac]
-    out = []
-    for name, frac, (lo, hi) in zip(names, fracs, regions):
-        ws = _region_windows(series.values, lo, hi, lookback, horizon,
-                             spec.stride, series.gaps)
-        if frac > 0 and len(ws) == 0:
+    ends = np.append(np.asarray(series.gaps, dtype=np.int64), t_total)
+    starts = []
+    for name, frac, (lo, hi) in zip(["train", "val", "test"],
+                                    [spec.train_frac, spec.val_frac, spec.test_frac],
+                                    [(0, t1), (t1, t2), (t2, t_total)]):
+        starts.append(_region_starts(lo, hi, width, spec.stride, ends))
+        if frac > 0 and len(starts[-1]) == 0:
             raise DataError(
                 f"{name} region [{lo}, {hi}) holds no gap-free window "
                 f"(lookback {lookback} + horizon {horizon})")
-        out.append(ws)
-    train, val, test = out
     if spec.few_shot_frac < 1.0:
-        keep = max(1, int(round(spec.few_shot_frac * len(train))))
-        train = WindowSet(x=train.x[-keep:], y=train.y[-keep:],
-                          starts=train.starts[-keep:])
-    return train, val, test
+        keep = max(1, int(round(spec.few_shot_frac * len(starts[0]))))
+        starts[0] = starts[0][-keep:].copy()
+    # (windows, N, width) views; a region with frac > 0 holds a window, so
+    # the series is at least one window long
+    x_view = sliding_window_view(series.values, lookback, axis=1).transpose(1, 0, 2)
+    y_view = sliding_window_view(series.values[:, lookback:], horizon, axis=1).transpose(1, 0, 2)
+    return tuple(WindowSet(x=x_view[s], y=y_view[s], starts=s) for s in starts)

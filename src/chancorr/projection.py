@@ -168,7 +168,7 @@ def _project(layer, x, norm, inv, own_norm):
     it only reads unless ``own_norm`` and recording is off."""
     tensors = [getattr(layer, name) for name in _PARAM_NAMES]
     ln_scale, ln_shift, w1, b1, w2, b2, v1, c1, v2, c2 = (t.data for t in tensors)
-    xd, keep = x.data, ad._grad_enabled
+    xd, keep = x.data, ad._mode.grad_enabled
     with np.errstate(over="ignore", invalid="ignore"):
         # under no_grad nothing is kept for backward, so ln overwrites a
         # norm no other layer reads, and the output overwrites proj

@@ -3,6 +3,7 @@ plus the bookkeeping contracts (determinism, error states, gate tracing)."""
 
 import gc
 import math
+import threading
 import weakref
 
 import numpy as np
@@ -260,6 +261,46 @@ def test_no_grad_blocks_recording():
         y = ad.tensor_sum(ad.multiply(x, x))
     with pytest.raises(ad.GraphError):
         y.backward()
+
+
+def test_recording_mode_is_per_thread():
+    # thread A sits inside no_grad and record_gates while thread B runs a
+    # training step: B's graph is recorded, and its gates stay out of A's sink
+    rng = np.random.default_rng(0)
+    cfg = BackboneConfig(lookback=24, horizon=6, patch_len=8, repr_dim=8)
+    x, y = rng.normal(size=(6, 4, 24)), rng.normal(size=(6, 4, 6))
+    backbone = pretrain_backbone(x, y, cfg)
+    out = backbone_forward(backbone, x)
+    # soft gates make eps trainable, so every parameter takes a gradient
+    state = init_adapter(backbone, 4, TrainConfig(embed_dim=4, rank=2, soft_gate=True))
+    a_inside, b_done = threading.Event(), threading.Event()
+    a_sink, no_grad_params, errors = [], [], []
+
+    def thread_a():
+        with ad.no_grad(), ad.record_gates(a_sink):
+            a_inside.set()
+            b_done.wait(timeout=60)
+
+    def thread_b():
+        try:
+            assert a_inside.wait(timeout=60)
+            losses = training_losses(state, out.repr, out.yhat_norm,
+                                     (y - out.mean) / out.std, pearson_matrix(x))
+            ad.add(losses["prediction"], losses["aux"]).backward()
+            no_grad_params.extend(name for name, t in named_parameters(state)
+                                  if t.grad is None)
+        except Exception as exc:
+            errors.append(exc)
+        finally:
+            b_done.set()
+
+    threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and no_grad_params == [] and a_sink == []
 
 
 def test_forward_and_gradients_bit_deterministic():

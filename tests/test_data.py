@@ -394,6 +394,68 @@ def test_windows_never_span_dropped_rows(tmp_path, blank_lines):
         assert np.all(np.diff(np.concatenate([x[0], y[0]])) == 1.0)
 
 
+def _stacked_windows(series, spec, lookback, horizon):
+    """The per-window ``np.stack`` composition that make_windows replaced,
+    kept as its bitwise oracle."""
+    def region(lo, hi):
+        width = lookback + horizon
+        starts = np.arange(lo, hi - width + 1, spec.stride, dtype=np.int64)
+        ends = np.append(np.asarray(series.gaps, dtype=np.int64), series.length)
+        starts = starts[ends[np.searchsorted(ends, starts, side="right")]
+                        >= starts + width]
+        if len(starts) == 0:
+            return (np.zeros((0, series.n_channels, lookback)),
+                    np.zeros((0, series.n_channels, horizon)), starts)
+        return (np.stack([series.values[:, s:s + lookback] for s in starts]),
+                np.stack([series.values[:, s + lookback:s + width] for s in starts]),
+                starts)
+
+    t = series.length
+    t1 = int(round(spec.train_frac * t))
+    t2 = min(t1 + int(round(spec.val_frac * t)), t)
+    train, val, test = region(0, t1), region(t1, t2), region(t2, t)
+    if spec.few_shot_frac < 1.0:
+        keep = max(1, int(round(spec.few_shot_frac * len(train[2]))))
+        train = tuple(a[-keep:] for a in train)
+    return train, val, test
+
+
+@pytest.mark.parametrize("make, spec, lookback, horizon", [
+    (lambda _: series_of_length(300), dt.SplitSpec(stride=1), 12, 4),
+    (lambda _: series_of_length(300), dt.SplitSpec(stride=3), 12, 4),
+    (lambda _: series_of_length(300), dt.SplitSpec(stride=7), 12, 4),
+    (lambda _: series_of_length(600), dt.SplitSpec(few_shot_frac=0.05), 24, 8),
+    # 0.001 * 389 train windows rounds to 0, so keep rounds up to 1
+    (lambda _: series_of_length(600), dt.SplitSpec(few_shot_frac=0.001), 24, 8),
+    (lambda _: series_of_length(300), dt.SplitSpec(0.8, 0.0, 0.2), 12, 4),
+    (lambda _: series_of_length(32), dt.SplitSpec(1.0, 0.0, 0.0), 24, 8),
+    (lambda tmp: _gapped_csv(tmp / "g.csv"), dt.SplitSpec(1.0, 0.0, 0.0), 3, 2),
+], ids=["stride1", "stride3", "stride7", "few_shot", "few_shot_keeps_one",
+        "empty_zero_frac_region", "one_window_series", "gapped_csv"])
+def test_windows_match_the_stacked_oracle_bitwise(tmp_path, make, spec, lookback, horizon):
+    series = make(tmp_path)
+    got = dt.make_windows(series, spec, lookback, horizon)
+    for ws, want in zip(got, _stacked_windows(series, spec, lookback, horizon)):
+        for a, b in zip((ws.x, ws.y, ws.starts), want):
+            assert (a.shape, a.strides, a.dtype) == (b.shape, b.strides, b.dtype)
+            assert a.tobytes() == b.tobytes()
+
+
+def test_few_shot_windows_own_their_data():
+    # a slice of the full train windows would keep all of them alive
+    spec = dt.SplitSpec(few_shot_frac=0.05)
+    train, _, _ = dt.make_windows(series_of_length(600), spec, 24, 8)
+    assert [a.flags.owndata for a in (train.x, train.y, train.starts)] == [True] * 3
+
+
+@pytest.mark.parametrize("arg", ["lookback", "horizon"])
+@pytest.mark.parametrize("value", [0, -2, 5.5, True])
+def test_make_windows_rejects_a_bad_lookback_or_horizon(arg, value):
+    sizes = {"lookback": 4, "horizon": 2, arg: value}
+    with pytest.raises(dt.DataError, match=arg):
+        dt.make_windows(series_of_length(50), dt.SplitSpec(), **sizes)
+
+
 def test_gap_free_series_records_no_gaps(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("date,a\n1,nan\n2,1.0\n\n3,2.0\n4,nan\n")

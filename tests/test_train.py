@@ -1,6 +1,7 @@
 """Training loop: inertness, determinism, early stopping, divergence, export."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from chancorr.data import (DataError, SplitSpec, WindowSet,
                            generate_synthetic, make_windows, planted_regime)
 from chancorr.train import (ABLATION_ROWS, DivergenceError, ablate,
                             backbone_mse_mae, evaluate, export_similarity,
-                            fit)
+                            few_shot_scenario, fit)
 from chancorr import autodiff as ad
 from chancorr import train as train_module
 from chancorr.projection import divide
@@ -201,6 +202,20 @@ def test_metrics_csv_shape():
     assert len(report.wall_clock_per_epoch) == len(report.epochs)
     assert all(dt > 0 for dt in report.wall_clock_per_epoch)
     float(lines[1].split(",")[1])        # numeric cells parse
+
+
+def test_few_shot_scenario_retains_only_the_windows_it_returns():
+    # Sliced from all 5,615 train windows, the 281 few-shot ones kept the
+    # whole 43 MB train set alive: 57.5 MiB stayed traced after the call.
+    # Built alone, the returned scenario holds about 18.4 MiB.
+    tracemalloc.start()
+    try:
+        scenario = few_shot_scenario("dynamic", 0)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scenario[1]) == 281
+    assert retained < 25 * 2 ** 20, retained
 
 
 def test_fit_rejects_empty_splits():
