@@ -212,8 +212,8 @@ def branch_views(state: AdapterState, out: BackboneOutput):
     def views(rep):
         with ad.no_grad():
             x_pos, x_neg = divide(state.hd, ad.constant(rep))
-            pos = flatten_per_channel(x_pos).data
-            neg = flatten_per_channel(x_neg).data
+            pos = flatten_per_channel(x_pos.data)
+            neg = flatten_per_channel(x_neg.data)
         ad.check_finite(pos, "branch_views")
         ad.check_finite(neg, "branch_views")
         return pos, neg

@@ -6,8 +6,13 @@ itself if it is a ``requires_grad`` leaf.  So an op output is freed once
 dropped unless a closure holds its array.  ``Tensor.backward()`` walks the
 nodes in reverse topological order, accumulating into each leaf's ``.grad``,
 and consumes each node it passes, so a recording is walked at most once.
-Ops defined outside this module (the projection layer, the contrastive
-op) record through `_result` in the same way.
+
+Each module of the adapter is one op with a hand-written backward, defined
+beside its forward (the projection layer, the fusion head, the contrastive
+op) and recorded through `_result`.  This module keeps the tape and the few
+generic ops the rest calls: `add` and `scale` join loss terms, `softplus`
+keeps the contrastive threshold positive, `mse_loss` is the forecast loss
+and `tensor_sum` the unscaled reduction of gradient tests.
 
 Conventions
 -----------
@@ -51,16 +56,9 @@ __all__ = [
     "no_grad",
     "record_gates",
     "add",
-    "subtract",
-    "multiply",
-    "matmul",
     "scale",
-    "sigmoid",
     "softplus",
     "tensor_sum",
-    "mean",
-    "reshape",
-    "transpose",
     "unit_rows",
     "window_blocks",
     "mse_loss",
@@ -273,21 +271,18 @@ def _sum_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _broadcastable(a_shape: tuple, b_shape: tuple, op: str) -> None:
-    try:
-        np.broadcast_shapes(a_shape, b_shape)
-    except ValueError as err:
-        raise ShapeMismatchError(f"{op}: cannot broadcast {a_shape} with {b_shape}") from err
-
-
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _broadcastable(a.shape, b.shape, "add")
-    data = a.data + b.data
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError as err:
+        raise ShapeMismatchError(f"add: cannot broadcast {a.shape} with {b.shape}") from err
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = a.data + b.data
     return _result(
         data,
         [
@@ -298,66 +293,11 @@ def add(a, b) -> Tensor:
     )
 
 
-def subtract(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcastable(a.shape, b.shape, "subtract")
-    data = a.data - b.data
-    return _result(
-        data,
-        [
-            (a, lambda g, s=a.shape: _sum_to_shape(g, s)),
-            (b, lambda g, s=b.shape: _sum_to_shape(-g, s)),
-        ],
-        "subtract",
-    )
-
-
-def multiply(a, b) -> Tensor:
-    """Hadamard product with numpy broadcasting."""
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcastable(a.shape, b.shape, "multiply")
-    with np.errstate(over="ignore", invalid="ignore"):
-        data = a.data * b.data
-    # C-ordered products, so that ``_sum_to_shape`` reduces in the same
-    # order whether the other operand broadcasts or is a full copy
-    return _result(
-        data,
-        [
-            (a, lambda g, o=b.data, s=a.shape: _sum_to_shape(np.multiply(g, o, order="C"), s)),
-            (b, lambda g, o=a.data, s=b.shape: _sum_to_shape(np.multiply(g, o, order="C"), s)),
-        ],
-        "multiply",
-    )
-
-
 def scale(x, alpha: float) -> Tensor:
     x = as_tensor(x)
     alpha = float(alpha)
     data = x.data * alpha
     return _result(data, [(x, lambda g: g * alpha)], "scale")
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product of (..., n, k) and (..., k, m) operands; leading batch
-    dimensions broadcast as in numpy."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeMismatchError("matmul requires at least 2-d operands")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeMismatchError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            data = a.data @ b.data
-    except ValueError as err:
-        raise ShapeMismatchError(f"matmul: {a.shape} @ {b.shape}") from err
-
-    def grad_a(g, bd=b.data, s=a.shape):
-        return _sum_to_shape(g @ bd.swapaxes(-1, -2), s)
-
-    def grad_b(g, ad=a.data, s=b.shape):
-        return _sum_to_shape(ad.swapaxes(-1, -2) @ g, s)
-
-    return _result(data, [(a, grad_a), (b, grad_b)], "matmul")
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +315,6 @@ def _logistic(xd: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    out = _logistic(x.data)
-    return _result(out, [(x, lambda g, d=out: g * d * (1.0 - d))], "sigmoid")
-
-
 def softplus(x) -> Tensor:
     x = as_tensor(x)
     data = np.logaddexp(0.0, x.data)
@@ -389,45 +323,35 @@ def softplus(x) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# reductions and structure
-
-
-def _unreduce(g: np.ndarray, shape: tuple, axis) -> np.ndarray:
-    """Spread the gradient of a reduction over ``axis`` back to ``shape``."""
-    if axis is not None:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, shape).copy()
+# reductions
 
 
 def tensor_sum(x, axis=None) -> Tensor:
     x = as_tensor(x)
     data = np.asarray(x.data.sum(axis=axis))
-    return _result(data, [(x, lambda g, s=x.shape: _unreduce(g, s, axis))], "sum")
+
+    def grad(g, shape=x.shape):
+        return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape).copy()
+
+    return _result(data, [(x, grad)], "sum")
 
 
-def mean(x, axis=None) -> Tensor:
-    """Mean pooling over ``axis`` (all axes when None)."""
-    x = as_tensor(x)
-    data = np.asarray(x.data.mean(axis=axis))
-    count = x.size // max(data.size, 1)
-    return _result(
-        data, [(x, lambda g, s=x.shape: _unreduce(g / count, s, axis))], "mean")
+def mse_loss(pred, target) -> Tensor:
+    """Mean of the squared differences of two same-shaped tensors, as one
+    op whose backward runs the float operations of the subtract, square
+    and mean it stands for."""
+    pred, target = as_tensor(pred), as_tensor(target)
+    if pred.shape != target.shape:
+        raise ShapeMismatchError(f"mse_loss: prediction {pred.shape} vs target {target.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = pred.data - target.data
+        data = np.asarray((diff * diff).mean())
 
+    def grad(g):
+        half = np.multiply(g / diff.size, diff)
+        return half + half
 
-def reshape(x, shape) -> Tensor:
-    x = as_tensor(x)
-    try:
-        data = x.data.reshape(shape)
-    except ValueError as err:
-        raise ShapeMismatchError(f"reshape: {x.shape} -> {shape}") from err
-    return _result(data, [(x, lambda g, s=x.shape: g.reshape(s))], "reshape")
-
-
-def transpose(x, axes=None) -> Tensor:
-    x = as_tensor(x)
-    data = np.transpose(x.data, axes)
-    inverse = None if axes is None else np.argsort(axes)
-    return _result(data, [(x, lambda g, inv=inverse: np.transpose(g, inv))], "transpose")
+    return _result(data, [(pred, grad), (target, lambda g: -grad(g))], "mse_loss")
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +378,6 @@ def window_blocks(shape: tuple, window_ndim: int, arrays: int = 1) -> list:
         return [...]
     size = max(1, BLOCK_BYTES // max(1, 8 * arrays * math.prod(shape[1:])))
     return [slice(lo, lo + size) for lo in range(0, max(shape[0], 1), size)]
-
-
-def mse_loss(pred, target) -> Tensor:
-    pred, target = as_tensor(pred), as_tensor(target)
-    diff = subtract(pred, target)
-    return mean(multiply(diff, diff))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,17 @@ happens after fusion using the same per-instance statistics as ``yhat``.
 The head is zero-initialized and the gate logits start at -5, so a freshly
 constructed fusion module reproduces the backbone prediction almost exactly
 (gate leakage multiplies a zero head output).
+
+Each post-projection layer is its own op (see `projection`); everything
+after them, from the sum of the views to the blend, is one recorded op with
+one numpy kernel for training and serving alike.  Under ``no_grad`` the
+blend overwrites the head output; in grad mode the op keeps the flattened
+sum, the head output and ``yhat`` for its hand-written backward.  Forward
+and backward run the float operations of the generic-op chain the op
+replaced, in its order, and hand both post stacks the gradient of the
+flatten in that chain's transposed (..., P, N, d) layout, so no bit depends
+on the fusion into one op.  The output is checked for NaN and Inf in grad
+mode.
 """
 
 from dataclasses import dataclass
@@ -86,15 +97,43 @@ def fuse_predict(params: FusionParams, x_pos, x_neg, yhat) -> Tensor:
     if params.beta_logits.shape != (n,):
         raise ShapeMismatchError(
             f"gate sized for {params.beta_logits.shape[0]} channels, got {n}")
+    head_shape = x_pos.shape[:-3] + (n,) + params.head_w.shape[1:]
+    if (x_pos.shape[-3] * x_pos.shape[-1], head_shape) != (len(params.head_w.data), yhat.shape):
+        raise ShapeMismatchError(f"head {params.head_w.shape} maps {x_pos.shape} "
+                                 f"to {head_shape} but yhat is {yhat.shape}")
 
     x_pos = project_stack(params.post.pos_layers, x_pos)
     x_neg = project_stack(params.post.neg_layers, x_neg)
-    flat = flatten_per_channel(ad.add(x_pos, x_neg))      # (..., N, P*d)
-    head = ad.add(ad.matmul(flat, params.head_w), params.head_b)  # (..., N, F)
-    if head.shape != yhat.shape:
-        raise ShapeMismatchError(
-            f"head produces {head.shape} but yhat is {yhat.shape}")
+    head_w, head_b, beta_logits = params.head_w, params.head_b, params.beta_logits
+    wd, yd, d, keep = head_w.data, yhat.data, x_pos.shape[-1], ad._mode.grad_enabled
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat = flatten_per_channel(x_pos.data + x_neg.data)
+        head = flat @ wd
+        head += head_b.data
+        sig = ad._logistic(beta_logits.data)
+        beta = sig.reshape(n, 1)
+        # under no_grad nothing is kept for backward, so ystar overwrites head
+        out = np.multiply(beta, head, out=None if keep else head)
+        out += (1.0 - beta) * yd
 
-    beta = ad.reshape(ad.sigmoid(params.beta_logits), (n, 1))
-    return ad.add(ad.multiply(beta, head),
-                  ad.multiply(ad.subtract(ad.constant(1.0), beta), yhat))
+    grads = {}
+    sum_to = ad._sum_to_shape
+
+    def backward(name, g):
+        if grads:
+            return grads.pop(name)
+        g_beta = sum_to(np.multiply(g, head, order="C"), beta.shape)
+        g_beta -= sum_to(np.multiply(g, yd, order="C"), beta.shape)
+        g_head = np.multiply(g, beta, order="C")
+        g_flat = g_head @ wd.swapaxes(-1, -2)
+        g_views = g_flat.reshape(g_flat.shape[:-1] + (-1, d)).swapaxes(-3, -2)
+        grads.update(x_pos=g_views, x_neg=g_views,
+                     head_w=sum_to(flat.swapaxes(-1, -2) @ g_head, wd.shape),
+                     head_b=sum_to(g_head, head_b.shape),
+                     beta_logits=g_beta.reshape(n) * sig * (1.0 - sig))
+        return grads.pop(name)
+
+    edges = [(t, lambda g, name=name: backward(name, g)) for name, t in
+             (("x_pos", x_pos), ("x_neg", x_neg), ("head_w", head_w),
+              ("head_b", head_b), ("beta_logits", beta_logits))]
+    return ad._result(out, edges, "fuse_predict")

@@ -132,13 +132,9 @@ def init_hd_params(n_patches: int, repr_dim: int, depth: int,
     return HdParams(pos_layers=pos, neg_layers=neg)
 
 
-def flatten_per_channel(x: Tensor) -> Tensor:
-    """(..., P, N, d) -> (..., N, P*d)."""
-    nd = x.ndim
-    axes = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)
-    swapped = ad.transpose(x, axes)  # (..., N, P, d)
-    new_shape = swapped.shape[:-2] + (swapped.shape[-2] * swapped.shape[-1],)
-    return ad.reshape(swapped, new_shape)
+def flatten_per_channel(x: np.ndarray) -> np.ndarray:
+    """(..., P, N, d) -> (..., N, P*d), a copy unless already in that order."""
+    return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (x.shape[-2], x.shape[-3] * x.shape[-1]))
 
 
 def _layer_norm(layer: ProjectionLayerParams, x: Tensor):
@@ -179,7 +175,7 @@ def _project(layer, x, norm, inv, own_norm):
         ad.trace_gate(np.maximum(hidden, 0.0, out=hidden))
         proj = hidden @ w2
         proj += b2
-        flat = ln.swapaxes(-3, -2).reshape(ln.shape[:-3] + (x.shape[-2], -1))  # (..., N, P*d)
+        flat = flatten_per_channel(ln)
         squeeze = flat @ v1
         squeeze += c1
         ad.trace_gate(np.maximum(squeeze, 0.0, out=squeeze))

@@ -591,6 +591,50 @@ def _chain_relu(x):
     return ad._result(data, [(x, lambda g, d=data: g * (d > 0))], "relu")
 
 
+def _chain_subtract(a, b):
+    return ad._result(a.data - b.data,
+                      [(a, lambda g, s=a.shape: ad._sum_to_shape(g, s)),
+                       (b, lambda g, s=b.shape: ad._sum_to_shape(-g, s))], "subtract")
+
+
+def _chain_matmul(a, b):
+    return ad._result(a.data @ b.data, [
+        (a, lambda g, o=b.data, s=a.shape: ad._sum_to_shape(g @ o.swapaxes(-1, -2), s)),
+        (b, lambda g, o=a.data, s=b.shape: ad._sum_to_shape(o.swapaxes(-1, -2) @ g, s))],
+        "matmul")
+
+
+def _chain_sigmoid(x):
+    out = ad._logistic(x.data)
+    return ad._result(out, [(x, lambda g, d=out: g * d * (1.0 - d))], "sigmoid")
+
+
+def _chain_mean(x, axis=None):
+    data = np.asarray(x.data.mean(axis=axis))
+    count = x.size // max(data.size, 1)
+
+    def grad(g, s=x.shape):
+        return np.broadcast_to(g / count if axis is None else np.expand_dims(g / count, axis),
+                               s).copy()
+
+    return ad._result(data, [(x, grad)], "mean")
+
+
+def _chain_transpose(x, axes=None):
+    inverse = None if axes is None else np.argsort(axes)
+    return ad._result(np.transpose(x.data, axes),
+                      [(x, lambda g: np.transpose(g, inverse))], "transpose")
+
+
+def _chain_flatten_per_channel(x):
+    """(..., P, N, d) -> (..., N, P*d) as a transpose and a reshape."""
+    nd = x.ndim
+    swapped = _chain_transpose(x, tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1))
+    shape = swapped.shape[:-2] + (swapped.shape[-2] * swapped.shape[-1],)
+    return ad._result(swapped.data.reshape(shape),
+                      [(swapped, lambda g, s=swapped.shape: g.reshape(s))], "reshape")
+
+
 def _chain_polynomial_expand(coeffs, q):
     """Q = sum_i coeffs[..., i] * q**i, the op the estimator recorded."""
     cs = coeffs.shape[:-1] + (1,)
@@ -622,30 +666,33 @@ def _chain_polynomial_expand(coeffs, q):
 
 def _chain(r, reps, dce, eps, x_pos, x_neg, config):
     """``(l_pos, l_neg, total)`` of the generic-op chain that `ct.hpcl_loss`
-    replaces: Q and V from autodiff ops on the estimator ``dce``, M = R +
-    Q V Q^T from autodiff ops (R alone without ``dce``), the supports and,
-    in soft mode, sigmoid gates from autodiff ops, and one
-    `_chain_branch_op` per branch."""
+    replaces: Q and V from generic ops on the estimator ``dce``, M = R +
+    Q V Q^T from generic ops (R alone without ``dce``), the supports and,
+    in soft mode, sigmoid gates from generic ops, and one
+    `_chain_branch_op` per branch.  The generic ops are the engine's
+    ``add`` and ``scale`` and the `_chain_` copies above of the ones it no
+    longer has."""
     m = ad.constant(r)
     if dce is not None:
-        pooled = ad.mean(reps, axis=-3)
-        coeffs = _chain_tanh(ad.add(ad.matmul(pooled, dce.coef_w), dce.coef_b))
+        pooled = _chain_mean(reps, axis=-3)
+        coeffs = _chain_tanh(ad.add(_chain_matmul(pooled, dce.coef_w), dce.coef_b))
         q = _chain_polynomial_expand(coeffs, dce.q)
-        v = ad.sigmoid(_chain_relu(ad.matmul(dce.e1, ad.transpose(dce.e2))))
-        qt = ad.transpose(q, axes=tuple(range(q.ndim - 2)) + (q.ndim - 1, q.ndim - 2))
-        m = ad.add(m, ad.matmul(ad.matmul(q, v), qt))
+        v = _chain_sigmoid(_chain_relu(_chain_matmul(dce.e1, _chain_transpose(dce.e2))))
+        qt = _chain_transpose(q, axes=tuple(range(q.ndim - 2)) + (q.ndim - 1, q.ndim - 2))
+        m = ad.add(m, _chain_matmul(_chain_matmul(q, v), qt))
     eps_val = eps.numeric()
     pos = (m.data > eps_val) | np.eye(m.shape[-1], dtype=bool)
     neg = m.data < -eps_val
     gates = (pos, neg)
     if config.soft_gate:
         eps_t, inv_temp = eps.value, 1.0 / config.gate_temp
-        gates = (ad.sigmoid(ad.scale(ad.subtract(m, eps_t), inv_temp)),
-                 ad.sigmoid(ad.scale(ad.subtract(ad.scale(m, -1.0), eps_t), inv_temp)))
+        gates = (_chain_sigmoid(ad.scale(_chain_subtract(m, eps_t), inv_temp)),
+                 _chain_sigmoid(ad.scale(_chain_subtract(ad.scale(m, -1.0), eps_t), inv_temp)))
 
     def branch(x, gate, support):
-        views = pj.flatten_per_channel(x)
-        return ad.mean(_chain_branch_op(views, m, gate, support.any(axis=-1), 1.0 / config.tau))
+        views = _chain_flatten_per_channel(x)
+        return _chain_mean(_chain_branch_op(views, m, gate, support.any(axis=-1),
+                                            1.0 / config.tau))
 
     l_pos = branch(x_pos, gates[0], pos)
     l_neg = branch(x_neg, gates[1], neg) if neg.any() else ad.constant(0.0)

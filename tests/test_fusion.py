@@ -1,4 +1,7 @@
-"""Fusion gate behavior: convexity, limits, identity at init, gradients."""
+"""Fusion gate behavior: convexity, limits, identity at init, gradients,
+and the one-op head against the generic-op chain it replaced."""
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -31,8 +34,74 @@ def head_only(params, x_pos, x_neg):
     with ad.no_grad():
         a = project_stack(params.post.pos_layers, ad.constant(x_pos))
         b = project_stack(params.post.neg_layers, ad.constant(x_neg))
-        flat = flatten_per_channel(ad.add(a, b))
-        return (flat.data @ params.head_w.data) + params.head_b.data
+        flat = flatten_per_channel(a.data + b.data)
+        return (flat @ params.head_w.data) + params.head_b.data
+
+
+# Test-local copies of the generic ops the fusion head and the forecast loss
+# were composed of, as the engine recorded them: the bitwise reference of
+# the one-op `fuse_predict` and `ad.mse_loss`.
+
+def _chain_subtract(a, b):
+    return ad._result(a.data - b.data,
+                      [(a, lambda g, s=a.shape: ad._sum_to_shape(g, s)),
+                       (b, lambda g, s=b.shape: ad._sum_to_shape(-g, s))], "subtract")
+
+
+def _chain_multiply(a, b):
+    return ad._result(a.data * b.data, [
+        (a, lambda g, o=b.data, s=a.shape: ad._sum_to_shape(np.multiply(g, o, order="C"), s)),
+        (b, lambda g, o=a.data, s=b.shape: ad._sum_to_shape(np.multiply(g, o, order="C"), s))],
+        "multiply")
+
+
+def _chain_matmul(a, b):
+    return ad._result(a.data @ b.data, [
+        (a, lambda g, o=b.data, s=a.shape: ad._sum_to_shape(g @ o.swapaxes(-1, -2), s)),
+        (b, lambda g, o=a.data, s=b.shape: ad._sum_to_shape(o.swapaxes(-1, -2) @ g, s))],
+        "matmul")
+
+
+def _chain_sigmoid(x):
+    out = ad._logistic(x.data)
+    return ad._result(out, [(x, lambda g, d=out: g * d * (1.0 - d))], "sigmoid")
+
+
+def _chain_reshape(x, shape):
+    return ad._result(x.data.reshape(shape), [(x, lambda g, s=x.shape: g.reshape(s))],
+                      "reshape")
+
+
+def _chain_transpose(x, axes):
+    inverse = np.argsort(axes)
+    return ad._result(np.transpose(x.data, axes),
+                      [(x, lambda g: np.transpose(g, inverse))], "transpose")
+
+
+def _chain_mean(x):
+    count = x.size
+    return ad._result(np.asarray(x.data.mean()), [
+        (x, lambda g, s=x.shape: np.broadcast_to(g / count, s).copy())], "mean")
+
+
+def chain_mse(pred, target):
+    diff = _chain_subtract(pred, target)
+    return _chain_mean(_chain_multiply(diff, diff))
+
+
+def chain_fuse(params, x_pos, x_neg, yhat):
+    """The generic-op composite that `fuse_predict` replaces."""
+    from chancorr.projection import project_stack
+    x_pos = project_stack(params.post.pos_layers, x_pos)
+    x_neg = project_stack(params.post.neg_layers, x_neg)
+    s = ad.add(x_pos, x_neg)
+    nd = s.ndim
+    swapped = _chain_transpose(s, tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1))
+    flat = _chain_reshape(swapped, swapped.shape[:-2] + (-1,))
+    head = ad.add(_chain_matmul(flat, params.head_w), params.head_b)
+    beta = _chain_reshape(_chain_sigmoid(params.beta_logits), (-1, 1))
+    return ad.add(_chain_multiply(beta, head),
+                  _chain_multiply(_chain_subtract(ad.constant(1.0), beta), yhat))
 
 
 def test_closed_gate_returns_backbone_prediction():
@@ -118,22 +187,32 @@ def test_shape_mismatches_rejected():
         bad = make_inputs(rng, n=5)
         fu.fuse_predict(params, ad.constant(bad[0]), ad.constant(bad[1]),
                         ad.constant(bad[2]))
+    # views whose P*d the head was not built for, with no post layer to
+    # reject them first
+    params = warmed_params(rng, n=4, depth=0)
+    bad = make_inputs(rng, n=4, p=2)
+    with pytest.raises(ad.ShapeMismatchError):
+        fu.fuse_predict(params, ad.constant(bad[0]), ad.constant(bad[1]),
+                        ad.constant(bad[2]))
 
 
 def test_gradients_match_finite_differences():
-    rng = np.random.default_rng(77)
-    params = warmed_params(rng, n=3, p=2, d=4, f=3, depth=1)
-    x_pos, x_neg, yhat = make_inputs(rng, n=3, p=2, d=4, f=3)
-    target = rng.normal(size=yhat.shape)
+    # through the head op and the loss op, to the views too; at depth 0 the
+    # views enter the head directly
+    for depth in (0, 1):
+        rng = np.random.default_rng(77)
+        params = warmed_params(rng, n=3, p=2, d=4, f=3, depth=depth)
+        x_pos, x_neg, yhat = (ad.parameter(a) for a in make_inputs(rng, n=3, p=2, d=4, f=3))
+        target = rng.normal(size=yhat.shape)
 
-    def loss():
-        ystar = fu.fuse_predict(params, ad.constant(x_pos), ad.constant(x_neg),
-                                ad.constant(yhat))
-        return ad.mse_loss(ystar, ad.constant(target))
+        def loss():
+            ystar = fu.fuse_predict(params, x_pos, x_neg, ad.constant(yhat.data))
+            return ad.mse_loss(ystar, ad.constant(target))
 
-    report = ad.grad_check(loss, params.named_tensors(), tol=1e-4,
-                           max_entries_per_param=15)
-    assert report.passed, str(report)
+        named = [("x_pos", x_pos), ("x_neg", x_neg)] + params.named_tensors()
+        report = ad.grad_check(loss, named, tol=1e-4, max_entries_per_param=15)
+        assert report.passed, str(report)
+        assert all(r.checked for r in report.results), str(report)
 
 
 def test_gate_receives_gradient_even_with_zero_head():
@@ -148,3 +227,60 @@ def test_gate_receives_gradient_even_with_zero_head():
     assert params.beta_logits.grad is not None
     assert np.abs(params.beta_logits.grad).max() > 0
     assert params.head_w.grad is not None
+
+
+def _fused_and_chain(depth, batch, grad):
+    """``run(fuse, mse)``: ystar's bytes and, in grad mode, the loss's and
+    every gradient's after backward, for one problem with the views as
+    parameters."""
+    rng = np.random.default_rng(79 + depth)
+    params = warmed_params(rng, depth=depth)
+    arrays = make_inputs(rng, b=batch)
+    target = rng.normal(size=arrays[2].shape)
+
+    def run(fuse, mse):
+        x_pos, x_neg = ad.parameter(arrays[0]), ad.parameter(arrays[1])
+        leaves = [x_pos, x_neg] + [t for _, t in params.named_tensors()]
+        for t in leaves:
+            t.grad = None
+        with contextlib.ExitStack() as stack:
+            if not grad:
+                stack.enter_context(ad.no_grad())
+            ystar = fuse(params, x_pos, x_neg, ad.constant(arrays[2]))
+        out = [ystar.data.tobytes()]
+        if grad:
+            loss = mse(ystar, ad.constant(target))
+            loss.backward()
+            out += [loss.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+        return out
+
+    return run
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("batch", [0, 3])
+@pytest.mark.parametrize("grad", [True, False])
+def test_fused_head_is_bitwise_the_generic_chain(depth, batch, grad):
+    # ystar, the loss and the gradients to both views, every post layer,
+    # head_w, head_b and beta_logits
+    run = _fused_and_chain(depth, batch, grad)
+    want = run(chain_fuse, chain_mse)
+    assert len(want) == (7 + 20 * depth if grad else 1)
+    assert run(fu.fuse_predict, ad.mse_loss) == want
+    assert run(fu.fuse_predict, chain_mse) == want
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (3, 5), (2, 3, 4)])
+def test_mse_loss_is_bitwise_the_generic_chain(shape):
+    rng = np.random.default_rng(80)
+    arrays = rng.normal(size=shape), rng.normal(size=shape)
+
+    def run(mse):
+        pred, target = ad.parameter(arrays[0]), ad.parameter(arrays[1])
+        loss = mse(pred, target)
+        loss.backward()
+        with ad.no_grad():
+            value = mse(ad.constant(arrays[0]), ad.constant(arrays[1]))
+        return [t.tobytes() for t in (loss.data, value.data, pred.grad, target.grad)]
+
+    assert run(ad.mse_loss) == run(chain_mse)

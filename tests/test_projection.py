@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from chancorr import autodiff as ad
+from chancorr import fusion as fu
 from chancorr import projection as pj
 
 
@@ -197,27 +198,42 @@ def test_broadcast_gate_weights_match_expanded_reference_bitwise():
             assert np.array_equal(got, want)
             assert [t.tobytes() for t in sink] == [t.tobytes() for t in packed]
 
-    # flattening hands a transposed gradient back to the layer, the layout
-    # under which a broadcast multiply could change the summation order of
-    # the bias gradients: they must match those of a contiguous one bitwise
-    layer = randomized_layer(3, 4, rng)
-    x = rng.normal(size=(5, 3, 6, 4))
-    target = rng.normal(size=(5, 6, 12))
-    grads = []
-    for flatten in (True, False):
-        for _, t in layer.named_tensors():
+    # the fusion head hands its post layers the gradient of its per-channel
+    # flatten, transposed back to (..., P, N, d), the layout under which a
+    # broadcast multiply could change the summation order of the bias
+    # gradients: they must match those of a C-contiguous one bitwise
+    post = randomized_layer(3, 4, rng)
+    fusion = fu.init_fusion_params(6, 3, 4, 5, rng, depth=0, beta_logit_init=0.0)
+    fusion.head_w.data = rng.normal(size=fusion.head_w.shape)
+    x, yhat = rng.normal(size=(5, 3, 6, 4)), rng.normal(size=(5, 6, 5))
+    target = rng.normal(size=yhat.shape)
+    grads, seen = [], []
+    for contiguous in (False, True):
+        for _, t in post.named_tensors():
             t.grad = None
-        out = pj.channel_aware_project(layer, ad.constant(x))
-        if flatten:
-            loss = ad.multiply(pj.flatten_per_channel(out), ad.constant(target))
-        else:
-            unflat = np.ascontiguousarray(target.reshape(out.shape[:-3] + (6, 3, 4))
-                                          .swapaxes(-3, -2))
-            loss = ad.multiply(out, ad.constant(unflat))
-        ad.tensor_sum(loss).backward()
-        grads.append([t.grad for _, t in layer.named_tensors()])
-    for (name, _), ga, gb in zip(layer.named_tensors(), *grads):
+        view = relay(pj.channel_aware_project(post, ad.constant(x)), seen, contiguous)
+        ystar = fu.fuse_predict(fusion, view, ad.constant(x), ad.constant(yhat))
+        ad.mse_loss(ystar, ad.constant(target)).backward()
+        grads.append([t.grad for _, t in post.named_tensors()])
+    assert not seen[0].flags.c_contiguous
+    assert np.array_equal(seen[0], seen[1])
+    for (name, _), ga, gb in zip(post.named_tensors(), *grads):
         assert np.array_equal(ga, gb), name
+
+
+def relay(x, seen, contiguous):
+    """x as a recorded op that notes the gradient arriving at it and hands
+    it on as it came or as a C-contiguous copy."""
+    def grad(g):
+        seen.append(g)
+        return np.ascontiguousarray(g) if contiguous else g
+    return ad._result(x.data, [(x, grad)], "relay")
+
+
+def weighted_sum(x, weight):
+    """sum(x * weight) for a plain array ``weight``, as one recorded op."""
+    return ad._result(np.asarray((x.data * weight).sum()), [(x, lambda g: g * weight)],
+                      "weighted_sum")
 
 
 def test_gradients_match_fd():
@@ -287,8 +303,7 @@ def test_stack_gradients_flow_to_all_layers():
     params = pj.init_hd_params(2, 3, depth=2, rng=rng)
     x = ad.constant(rng.normal(size=(2, 4, 3)))
     pos, neg = pj.divide(params, x)
-    loss = ad.add(ad.tensor_sum(ad.multiply(pos, pos)),
-                  ad.tensor_sum(ad.multiply(neg, neg)))
+    loss = ad.add(weighted_sum(pos, pos.data), weighted_sum(neg, neg.data))
     loss.backward()
     for name, t in params.named_tensors():
         assert t.grad is not None, name
@@ -308,8 +323,8 @@ def _run(fn, x, leaves, grad):
     if grad:
         loss = ad.constant(0.0)
         for view in views:
-            weight = ad.constant(rng.normal(size=view.shape))
-            loss = ad.add(loss, ad.tensor_sum(ad.multiply(view, weight)))
+            weight = rng.normal(size=view.shape)
+            loss = ad.add(loss, weighted_sum(view, weight))
         loss.backward()
         arrays += [t.grad for t in [x_t] + leaves]
         for t in leaves:
