@@ -31,7 +31,7 @@ import numpy as np
 
 from . import serialize
 from .autodiff import ShapeMismatchError
-from .config import ConfigError
+from .config import ConfigError, bounded, check_fields
 from .data import DataError
 
 __all__ = [
@@ -53,22 +53,17 @@ ALS_REL_TOL = 1e-9
 
 @dataclass
 class BackboneConfig:
-    lookback: int = 96
-    horizon: int = 24
-    patch_len: int = 16
-    repr_dim: int = 32
-    seed: int = 0
+    lookback: int = bounded(96, gt=0)
+    horizon: int = bounded(24, gt=0)
+    patch_len: int = bounded(16, gt=0)
+    repr_dim: int = bounded(32, ge=2)
+    seed: int = bounded(0, ge=0)
 
     def __post_init__(self):
-        if self.lookback <= 0 or self.horizon <= 0:
-            raise ConfigError("lookback and horizon must be positive")
-        if self.patch_len <= 0 or self.lookback % self.patch_len != 0:
+        check_fields(self)
+        if self.lookback % self.patch_len != 0:
             raise ConfigError(
                 f"lookback {self.lookback} not divisible by patch_len {self.patch_len}")
-        if self.repr_dim < 2:
-            raise ConfigError("repr_dim must be >= 2")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def n_patches(self) -> int:
@@ -264,7 +259,7 @@ def load_backbone(path) -> BackboneState:
         report = {key: kind(config.get(key, kind()))     # absent from older files
                   for key, kind in (("als_rounds", int), ("als_stop", str),
                                     ("ridge_escalations", int))}
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise serialize.SerializationError(
             f"{path}: bad header value ({exc})") from exc
     serialize.check_arrays(path, arrays, {

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .adapter import hpcl_terms, init_adapter, predict, state_tensors
 from .backbone import BackboneConfig, BackboneOutput, BackboneState
-from .config import TrainConfig
+from .config import COUNT, TrainConfig, check_value
 from .correlation import pearson_matrix
 from .optim import Adam
 
@@ -160,8 +160,7 @@ def run_bench(mode: str, n_list=DEFAULT_N_LIST, reps: int = 20,
               seed: int = 0) -> BenchResult:
     if len(n_list) < 4 or n_list[0] < 1 or (np.diff(n_list) <= 0).any():
         raise ValueError("n_list must rise strictly from N >= 1 over at least 4 points")
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    reps = check_value("reps", reps, COUNT, ValueError)
     if mode == "inference":
         return bench_inference(n_list, reps=reps, seed=seed)
     if mode == "train-step":

@@ -1,16 +1,28 @@
-"""Training configuration: defaults, validation, config-file parsing.
+"""Training configuration: defaults, field checks, config-file parsing.
+
+The configuration records (`TrainConfig`, `backbone.BackboneConfig`,
+`data.SplitSpec`) give each field's bounds with `bounded`.  `rules` builds
+a record's table from its field types and bounds, once, and the record's
+``__post_init__`` applies it with `check_fields`: a value is stored as the
+builtin ``int`` or ``float`` (no numpy scalar reaches a JSON header), and a
+bool, a non-finite float or an out-of-range value raises the record's own
+error naming the field and the value.  Only rules that span fields stay
+hand-written.  Functions check integer arguments with `COUNT`.
 
 The config file format is plain ``key = value`` lines.  Blank lines and
 ``#`` comments are ignored.  Keys match TrainConfig field names; values are
-parsed by the field's type.  Command-line overrides use the same
+parsed by the field's kind.  Command-line overrides use the same
 ``key=value`` strings and win over file values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import sys
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
+from dataclasses import dataclass, field, fields, replace
 from numbers import Integral, Real
 
 
@@ -18,6 +30,71 @@ class ConfigError(ValueError):
     pass
 
 
+# kind: int, float, bool or a tuple of allowed strings; what: the text for a
+# value of the wrong kind; tests: (comparison, bound, text) for the range
+Rule = namedtuple("Rule", "kind optional what tests")
+_KINDS = {"int": (int, "an integer"), "float": (float, "a number"),
+          "bool": (bool, "true or false")}
+
+
+def bounded(default, **bounds):
+    """A dataclass field with bounds for its `Rule`: gt or ge, lt or le, or choices."""
+    return field(default=default, metadata=bounds)
+
+
+def _rule(kind, *, gt=None, ge=None, lt=None, le=None, choices=None) -> Rule:
+    name = getattr(kind, "__name__", kind)  # a type is text under postponed annotations
+    kind, what = ((choices, f"one of {choices}") if choices else
+                  _KINDS[name.removesuffix(" | None")])
+    tests = [(op, bound, text.format(bound)) for op, bound, text in (
+        (operator.gt, gt, "positive" if gt == 0 else "> {}"), (operator.ge, ge, ">= {}"),
+        (operator.lt, lt, "below {:.2f}"), (operator.le, le, "<= {}")) if bound is not None]
+    return Rule(kind, name.endswith(" | None"), what, tests)
+
+
+@functools.cache
+def rules(record_class) -> dict:
+    """Field name -> `Rule` for a dataclass whose bounds come from `bounded`;
+    built once per class."""
+    return {f.name: _rule(f.type, **f.metadata) for f in fields(record_class)}
+
+
+def check_value(name: str, value, rule: Rule, error=ConfigError):
+    """``value`` as the builtin its ``rule`` names; else ``error`` naming
+    ``name`` and the value."""
+    kind = rule.kind
+    if value is None and rule.optional:
+        return None
+    if isinstance(kind, tuple):
+        ok = isinstance(value, str) and value in kind
+    else:  # bool subclasses int, but True is no count and no rate
+        ok = type(value) is kind or (kind is not bool and not isinstance(value, bool)
+                                     and isinstance(value, Integral if kind is int else Real))
+    if not ok:
+        raise error(f"{name} must be {rule.what}, got {value!r}")
+    checked = int(value) if kind is int else value
+    if kind is float:
+        try:
+            checked = float(value)
+        except OverflowError:
+            checked = math.inf
+        # NaN passes every comparison below, so finiteness comes first
+        if not math.isfinite(checked):
+            raise error(f"{name} must be finite, got {value!r}")
+    for op, bound, text in rule.tests:
+        if not op(checked, bound):
+            raise error(f"{name} must be {text}, got {value!r}")
+    return checked
+
+
+def check_fields(record, error=ConfigError) -> None:
+    """Check and store each field of the dataclass ``record`` by its `Rule`."""
+    for name, rule in rules(type(record)).items():
+        setattr(record, name, check_value(name, getattr(record, name), rule, error))
+
+
+# a size or repeat count given as an argument; either fault names the whole rule
+COUNT = Rule(int, False, "an integer >= 1", [(operator.ge, 1, "an integer >= 1")])
 DCE_MODES = ("full", "pearson-only")
 HD_MODES = ("dual", "single-branch")
 # init_epsilon inverts the threshold's softplus, log(expm1(x)), which
@@ -28,116 +105,53 @@ _EPSILON_INIT_MAX = math.log(sys.float_info.max)
 @dataclass
 class TrainConfig:
     # optimization
-    lr: float = 1e-3
-    epochs: int = 50
-    patience: int = 10
-    batch_size: int = 32
-    lambda_aux: float = 1.0
-    aux_warmup_epochs: int = 5
-    seed: int = 0
+    lr: float = bounded(1e-3, gt=0)
+    epochs: int = bounded(50, gt=0)
+    patience: int = bounded(10, ge=0)
+    batch_size: int = bounded(32, gt=0)
+    lambda_aux: float = bounded(1.0, ge=0)
+    aux_warmup_epochs: int = bounded(5, ge=0)
+    seed: int = bounded(0, ge=0)
     # ablation switches
-    dce_mode: str = "full"          # full | pearson-only
-    hd_mode: str = "dual"           # dual | single-branch
+    dce_mode: str = bounded("full", choices=DCE_MODES)
+    hd_mode: str = bounded("dual", choices=HD_MODES)
     hpcl: bool = True
     # module hyperparameters
-    poly_degree: int = 3            # correlation polynomial degree
-    rank: int | None = None         # low-rank factor count (None = auto)
-    embed_dim: int = 8              # static-embedding width for V
-    tau: float = 0.5                # contrastive temperature
-    epsilon_init: float = 0.3       # initial threshold (post-softplus)
-    depth_division: int = 3         # projection stack depth (division)
-    depth_fusion: int = 3           # projection stack depth (fusion)
+    poly_degree: int = bounded(3, ge=0)     # correlation polynomial degree
+    rank: int | None = bounded(None, ge=1)  # low-rank factor count (None = auto)
+    embed_dim: int = bounded(8, ge=1)       # static-embedding width for V
+    tau: float = bounded(0.5, gt=0)         # contrastive temperature
+    epsilon_init: float = bounded(0.3, gt=0, lt=_EPSILON_INIT_MAX)  # post-softplus
+    depth_division: int = bounded(3, ge=1)  # projection stack depth (division)
+    depth_fusion: int = bounded(3, ge=1)    # projection stack depth (fusion)
     soft_gate: bool = False
-    gate_temp: float = 0.05
-    gate_lr_scale: float = 1.0
+    gate_temp: float = bounded(0.05, gt=0)
+    gate_lr_scale: float = bounded(1.0, gt=0)
     beta_logit_init: float = -5.0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "bool" and not isinstance(value, bool):
-                raise ConfigError(f"{f.name} must be true or false, got {value!r}")
-            # bool subclasses int, but True is no count
-            if f.type in ("int", "int | None") and not (
-                    value is None and f.type == "int | None"
-                    or isinstance(value, Integral) and not isinstance(value, bool)):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and (isinstance(value, bool) or not isinstance(value, Real)):
-                raise ConfigError(f"{f.name} must be a number, got {value!r}")
-            # NaN passes every comparison below, so finiteness is checked first
-            if f.type == "float" and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.epochs <= 0:
-            raise ConfigError(f"epochs must be positive, got {self.epochs}")
-        if self.patience < 0:
-            raise ConfigError(f"patience must be >= 0, got {self.patience}")
-        if self.batch_size <= 0:
-            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
-        if self.lambda_aux < 0:
-            raise ConfigError(f"lambda_aux must be >= 0, got {self.lambda_aux}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.aux_warmup_epochs < 0:
-            raise ConfigError("aux_warmup_epochs must be >= 0, "
-                              f"got {self.aux_warmup_epochs}")
-        if self.dce_mode not in DCE_MODES:
-            raise ConfigError(f"dce_mode must be one of {DCE_MODES}, "
-                              f"got {self.dce_mode!r}")
-        if self.hd_mode not in HD_MODES:
-            raise ConfigError(f"hd_mode must be one of {HD_MODES}, "
-                              f"got {self.hd_mode!r}")
-        if self.poly_degree < 0:
-            raise ConfigError(f"poly_degree must be >= 0, got {self.poly_degree}")
-        if self.rank is not None and self.rank < 1:
-            raise ConfigError(f"rank must be >= 1 or none, got {self.rank}")
-        if self.embed_dim < 1:
-            raise ConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
-        if not 0 < self.epsilon_init < _EPSILON_INIT_MAX:
-            raise ConfigError("epsilon_init must be positive and below "
-                              f"{_EPSILON_INIT_MAX:.2f}, got {self.epsilon_init}")
-        if self.depth_division < 1 or self.depth_fusion < 1:
-            raise ConfigError("projection depths must be >= 1, got "
-                              f"{self.depth_division}/{self.depth_fusion}")
-        if self.gate_temp <= 0:
-            raise ConfigError(f"gate_temp must be positive, got {self.gate_temp}")
-        if self.gate_lr_scale <= 0:
-            raise ConfigError("gate_lr_scale must be positive, "
-                              f"got {self.gate_lr_scale}")
+        check_fields(self)
 
-
-_FIELDS = {f.name: f for f in fields(TrainConfig)}
 
 _TRUE = {"true", "on", "yes", "1"}
 _FALSE = {"false", "off", "no", "0"}
 
 
 def _parse_value(name: str, text: str):
-    """Parse one config value by the declared field type."""
-    field = _FIELDS[name]
+    """Parse one config value by the field's kind."""
+    rule = rules(TrainConfig)[name]
     text = text.strip()
-    if field.type in ("int", "int | None"):
-        if field.type == "int | None" and text.lower() in ("none", "auto"):
-            return None
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigError(f"{name}: expected an integer, got {text!r}") from None
-    if field.type == "float":
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"{name}: expected a number, got {text!r}") from None
-    if field.type == "bool":
-        low = text.lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
+    if rule.optional and text.lower() in ("none", "auto"):
+        return None
+    if rule.kind is bool:
+        if text.lower() in _TRUE | _FALSE:
+            return text.lower() in _TRUE
         raise ConfigError(f"{name}: expected on/off, got {text!r}")
+    if rule.kind in (int, float):
+        try:
+            return rule.kind(text)
+        except ValueError:
+            raise ConfigError(f"{name}: expected {rule.what}, got {text!r}") from None
     return text  # str fields (modes) validated by TrainConfig itself
 
 
@@ -153,7 +167,7 @@ def parse_assignments(lines, source="config"):
                               f"got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _FIELDS:
+        if key not in rules(TrainConfig):
             raise ConfigError(f"{source} line {i}: unknown key {key!r}")
         out[key] = _parse_value(key, value)
     return out

@@ -21,12 +21,11 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import ConfigError
+from .config import COUNT, ConfigError, bounded, check_fields, check_value
 from .serialize import atomic_open
 
 __all__ = [
@@ -330,26 +329,17 @@ def save_truth(path, structure: PlantedStructure, noise_std: float = None,
 
 @dataclass
 class SplitSpec:
-    train_frac: float = 0.7
-    val_frac: float = 0.1
-    test_frac: float = 0.2
-    few_shot_frac: float = 1.0   # fraction of TRAIN windows kept (the last ones)
-    stride: int = 1
+    train_frac: float = bounded(0.7, ge=0)
+    val_frac: float = bounded(0.1, ge=0)
+    test_frac: float = bounded(0.2, ge=0)
+    few_shot_frac: float = bounded(1.0, gt=0, le=1)  # TRAIN windows kept (the last)
+    stride: int = bounded(1, gt=0)
 
     def __post_init__(self):
-        fracs = (self.train_frac, self.val_frac, self.test_frac)
-        # NaN passes the sum and sign checks below, so finiteness comes first
-        if not all(math.isfinite(f) for f in fracs):
-            raise DataError(f"split fractions must be finite, got {fracs}")
-        total = sum(fracs)
+        check_fields(self, DataError)
+        total = self.train_frac + self.val_frac + self.test_frac
         if abs(total - 1.0) > 1e-9:
-            raise DataError(f"split fractions sum to {total}, expected 1")
-        if min(fracs) < 0:
-            raise DataError("split fractions must be nonnegative")
-        if not 0.0 < self.few_shot_frac <= 1.0:
-            raise DataError("few_shot_frac must be in (0, 1]")
-        if self.stride < 1:
-            raise DataError("stride must be >= 1")
+            raise DataError(f"train_frac + val_frac + test_frac is {total}, expected 1")
 
 
 @dataclass
@@ -379,9 +369,8 @@ def make_windows(series: MultivariateSeries, spec: SplitSpec,
     copies that own their data; only the kept windows are built, one gather
     per array.  ``lookback`` and ``horizon`` must be integers >= 1.
     """
-    for name, value in (("lookback", lookback), ("horizon", horizon)):
-        if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-            raise DataError(f"{name} must be an integer >= 1, got {value!r}")
+    lookback = check_value("lookback", lookback, COUNT, DataError)
+    horizon = check_value("horizon", horizon, COUNT, DataError)
     t_total, width = series.length, lookback + horizon
     t1 = int(round(spec.train_frac * t_total))
     t2 = min(t1 + int(round(spec.val_frac * t_total)), t_total)

@@ -8,7 +8,6 @@ each block of raw windows.  ``ablate`` reproduces the five comparison rows.
 All CSV output is deterministic (%.17g, no timings).
 """
 
-import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ from .adapter import (AdapterState, backbone_parameter_count, branch_views,
                       predict_windows, state_tensors, training_losses)
 from .backbone import (BackboneConfig, BackboneState, backbone_forward,
                        pretrain_backbone)
-from .config import TrainConfig, with_updates
+from .config import COUNT, TrainConfig, check_value, with_updates
 from .correlation import correlation_matrix_allocations, pearson_matrix
 from .data import (DataError, SplitSpec, WindowSet, generate_synthetic,
                    make_windows, planted_regime)
@@ -230,8 +229,7 @@ def evaluate(state: AdapterState, backbone: BackboneState, test: WindowSet,
     the joined forecasts.  Data with another channel count than the
     adapter's is a `DataError`.
     """
-    if isinstance(chunk, bool) or not isinstance(chunk, numbers.Integral) or chunk < 1:
-        raise ValueError(f"evaluate chunk must be an integer >= 1, got {chunk!r}")
+    chunk = check_value("chunk", chunk, COUNT, ValueError)
     _check_channels(state, test)
     allocations_before = correlation_matrix_allocations()
     scores = _mse_mae((predict_windows(state, backbone, x), y)

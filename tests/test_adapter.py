@@ -472,6 +472,8 @@ def test_branch_views_shapes():
     {"dce_mode": "pearson-only", "hd_mode": "single-branch"},
     {"hpcl": False},
     {"rank": None, "poly_degree": 3},
+    # numpy scalars are stored as builtins, so the JSON header can hold them
+    {"seed": np.int64(1), "epochs": np.int64(2), "lr": np.float32(1e-3)},
 ])
 def test_save_load_round_trip(tmp_path, overrides):
     backbone, x, _ = tiny_backbone(seed=10)

@@ -1,5 +1,6 @@
 """Backbone surrogate: fitting, forward oracle, normalization, checkpoints."""
 
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from chancorr import backbone as bb
 from chancorr import serialize, train
 from chancorr.adapter import load_adapter
+from chancorr.config import ConfigError
 from chancorr.data import DataError
 
 
@@ -93,7 +95,8 @@ def _entry(name, shape):
     "negative-dim", "non-integer-dim", "arrays-not-a-list",
     "config-not-an-object", "adapter-without-n_channels",
     "adapter-with-zero-epochs", "adapter-with-negative-n_channels",
-    "backbone-without-lookback",
+    "adapter-with-huge-lr", "adapter-with-huge-tau",
+    "backbone-without-lookback", "backbone-with-huge-train_mse",
     "backbone-without-head", "backbone-with-patch_len-7"])
 def test_loaders_reject_malformed_headers(tmp_path, case):
     """Every malformed header is a SerializationError, never another
@@ -118,6 +121,10 @@ def test_loaders_reject_malformed_headers(tmp_path, case):
         _edited(path, V1_ADAPTER, epochs=0)
     elif case == "adapter-with-negative-n_channels":
         _edited(path, V1_ADAPTER, n_channels=-2)
+    elif case.startswith("adapter-with-huge"):     # no float holds 10**400
+        _edited(path, V1_ADAPTER, **{case.rpartition("-")[2]: 10 ** 400})
+    elif case == "backbone-with-huge-train_mse":
+        _edited(path, good, train_mse=10 ** 400)
     elif case == "backbone-without-lookback":
         _edited(path, good, key="lookback")
     elif case == "backbone-with-patch_len-7":
@@ -407,8 +414,10 @@ def test_corpus_shape_validation():
         bb.pretrain_backbone(x[..., :-1], y, CFG)
     with pytest.raises(Exception):
         bb.pretrain_backbone(x, y[..., :-1], CFG)
-    with pytest.raises(ValueError):
-        bb.BackboneConfig(lookback=30, patch_len=7)
+    for bad in ({"lookback": 30, "patch_len": 7}, {"lookback": 96.0},
+                {"lookback": True, "patch_len": True}):
+        with pytest.raises(ConfigError):
+            bb.BackboneConfig(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +501,8 @@ def test_forward_rejects_wrong_lookback():
 
 def test_backbone_checkpoint_round_trip(tmp_path):
     state = fitted_state()
+    # a numpy seed is stored as an int, so the JSON header can hold it
+    state.config = dataclasses.replace(CFG, seed=np.int64(CFG.seed))
     path = tmp_path / "bb.bin"
     bb.save_backbone(state, path)
     loaded = bb.load_backbone(path)

@@ -302,7 +302,8 @@ def test_mistyped_adapter_header_exits_3(tmp_path, capsys):
                "--out", adapter, *SMALL_FIT) == 0
     broken = tmp_path / "broken.ckpt"
     for key, bad in (("seed", 1.5), ("seed", -1), ("depth_division", 1.5),
-                     ("rank", 2.5), ("hpcl", "false"), ("lr", True), ("tau", "0.5")):
+                     ("rank", 2.5), ("hpcl", "false"), ("lr", True), ("tau", "0.5"),
+                     ("lr", 10 ** 400)):
         config, arrays = load_arrays(adapter)
         config[key] = bad
         save_arrays(broken, config, arrays)

@@ -1,9 +1,12 @@
 """TrainConfig validation and the key=value config-file parser."""
 
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from chancorr.config import (ConfigError, TrainConfig, load_train_config,
-                             parse_assignments, with_updates)
+                             parse_assignments, rules, with_updates)
 from chancorr.contrastive import init_epsilon
 
 
@@ -170,3 +173,18 @@ def test_load_train_config_invalid_combination(tmp_path):
     path.write_text("lambda_aux = -2\n")
     with pytest.raises(ConfigError):
         load_train_config(path)
+
+
+def test_readme_configuration_table_follows_train_config():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.split("|")[1:-1]]
+            for line in section.splitlines() if line.startswith("| `")]
+    assert [row[0].strip("`") for row in rows] == [f.name for f in fields(TrainConfig)]
+    for (key, default, allowed, _), f in zip(rows, fields(TrainConfig)):
+        key = key.strip("`")
+        assert parse_assignments([f"{key} = {default.strip('`')}"])[key] == f.default
+        rule = rules(TrainConfig)[key]
+        for text in ([f"`{c}`" for c in rule.kind] if isinstance(rule.kind, tuple)
+                     else [t for *_, t in rule.tests]):
+            assert text in allowed, (key, text)

@@ -465,9 +465,10 @@ def test_gap_free_series_records_no_gaps(tmp_path):
 
 
 def test_split_spec_validation():
-    with pytest.raises(dt.DataError):
-        dt.SplitSpec(train_frac=0.5, val_frac=0.1, test_frac=0.2)
-    with pytest.raises(dt.DataError):
-        dt.SplitSpec(few_shot_frac=0.0)
-    with pytest.raises(dt.DataError):
-        dt.SplitSpec(stride=0)
+    # a fractional stride once stepped by 1, and True passed as 1
+    for bad in ({"train_frac": 0.5, "val_frac": 0.1, "test_frac": 0.2},
+                {"few_shot_frac": 0.0}, {"stride": 0}, {"stride": 1.5},
+                {"stride": True},
+                {"train_frac": True, "val_frac": 0.0, "test_frac": 0.0}):
+        with pytest.raises(dt.DataError):
+            dt.SplitSpec(**bad)

@@ -1,6 +1,7 @@
 """Source-level checks on every package module: each name it exports
-resolves, so deletions leave no stale ``__all__`` entry behind, and no
-invariant rests on an ``assert``, which ``python -O`` strips."""
+resolves, so deletions leave no stale ``__all__`` entry behind, no
+invariant rests on an ``assert``, which ``python -O`` strips, and only
+``config`` imports ``numbers``."""
 
 import ast
 import importlib
@@ -23,9 +24,23 @@ def test_all_names_resolve_and_star_import_works(module_name):
     exec(f"from {module_name} import *", {})
 
 
+def _tree(module_name):
+    path = Path(importlib.import_module(module_name).__file__)
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 @pytest.mark.parametrize("module_name", MODULES)
 def test_no_assert_statements(module_name):
-    path = Path(importlib.import_module(module_name).__file__)
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-    assert not lines, f"{path.name} uses assert on lines {lines}"
+    lines = [node.lineno for node in ast.walk(_tree(module_name))
+             if isinstance(node, ast.Assert)]
+    assert not lines, f"{module_name} uses assert on lines {lines}"
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_only_config_imports_numbers(module_name):
+    # what counts as an integer or a number is decided in config.py alone
+    nodes = list(ast.walk(_tree(module_name)))
+    imported = {alias.name for node in nodes if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
+    assert module_name == "chancorr.config" or "numbers" not in imported

@@ -5,7 +5,9 @@ time; ``@example`` pins the cases that once failed.
 """
 
 import json
+import math
 import struct
+from dataclasses import fields
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -15,6 +17,8 @@ from chancorr import autodiff as ad
 from chancorr import contrastive as ct
 from chancorr import data as dt
 from chancorr import serialize
+from chancorr.backbone import BackboneConfig
+from chancorr.config import ConfigError, TrainConfig, rules
 from chancorr.correlation import pearson_matrix
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None,
@@ -155,3 +159,38 @@ def test_load_csv_on_random_bytes(tmp_path_factory, tail):
     except dt.DataError:
         return
     assert np.all(np.isfinite(series.values))
+
+
+RECORDS = {TrainConfig: ConfigError, BackboneConfig: ConfigError,
+           dt.SplitSpec: dt.DataError}
+hostile = st.sampled_from([
+    True, False, math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400, "0.5",
+    "full", None, [1], 1 + 2j, np.int64(2), np.int64(-1), np.float32(0.5),
+    np.float32("nan"), np.bool_(True)]) | st.integers(-2, 40) | st.floats(-2, 2)
+
+
+@example(field=(dt.SplitSpec, "few_shot_frac"), value="0.5")
+@example(field=(dt.SplitSpec, "stride"), value=None)
+@SETTINGS
+@given(field=st.sampled_from([(r, f.name) for r in RECORDS for f in fields(r)]),
+       value=hostile)
+def test_config_records_build_builtins_or_name_the_field(field, value):
+    """One field set to a hostile value: the record is built from builtin,
+    finite, in-range values, or raises its own error naming the field;
+    never a TypeError, an OverflowError or a numpy scalar in a header."""
+    record, name = field
+    try:
+        built = record(**{name: value})
+    except RECORDS[record] as exc:
+        assert name in str(exc)
+        return
+    assert getattr(built, name) == value
+    for f in fields(record):
+        got = getattr(built, f.name)
+        if got is None and f.default is None:
+            continue
+        # each value has its default's builtin type (an int for rank)
+        assert type(got) is (int if f.default is None else type(f.default))
+        if type(got) is float:
+            assert math.isfinite(got)
+        assert all(op(got, bound) for op, bound, _ in rules(record)[f.name].tests)
