@@ -9,6 +9,10 @@ both with the cheapest architecture that has that interface:
     ->  flatten per channel (P*d)  ->  linear head -> forecast (N, F)
     ->  invert the z-score on the forecast
 
+The z-score takes its row statistics from `correlation.centre_rows`, the
+row scaler `pearson_matrix` also uses: each row is scaled by a power of two
+first, so any finite magnitude keeps its bits and no square overflows.
+
 Both matrices are fitted with alternating ridge least squares and then
 frozen: forwards return plain arrays, never autodiff nodes, so no gradient
 can reach them.  All channels share the same matrices (channel-independent
@@ -31,7 +35,8 @@ import numpy as np
 
 from . import serialize
 from .autodiff import ShapeMismatchError
-from .config import ConfigError, bounded, check_fields
+from .config import ConfigError, bounded, check_fields, check_value, rule
+from .correlation import centre_rows
 from .data import DataError
 
 __all__ = [
@@ -49,6 +54,10 @@ NORM_EPS = 1e-8
 # alternating least squares: round cap, and relative gain that ends it early
 ALS_ROUNDS = 30
 ALS_REL_TOL = 1e-9
+# a checkpoint's ALS report: key, value when absent, rule; "" is an unknown stop
+_ALS_REPORT = (("als_rounds", 0, rule(int, ge=0)),
+               ("als_stop", "", rule(str, choices=("stall", "cap", ""))),
+               ("ridge_escalations", 0, rule(int, ge=0)))
 
 
 @dataclass
@@ -96,18 +105,17 @@ class BackboneOutput:
 
 
 def _normalize(x):
-    # scale each row by a power of two to a max-abs in [0.5, 1), as
-    # pearson_matrix does: exact (short of subnormals), so mean and std keep
-    # their bits and no square overflows; the floor applies unscaled
-    _, exponent = np.frexp(np.maximum(x.max(axis=-1, keepdims=True),
-                                      -x.min(axis=-1, keepdims=True)))
-    scaled = np.ldexp(x, -exponent)
-    mean = scaled.mean(axis=-1, keepdims=True)
-    std = np.sqrt(((scaled - mean) ** 2).mean(axis=-1, keepdims=True))
-    del scaled   # freed before the output exists, so peak memory does not grow
+    # statistics of the rows as `centre_rows` scales them: exact (short of
+    # subnormals), so mean and std keep their bits and no square overflows;
+    # the floor applies unscaled.  The squares and the output reuse the
+    # scaler's buffer, so no other window-sized array is made
+    dev, mean, exponent, _ = centre_rows(x)
+    var = np.square(dev, out=dev).mean(axis=-1, keepdims=True)
     mean = np.ldexp(mean, exponent)
-    std = np.maximum(np.ldexp(std, exponent), NORM_EPS)
-    return (x - mean) / std, mean, std
+    std = np.maximum(np.ldexp(np.sqrt(var), exponent), NORM_EPS)
+    xn = np.subtract(x, mean, out=dev)
+    xn /= std
+    return xn, mean, std
 
 
 def _patchify(xn, config):
@@ -122,12 +130,17 @@ def _solve_ridge(gram, rhs, ridge, what):
     scale = max(np.trace(gram) / dim, 1.0)
     lam = ridge
     for tries in range(6):
+        # the ridge goes on the diagonal of a copy; + 0.0 turns a -0.0 off
+        # it into +0.0, as adding the identity's zeros would.  A shift that
+        # overflows fails the try: an infinite ridge would zero the solution
+        shift = lam * scale
+        system = gram + 0.0
+        system.flat[::dim + 1] += shift
         try:
-            sol = np.linalg.solve(gram + lam * scale * np.eye(dim), rhs)
+            sol = np.linalg.solve(system, rhs)
         except np.linalg.LinAlgError:
-            lam *= 100.0
-            continue
-        if np.isfinite(sol).all():
+            sol = None
+        if sol is not None and math.isfinite(shift) and np.isfinite(sol).all():
             return sol, lam, tries
         lam *= 100.0
     raise FloatingPointError(f"{what}: normal equations singular even at ridge {lam}")
@@ -152,8 +165,7 @@ def pretrain_backbone(x, y, config: BackboneConfig,
     the residual X @ W - Y, which cannot read below 0 as the moment form
     can.  A non-finite value in ``x`` or ``y`` is a ``DataError``.
     """
-    if not 0.0 < ridge < math.inf:
-        raise ConfigError(f"ridge must be finite and > 0, got {ridge}")
+    ridge = check_value("ridge", ridge, rule(float, gt=0))
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 3 or x.shape[0] == 0:
@@ -169,7 +181,8 @@ def pretrain_backbone(x, y, config: BackboneConfig,
             raise DataError(f"corpus {name} hold NaN or Inf")
 
     xn, mean, std = _normalize(x)
-    yn = (y - mean) / std
+    yn = y - mean
+    yn /= std
     p_count, l, d, f = config.n_patches, config.patch_len, config.repr_dim, config.horizon
     flat = _patchify(xn, config).reshape(-1, p_count * l)      # X: (n_inst, P*l)
     targets = yn.reshape(-1, f)                                # Y: (n_inst, F)
@@ -256,12 +269,12 @@ def load_backbone(path) -> BackboneState:
                              patch_len=patch_len, repr_dim=repr_dim, seed=seed)
         train_mse = float(config.get("train_mse", float("nan")))
         ridge = float(config.get("ridge", 0.0))
-        report = {key: kind(config.get(key, kind()))     # absent from older files
-                  for key, kind in (("als_rounds", int), ("als_stop", str),
-                                    ("ridge_escalations", int))}
     except (TypeError, ValueError, OverflowError) as exc:
         raise serialize.SerializationError(
             f"{path}: bad header value ({exc})") from exc
+    report = {key: check_value(f"{path}: {key}", config.get(key, default), key_rule,
+                               serialize.SerializationError)
+              for key, default, key_rule in _ALS_REPORT}   # absent from older files
     serialize.check_arrays(path, arrays, {
         "embed": (cfg.patch_len, cfg.repr_dim),
         "head": (cfg.n_patches * cfg.repr_dim, cfg.horizon)})

@@ -7,7 +7,8 @@ a record's table from its field types and bounds, once, and the record's
 builtin ``int`` or ``float`` (no numpy scalar reaches a JSON header), and a
 bool, a non-finite float or an out-of-range value raises the record's own
 error naming the field and the value.  Only rules that span fields stay
-hand-written.  Functions check integer arguments with `COUNT`.
+hand-written.  Functions check a size or repeat count with `COUNT`, and
+any other scalar argument with a `rule` of its own.
 
 The config file format is plain ``key = value`` lines.  Blank lines and
 ``#`` comments are ignored.  Keys match TrainConfig field names; values are
@@ -42,7 +43,8 @@ def bounded(default, **bounds):
     return field(default=default, metadata=bounds)
 
 
-def _rule(kind, *, gt=None, ge=None, lt=None, le=None, choices=None) -> Rule:
+def rule(kind, *, gt=None, ge=None, lt=None, le=None, choices=None) -> Rule:
+    """The `Rule` for a value of ``kind`` (a type or its name) within the bounds."""
     name = getattr(kind, "__name__", kind)  # a type is text under postponed annotations
     kind, what = ((choices, f"one of {choices}") if choices else
                   _KINDS[name.removesuffix(" | None")])
@@ -56,7 +58,7 @@ def _rule(kind, *, gt=None, ge=None, lt=None, le=None, choices=None) -> Rule:
 def rules(record_class) -> dict:
     """Field name -> `Rule` for a dataclass whose bounds come from `bounded`;
     built once per class."""
-    return {f.name: _rule(f.type, **f.metadata) for f in fields(record_class)}
+    return {f.name: rule(f.type, **f.metadata) for f in fields(record_class)}
 
 
 def check_value(name: str, value, rule: Rule, error=ConfigError):

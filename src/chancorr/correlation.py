@@ -9,6 +9,9 @@ no gradients flow into it), ``Q`` is a time-varying basis built from the
 backbone representation (one polynomial-coefficient row per channel), and
 ``V`` is a time-invariant positive mixing matrix ``sigmoid(relu(E1 E2^T))``.
 
+`pearson_matrix` scales and centres the rows with `centre_rows`, the one
+row scaler that the backbone's z-score shares.
+
 ``Q`` decomposes into a window-mean part and a residual part; the product
 splits additively into a static and a time-varying term, which
 `low_rank_additive_split` verifies numerically.  The expressiveness of the
@@ -36,6 +39,7 @@ __all__ = [
     "DceParams",
     "init_dce_params",
     "default_rank",
+    "centre_rows",
     "pearson_matrix",
     "dce_factors",
     "compose_correlation",
@@ -65,6 +69,29 @@ def default_rank(n_channels: int) -> int:
     return int(min(max(2, -(-n_channels // 4)), 16))
 
 
+def centre_rows(x: np.ndarray):
+    """The rows of ``x`` (..., L), scaled and centred in one fresh buffer.
+
+    Returns ``(centred, mean, exponent, constant)``, each but ``centred``
+    with a trailing axis of 1.  Every row is scaled by ``2**-exponent`` to a
+    max-abs in [0.5, 1): exact, short of subnormals, so statistics of the
+    scaled row keep their bits when scaled back, and no square overflows.
+    ``mean`` is the scaled row's mean, and ``centred`` the scaled row minus
+    it.  ``constant`` flags rows whose raw values all agree; it is found by
+    value, since a constant whose mean is inexact leaves a rounding residue.
+    Callers may overwrite ``centred``.  `pearson_matrix` and the backbone's
+    normalisation share this one scaler.
+    """
+    # an initial value takes numpy's faster reduction loop over short rows
+    hi = np.maximum.reduce(x, axis=-1, keepdims=True, initial=-np.inf)
+    lo = np.minimum.reduce(x, axis=-1, keepdims=True, initial=np.inf)
+    _, exponent = np.frexp(np.maximum(hi, -lo))
+    centred = np.ldexp(x, -exponent)
+    mean = centred.mean(axis=-1, keepdims=True)
+    centred -= mean
+    return centred, mean, exponent, hi == lo
+
+
 def pearson_matrix(x: np.ndarray) -> np.ndarray:
     """Pearson correlation of channel rows over the full lookback.
 
@@ -72,25 +99,24 @@ def pearson_matrix(x: np.ndarray) -> np.ndarray:
     channels get correlation 0 with every other channel and 1 with
     themselves.  They are found by value, not by variance: a constant
     whose mean is inexact in floating point leaves a rounding residue
-    whose variance is positive.  Any finite magnitude is accepted: each
-    row is scaled by a power of two before its squares are formed.
+    whose variance is positive.  Any finite magnitude is accepted: the
+    rows are scaled by powers of two, by `centre_rows`, before their
+    squares are formed.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or x.shape[-1] == 0:
         raise ValueError("pearson_matrix expects (..., N, L) with L >= 1")
     n = x.shape[-2]
-    hi, lo = np.max(x, axis=-1, initial=-np.inf), np.min(x, axis=-1, initial=np.inf)
-    # scale each row by a power of two to a max-abs in [0.5, 1): exact
-    # (short of subnormals), so r is unchanged, and no square overflows
-    _, exponent = np.frexp(np.maximum(hi, -lo))
-    centred = np.ldexp(x, -exponent[..., None])
-    centred -= centred.mean(axis=-1, keepdims=True)
+    centred, _, _, constant = centre_rows(x)
     cov = centred @ centred.swapaxes(-1, -2)
+    del centred
     var = np.einsum("...ii->...i", cov)
-    degenerate = (var <= 0.0) | (hi == lo)
+    degenerate = (var <= 0.0) | constant[..., 0]
     std = np.sqrt(np.where(degenerate, 1.0, var))
     denom = std[..., :, None] * std[..., None, :]
     r = cov / denom
+    # freed as soon as they are spent, so at most three (..., N, N) arrays live
+    del cov, denom, var
     r = np.clip(r, -1.0, 1.0)
     # degenerate channels: zero out their rows/columns, restore unit diagonal
     if degenerate.any():

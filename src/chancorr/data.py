@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import COUNT, ConfigError, bounded, check_fields, check_value
+from .config import COUNT, bounded, check_fields, check_value, rule
 from .serialize import atomic_open
 
 __all__ = [
@@ -177,18 +177,31 @@ def generate_synthetic(structure: PlantedStructure, t_total: int,
                        noise_std: float = NOISE_STD, seed: int = SEED,
                        season_amp: float = SEASON_AMP):
     """Sample a series whose per-segment Pearson matrices converge to the
-    planted ones.  Returns (MultivariateSeries, PlantedStructure)."""
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    if not (math.isfinite(noise_std) and noise_std >= 0):
-        raise DataError(f"noise_std must be finite and >= 0, got {noise_std}")
-    if not math.isfinite(season_amp):
-        raise DataError(f"season_amp must be finite, got {season_amp}")
+    planted ones.  Returns (MultivariateSeries, PlantedStructure).
+
+    Each channel filters its innovations e (the segment's correlation
+    factor applied to standard normals) with the AR(1) recurrence
+
+        s[0] = e[0] / sqrt(1 - AR_COEFF**2)
+        s[t] = AR_COEFF * s[t-1] + e[t]        for t = 1 .. t_total-1
+
+    in float64 and in time order, the product rounded before the sum (no
+    fused multiply-add); the series is then s[t] * seasonal(t) + noise[t],
+    also rounded op by op.  This order fixes every bit of the output for a
+    seed.  ``seed`` must be an integer >= 0 (else a `ConfigError`);
+    ``t_total`` an integer of at least 8 per channel, ``noise_std`` a
+    finite number >= 0 and ``season_amp`` a finite number (else a
+    `DataError`).
+    """
+    seed = check_value("seed", seed, rule(int, ge=0))
+    t_total = check_value("t_total", t_total, COUNT, DataError)
+    noise_std = check_value("noise_std", noise_std, rule(float, ge=0), DataError)
+    season_amp = check_value("season_amp", season_amp, rule(float), DataError)
     n = structure.n_channels
     if t_total < 8 * n:
         raise DataError(f"T={t_total} too short to estimate {n}x{n} correlation "
                         f"(need at least {8 * n})")
-    w = float(noise_std) ** 2
+    w = noise_std ** 2
     v = signal_variance(season_amp)
     bound = w / (v + w)
     factors = []
@@ -204,7 +217,8 @@ def generate_synthetic(structure: PlantedStructure, t_total: int,
 
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, t_total))
-    eta = rng.standard_normal((n, t_total)) * noise_std
+    eta = rng.standard_normal((n, t_total))
+    eta *= noise_std
 
     # innovations per segment, with the segment's own correlation factor
     innov = np.empty_like(z)
@@ -214,14 +228,17 @@ def generate_synthetic(structure: PlantedStructure, t_total: int,
         hi = min(lo + structure.segment_len, t_total)
         innov[:, lo:hi] = factors[k % len(factors)] @ z[:, lo:hi]
 
-    # AR(1) from the stationary distribution of the first segment
-    s = np.empty_like(innov)
-    s[:, 0] = innov[:, 0] / math.sqrt(1.0 - AR_COEFF ** 2)
-    for t in range(1, t_total):
-        s[:, t] = AR_COEFF * s[:, t - 1] + innov[:, t]
+    # AR(1) from the stationary distribution of the first segment, filtered
+    # in place one channel at a time over Python floats
+    starts = (innov[:, 0] / math.sqrt(1.0 - AR_COEFF ** 2)).tolist()
+    for row, prev in zip(innov, starts):
+        steps = row[1:].tolist()
+        row[0] = prev
+        row[1:] = [prev := AR_COEFF * prev + u for u in steps]
 
-    values = s * _seasonal(np.arange(t_total), season_amp) + eta
-    series = MultivariateSeries(values=values)
+    innov *= _seasonal(np.arange(t_total), season_amp)
+    innov += eta
+    series = MultivariateSeries(values=innov)
     return series, structure
 
 

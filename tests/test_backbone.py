@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -91,13 +92,23 @@ def _entry(name, shape):
     return {"name": name, "shape": shape, "dtype": "float64"}
 
 
+# headers whose ALS report pretrain_backbone cannot have written
+BAD_ALS_REPORTS = {
+    "backbone-with-als_rounds-2.5": {"als_rounds": 2.5},
+    "backbone-with-als_rounds-true": {"als_rounds": True},
+    "backbone-with-als_stop-list": {"als_stop": ["x"]},
+    "backbone-with-als_stop-done": {"als_stop": "done"},
+    "backbone-with-negative-ridge_escalations": {"ridge_escalations": -1},
+    "backbone-with-ridge_escalations-text": {"ridge_escalations": "3"}}
+
+
 @pytest.mark.parametrize("case", [
     "negative-dim", "non-integer-dim", "arrays-not-a-list",
     "config-not-an-object", "adapter-without-n_channels",
     "adapter-with-zero-epochs", "adapter-with-negative-n_channels",
     "adapter-with-huge-lr", "adapter-with-huge-tau",
     "backbone-without-lookback", "backbone-with-huge-train_mse",
-    "backbone-without-head", "backbone-with-patch_len-7"])
+    "backbone-without-head", "backbone-with-patch_len-7", *BAD_ALS_REPORTS])
 def test_loaders_reject_malformed_headers(tmp_path, case):
     """Every malformed header is a SerializationError, never another
     exception or header bytes returned as payload."""
@@ -129,6 +140,8 @@ def test_loaders_reject_malformed_headers(tmp_path, case):
         _edited(path, good, key="lookback")
     elif case == "backbone-with-patch_len-7":
         _edited(path, good, patch_len=7)
+    elif case in BAD_ALS_REPORTS:
+        _edited(path, good, **BAD_ALS_REPORTS[case])
     else:
         _edited(path, good, array="head")
     with pytest.raises(serialize.SerializationError):
@@ -418,6 +431,42 @@ def test_corpus_shape_validation():
                 {"lookback": True, "patch_len": True}):
         with pytest.raises(ConfigError):
             bb.BackboneConfig(**bad)
+
+
+@pytest.mark.parametrize("ridge", [10 ** 400, 0.0, -1e-6, math.nan, math.inf, True, "1e-6"],
+                         ids=lambda v: "1e400" if v == 10 ** 400 else None)
+def test_pretraining_checks_its_ridge(ridge):
+    x, y = trend_corpus(np.random.default_rng(85))
+    with pytest.raises(ConfigError, match="^ridge must be "):
+        bb.pretrain_backbone(x, y, CFG, ridge=ridge)
+
+
+@pytest.mark.parametrize("trace", [0.5, 1e3])
+def test_solve_ridge_shifts_as_the_identity_would_bitwise(monkeypatch, trace):
+    # the system solved is gram + lam * scale * I to the bit, signed zeros
+    # included, whether the scale is the floor 1 or the mean diagonal
+    rng = np.random.default_rng(88)
+    a = rng.normal(size=(6, 6))
+    gram = a @ a.T * (trace / np.trace(a @ a.T))
+    gram[0, 1] = gram[1, 0] = -0.0
+    gram[2, 4] = 0.0
+    rhs = rng.normal(size=6)
+    solve, systems = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda m, b: systems.append(m.copy()) or solve(m, b))
+    kept = gram.copy()
+    sol, lam, tries = bb._solve_ridge(gram, rhs, 1e-3, "fit")
+    want = kept + 1e-3 * max(np.trace(kept) / 6, 1.0) * np.eye(6)
+    assert (lam, tries, len(systems)) == (1e-3, 0, 1)
+    assert gram.tobytes() == kept.tobytes()
+    assert systems[0].tobytes() == want.tobytes()
+    assert sol.tobytes() == solve(want, rhs).tobytes()
+
+
+def test_solve_ridge_fails_when_the_shift_overflows():
+    gram = np.array([[2e10, 1e9], [1e9, 3e10]])
+    with pytest.raises(FloatingPointError, match="singular even at ridge inf"):
+        with np.errstate(over="ignore"):
+            bb._solve_ridge(gram, np.ones(2), 1e305, "fit")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chancorr import autodiff as ad
+from chancorr import backbone as bb
 from chancorr import contrastive as ct
 from chancorr import correlation as corr
 
@@ -108,6 +109,77 @@ def test_pearson_is_exact_under_power_of_two_row_scaling():
     shifts = rng.integers(-900, 900, size=(3, 6, 1))
     assert np.array_equal(corr.pearson_matrix(x),
                           corr.pearson_matrix(np.ldexp(x, shifts)))
+
+
+def hostile_rows(rng, length=40):
+    """(2, 8, length) windows: ordinary rows beside rows scaled by 1e-300 and
+    1e300, constant rows, a subnormal row and rows of signed zeros."""
+    x = rng.normal(size=(2, 8, length))
+    x[0, 1] *= 1e-300
+    x[0, 2] *= 1e300
+    x[0, 3] = 3.14
+    x[0, 4] = 0.0
+    x[0, 5] = 5e-324 * rng.integers(-3, 4, size=length)
+    x[0, 6] = -0.0
+    x[0, 7] = np.where(np.arange(length) % 2, -0.0, 0.0)
+    x[1, 0] = 1e300 * rng.integers(0, 2, size=length)
+    x[1, 1] = -2.0 ** -1074
+    return x
+
+
+def pearson_formula(x):
+    """pearson_matrix with the row scaling, centring and constant-row test
+    written out inline, as numpy ops in the package's own order."""
+    hi, lo = np.max(x, axis=-1, initial=-np.inf), np.min(x, axis=-1, initial=np.inf)
+    _, exponent = np.frexp(np.maximum(hi, -lo))
+    centred = np.ldexp(x, -exponent[..., None])
+    centred -= centred.mean(axis=-1, keepdims=True)
+    cov = centred @ centred.swapaxes(-1, -2)
+    var = np.einsum("...ii->...i", cov)
+    degenerate = (var <= 0.0) | (hi == lo)
+    std = np.sqrt(np.where(degenerate, 1.0, var))
+    r = np.clip(cov / (std[..., :, None] * std[..., None, :]), -1.0, 1.0)
+    r = np.where(degenerate[..., :, None] | degenerate[..., None, :], 0.0, r)
+    idx = np.arange(x.shape[-2])
+    r[..., idx, idx] = 1.0
+    return r, centred, hi == lo
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_row_scaler_and_pearson_match_the_inline_formula_bitwise(layout):
+    x = hostile_rows(np.random.default_rng(14), length=80)
+    x = {"C": x, "F": np.asfortranarray(x), "strided": x[..., ::2]}[layout]
+    want_r, want_centred, want_constant = pearson_formula(x)
+    centred, mean, exponent, constant = corr.centre_rows(x)
+    assert centred.tobytes() == want_centred.tobytes()
+    assert np.array_equal(constant[..., 0], want_constant)
+    assert constant[0, 3:5].all() and constant[0, 6:8].all() and constant[1, 1]
+    assert not constant[0, 5] and not constant[1, 0]
+    assert np.array_equal(mean, np.ldexp(x, -exponent).mean(axis=-1, keepdims=True))
+    assert corr.pearson_matrix(x).tobytes() == want_r.tobytes()
+
+
+def normalize_formula(x):
+    """The backbone's z-score with its power-of-two row scaling written out
+    inline, as numpy ops in the package's own order."""
+    _, exponent = np.frexp(np.maximum(x.max(axis=-1, keepdims=True),
+                                      -x.min(axis=-1, keepdims=True)))
+    scaled = np.ldexp(x, -exponent)
+    mean = scaled.mean(axis=-1, keepdims=True)
+    std = np.sqrt(((scaled - mean) ** 2).mean(axis=-1, keepdims=True))
+    mean = np.ldexp(mean, exponent)
+    std = np.maximum(np.ldexp(std, exponent), bb.NORM_EPS)
+    return (x - mean) / std, mean, std
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_normalization_matches_the_inline_formula_bitwise(layout):
+    x = hostile_rows(np.random.default_rng(15), length=64)
+    x = {"C": x, "F": np.asfortranarray(x), "strided": x[..., ::2]}[layout]
+    kept = x.copy()
+    for got, want in zip(bb._normalize(x), normalize_formula(x)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert x.tobytes() == kept.tobytes()
 
 
 def test_pearson_perfect_and_anti():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from chancorr import data as dt
+from chancorr.config import ConfigError
 from chancorr.correlation import pearson_matrix
 
 
@@ -68,6 +69,55 @@ def test_generator_is_deterministic():
     c, _ = gen("partial", seed=8)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
+
+
+def per_step_generator(structure, t_total, noise_std, seed, season_amp=dt.SEASON_AMP):
+    """`generate_synthetic` with its AR(1) filter run one numpy step per
+    time step over all channels at once."""
+    n = structure.n_channels
+    w = noise_std ** 2
+    v = dt.signal_variance(season_amp)
+    factors = [dt._psd_factor(((v + w) * c - w * np.eye(n)) / v)
+               for c in structure.matrices]
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, t_total))
+    eta = rng.standard_normal((n, t_total)) * noise_std
+    innov = np.empty_like(z)
+    for k in range(-(-t_total // structure.segment_len)):
+        lo = k * structure.segment_len
+        hi = min(lo + structure.segment_len, t_total)
+        innov[:, lo:hi] = factors[k % len(factors)] @ z[:, lo:hi]
+    s = np.empty_like(innov)
+    s[:, 0] = innov[:, 0] / math.sqrt(1.0 - dt.AR_COEFF ** 2)
+    for t in range(1, t_total):
+        s[:, t] = dt.AR_COEFF * s[:, t - 1] + innov[:, t]
+    return s * (1.0 + season_amp * np.sin(2.0 * np.pi * np.arange(t_total)
+                                          / dt.SEASON_PERIOD)) + eta
+
+
+@pytest.mark.parametrize("kind", ["partial", "heterogeneous", "dynamic"])
+@pytest.mark.parametrize("seed, t_total, noise, segment_len",
+                         [(0, 2500, 0.4, 1024), (3, 1001, 0.0, 96), (17, 777, 0.2, 777)])
+def test_generator_matches_the_per_step_filter_bitwise(kind, seed, t_total, noise,
+                                                       segment_len):
+    structure = dt.planted_regime(kind, n_channels=5, segment_len=segment_len)
+    series, _ = dt.generate_synthetic(structure, t_total, noise_std=noise, seed=seed)
+    want = per_step_generator(structure, t_total, noise, seed)
+    assert series.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("arg, value, error", [
+    ("seed", True, ConfigError), ("seed", 1.5, ConfigError), ("seed", -1, ConfigError),
+    ("seed", "0", ConfigError), ("t_total", 4096.0, dt.DataError),
+    ("t_total", True, dt.DataError), ("noise_std", 10 ** 400, dt.DataError),
+    ("noise_std", math.nan, dt.DataError), ("noise_std", -0.1, dt.DataError),
+    ("noise_std", True, dt.DataError), ("noise_std", "0.4", dt.DataError),
+    ("season_amp", 10 ** 400, dt.DataError), ("season_amp", -math.inf, dt.DataError),
+    ("season_amp", None, dt.DataError)], ids=lambda v: "1e400" if v == 10 ** 400 else None)
+def test_generator_checks_its_scalar_arguments(arg, value, error):
+    args = {"structure": dt.planted_regime("partial"), "t_total": 4096, arg: value}
+    with pytest.raises(error, match=f"^{arg} must be "):
+        dt.generate_synthetic(**args)
 
 
 def test_seasonal_modulation_and_persistence_present():
