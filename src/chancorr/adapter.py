@@ -9,7 +9,8 @@ that blends an adapter forecast with the frozen backbone's.
 Training runs through the autodiff graph (``training_losses``); inference
 (``predict``, ``branch_views``) runs only the projection + fusion path under
 ``no_grad``, with no correlation matrices built.  It runs over blocks of
-windows whose largest intermediate fits in ``ad.BLOCK_BYTES``, checks each
+windows whose live intermediates, the `projection.LIVE_ARRAYS` window-sized
+arrays a projection layer holds, fit in ``ad.BLOCK_BYTES``, checks each
 block's result for NaN/Inf once, and returns the same bits whatever the
 block size.  ``predict_windows`` cuts raw windows into the same blocks and
 runs the backbone per block too.
@@ -30,7 +31,7 @@ from .contrastive import EpsilonParam, hpcl_loss, init_epsilon
 from .contrastive import aux_loss, threshold_masks  # noqa: F401
 from .correlation import DceParams, compose_correlation, dce_factors, init_dce_params
 from .fusion import FusionParams, fuse_predict, init_fusion_params
-from .projection import HdParams, divide, flatten_per_channel, init_hd_params
+from .projection import LIVE_ARRAYS, HdParams, divide, flatten_per_channel, init_hd_params
 
 @dataclass
 class AdapterState:
@@ -155,12 +156,14 @@ def training_losses(state: AdapterState, rep: np.ndarray, yhat_norm: np.ndarray,
 def _in_blocks(fn, shape: tuple, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """``fn(*arrays)`` run over the blocks `ad.window_blocks` cuts from
     ``shape``, a batch of (P, N, d) float64 windows that ``arrays`` share
-    their leading axis with, its results joined.
+    their leading axis with, its results joined.  A block holds as many
+    windows as keep the `LIVE_ARRAYS` window-sized arrays of a serving
+    projection layer in the byte budget.
 
     Every op of the inference path acts on each window alone, so the
     results do not depend on the block size.
     """
-    blocks = ad.window_blocks(shape, 3)
+    blocks = ad.window_blocks(shape, 3, LIVE_ARRAYS)
     if len(blocks) == 1:
         return fn(*arrays)
     outs = None
@@ -186,10 +189,10 @@ def _forecast(state: AdapterState, rep, yhat_norm, mean, std) -> tuple[np.ndarra
 def predict(state: AdapterState, out: BackboneOutput) -> np.ndarray:
     """Raw-space adapter forecast.  Inference path: projections + fusion
     only — no correlation estimate, no contrastive terms.  It runs over
-    blocks of windows bounded by ``ad.BLOCK_BYTES``; the forecast does not
-    depend on the block size.  Under ``no_grad`` each projection layer
-    overwrites its own temporaries, `divide`'s shared layer norm among
-    them, and never ``out``."""
+    blocks of windows whose `LIVE_ARRAYS` window-sized arrays per layer fit
+    in ``ad.BLOCK_BYTES``; the forecast does not depend on the block size.
+    Under ``no_grad`` each projection layer overwrites its own temporaries,
+    `divide`'s shared layer norm among them, and never ``out``."""
     return _in_blocks(lambda *block: _forecast(state, *block), out.repr.shape,
                       out.repr, out.yhat_norm, out.mean, out.std)[0]
 

@@ -373,7 +373,10 @@ def unit_rows(x: np.ndarray):
 def window_blocks(shape: tuple, window_ndim: int, arrays: int = 1) -> list:
     """Slices of the leading axis of ``shape``, a batch of ``window_ndim``-axis
     windows, each as many windows as keep ``arrays`` float64 window-sized
-    arrays in `BLOCK_BYTES`, at least one; one unbatched window is ``[...]``."""
+    arrays in `BLOCK_BYTES`, at least one; one unbatched window is ``[...]``.
+    ``arrays`` counts what the blocked op holds live at once: the serving
+    path passes `projection.LIVE_ARRAYS`, the HPCL op its three N x N
+    arrays."""
     if len(shape) <= window_ndim:
         return [...]
     size = max(1, BLOCK_BYTES // max(1, 8 * arrays * math.prod(shape[1:])))

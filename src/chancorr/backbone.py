@@ -54,8 +54,11 @@ NORM_EPS = 1e-8
 # alternating least squares: round cap, and relative gain that ends it early
 ALS_ROUNDS = 30
 ALS_REL_TOL = 1e-9
-# a checkpoint's ALS report: key, value when absent, rule; "" is an unknown stop
-_ALS_REPORT = (("als_rounds", 0, rule(int, ge=0)),
+# a checkpoint's fit report, the header fields past the config: key, value
+# when absent (older files), rule; "" is an unknown stop
+_FIT_REPORT = (("train_mse", math.nan, rule(float, ge=0)),
+               ("ridge", 0.0, rule(float, ge=0)),
+               ("als_rounds", 0, rule(int, ge=0)),
                ("als_stop", "", rule(str, choices=("stall", "cap", ""))),
                ("ridge_escalations", 0, rule(int, ge=0)))
 
@@ -267,16 +270,18 @@ def load_backbone(path) -> BackboneState:
     try:
         cfg = BackboneConfig(lookback=lookback, horizon=horizon,
                              patch_len=patch_len, repr_dim=repr_dim, seed=seed)
-        train_mse = float(config.get("train_mse", float("nan")))
-        ridge = float(config.get("ridge", 0.0))
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ConfigError as exc:
         raise serialize.SerializationError(
             f"{path}: bad header value ({exc})") from exc
-    report = {key: check_value(f"{path}: {key}", config.get(key, default), key_rule,
-                               serialize.SerializationError)
-              for key, default, key_rule in _ALS_REPORT}   # absent from older files
+    report = {}
+    for key, default, key_rule in _FIT_REPORT:
+        value = config.get(key, default)
+        # the NaN train_mse of a state pretrain_backbone did not fit
+        unfitted = key == "train_mse" and isinstance(value, float) and math.isnan(value)
+        report[key] = value if unfitted else check_value(
+            f"{path}: {key}", value, key_rule, serialize.SerializationError)
     serialize.check_arrays(path, arrays, {
         "embed": (cfg.patch_len, cfg.repr_dim),
         "head": (cfg.n_patches * cfg.repr_dim, cfg.horizon)})
     return BackboneState(config=cfg, embed=arrays["embed"], head=arrays["head"],
-                         train_mse=train_mse, ridge=ridge, **report)
+                         **report)

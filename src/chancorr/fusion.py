@@ -31,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeMismatchError, Tensor
-from .projection import HdParams, flatten_per_channel, init_hd_params, project_stack
+from .projection import HdParams, init_hd_params, project_stack
 
 __all__ = [
     "FusionParams",
@@ -107,7 +107,10 @@ def fuse_predict(params: FusionParams, x_pos, x_neg, yhat) -> Tensor:
     head_w, head_b, beta_logits = params.head_w, params.head_b, params.beta_logits
     wd, yd, d, keep = head_w.data, yhat.data, x_pos.shape[-1], ad._mode.grad_enabled
     with np.errstate(over="ignore", invalid="ignore"):
-        flat = flatten_per_channel(x_pos.data + x_neg.data)
+        # the views are summed straight into their per-channel flatten
+        flat = np.empty(x_pos.shape[:-3] + (n, x_pos.shape[-3], d))
+        np.add(x_pos.data, x_neg.data, out=flat.swapaxes(-3, -2))
+        flat = flat.reshape(head_shape[:-1] + (-1,))
         head = flat @ wd
         head += head_b.data
         sig = ad._logistic(beta_logits.data)

@@ -28,6 +28,15 @@ reason x gets two edges, the residual's first and the norm path's last.
 Both relus report to the active ``ad.record_gates`` sink, MLP1's first;
 in grad mode the output is checked for NaN and Inf.
 
+The per-feature vectors (ln_scale, ln_shift, b1, b2, c1) are applied as
+(N, d) tiles and the channel gate as (..., 1, N, d) rows, in forward and
+backward, so numpy runs each broadcast as one N*d-long inner loop over the
+contiguous (N, d) axes rather than d-long ones.  Each element still sees
+the one multiply or add of the (d,)- and (..., 1, N, 1)-shaped broadcasts,
+so the bits are theirs, and the gate's gradient is still summed to
+(..., 1, N, 1) in one reduction.  Under ``no_grad`` a layer holds
+`LIVE_ARRAYS` window-sized arrays at once, which sizes the serving blocks.
+
 Two independent stacks (`divide`) produce the positive-space and
 negative-space views consumed by the contrastive objectives; a shared
 single-branch variant exists for ablations.  `divide` layer-normalises x
@@ -47,6 +56,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 LAYER_NORM_EPS = 1e-5
+# Window-sized (..., P, N, d) arrays a layer holds at once under no_grad: its
+# input x, the norm that ln overwrites, hidden, proj, which the output
+# overwrites, and ln's per-channel flatten.  Serving blocks are sized by it.
+LIVE_ARRAYS = 5
 
 __all__ = [
     "ProjectionLayerParams",
@@ -165,27 +178,30 @@ def _project(layer, x, norm, inv, own_norm):
     tensors = [getattr(layer, name) for name in _PARAM_NAMES]
     ln_scale, ln_shift, w1, b1, w2, b2, v1, c1, v2, c2 = (t.data for t in tensors)
     xd, keep = x.data, ad._mode.grad_enabled
+    n, d = xd.shape[-2:]
+    scale_rows = np.tile(ln_scale, (n, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         # under no_grad nothing is kept for backward, so ln overwrites a
         # norm no other layer reads, and the output overwrites proj
-        ln = np.multiply(norm, ln_scale, out=norm if own_norm and not keep else None)
-        ln += ln_shift
+        ln = np.multiply(norm, scale_rows, out=norm if own_norm and not keep else None)
+        ln += np.tile(ln_shift, (n, 1))
         hidden = ln @ w1
-        hidden += b1
+        hidden += np.tile(b1, (n, 1))
         ad.trace_gate(np.maximum(hidden, 0.0, out=hidden))
         proj = hidden @ w2
-        proj += b2
+        proj += np.tile(b2, (n, 1))
         flat = flatten_per_channel(ln)
         squeeze = flat @ v1
-        squeeze += c1
+        squeeze += np.tile(c1, (n, 1))
         ad.trace_gate(np.maximum(squeeze, 0.0, out=squeeze))
         logits = squeeze @ v2
         logits += c2
         logits = logits.reshape(logits.shape[:-1])
         weights = np.exp(logits - logits.max(axis=-1, keepdims=True))
         weights = weights / weights.sum(axis=-1, keepdims=True)
-        gate = weights.reshape(weights.shape[:-1] + (1, weights.shape[-1], 1))
-        out = np.multiply(proj, gate, out=None if keep else proj)
+        gate = weights.reshape(weights.shape[:-1] + (1, n, 1))
+        gate_rows = np.repeat(gate, d, axis=-1)
+        out = np.multiply(proj, gate_rows, out=None if keep else proj)
         out += xd
 
     grads = {}
@@ -196,7 +212,7 @@ def _project(layer, x, norm, inv, own_norm):
             return grads.pop(name)
         # one pass serves every input but x, which gets g itself from the
         # residual and the norm path's gradient from grad_x; g is read only
-        g_proj = np.multiply(g, gate, order="C")
+        g_proj = np.multiply(g, gate_rows, order="C")
         grads.update(w2=sum_to(hidden.swapaxes(-1, -2) @ g_proj, w2.shape),
                      b2=sum_to(g_proj, b2.shape))
         g_hidden = g_proj @ w2.swapaxes(-1, -2)
@@ -224,7 +240,7 @@ def _project(layer, x, norm, inv, own_norm):
         return grads.pop(name)
 
     def grad_x(g):
-        g_norm = np.multiply(backward("ln", g), ln_scale, order="C")
+        g_norm = np.multiply(backward("ln", g), scale_rows, order="C")
         gn = (g_norm * norm).mean(axis=-1, keepdims=True)
         g_norm -= g_norm.mean(axis=-1, keepdims=True)
         g_norm -= norm * gn

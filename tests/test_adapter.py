@@ -13,14 +13,14 @@ from chancorr import autodiff as ad
 from chancorr.adapter import (backbone_parameter_count, branch_views,
                               correlation_estimate, hpcl_terms, init_adapter,
                               load_adapter, named_parameters,
-                              parameter_count, predict, save_adapter,
+                              parameter_count, predict, predict_windows, save_adapter,
                               state_tensors, training_losses)
 from chancorr.backbone import (BackboneConfig, BackboneOutput, BackboneState,
                                backbone_forward, pretrain_backbone)
 from chancorr.config import TrainConfig, with_updates
 from chancorr.correlation import correlation_matrix_allocations, pearson_matrix
 from chancorr.data import WindowSet
-from chancorr.projection import divide
+from chancorr.projection import LIVE_ARRAYS, divide
 from chancorr.serialize import SerializationError, load_arrays
 from chancorr.train import _mse_mae, evaluate
 
@@ -153,10 +153,10 @@ def serving_state(n, seed=0, batch=1):
 
 
 def windows_per_block(out):
-    return ad.BLOCK_BYTES // (8 * math.prod(out.repr.shape[1:]))
+    return max(1, ad.BLOCK_BYTES // (8 * LIVE_ARRAYS * math.prod(out.repr.shape[1:])))
 
 
-@pytest.mark.parametrize("n, batch", [(8, 300), (256, 10)])
+@pytest.mark.parametrize("n, batch", [(8, 310), (64, 10)])
 def test_blocked_inference_is_bit_identical_to_one_batch(monkeypatch, n, batch):
     state, out = serving_state(n, seed=n, batch=batch)
     size = windows_per_block(out)
@@ -173,6 +173,21 @@ def test_blocked_inference_is_bit_identical_to_one_batch(monkeypatch, n, batch):
         assert got.tobytes() == want.tobytes()
     for got, want in zip(unbatched, whole):
         assert got.tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("n, batch", [(8, 300), (256, 10)])
+def test_forecasts_do_not_depend_on_the_live_array_count(monkeypatch, n, batch):
+    # the count only sizes the blocks: 1, 2, 4 and 8 cut 300 N=8 windows
+    # into 3, 5, 10 and 19 blocks, and 10 N=256 windows into 3, 5, 10, 10
+    backbone, state, windows = serving_setup(n, seed=n, batch=batch)
+    out = backbone_forward(backbone, windows.x)
+    runs = []
+    for arrays in (1, 2, 4, 8):
+        monkeypatch.setattr(adapter_module, "LIVE_ARRAYS", arrays)
+        runs.append([predict(state, out).tobytes(),
+                     predict_windows(state, backbone, windows.x).tobytes(),
+                     *(v.tobytes() for v in branch_views(state, out))])
+    assert all(run == runs[0] for run in runs)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -282,8 +297,9 @@ def test_inference_and_hpcl_blocks_come_from_the_one_rule(monkeypatch):
     monkeypatch.setattr(ad, "window_blocks", spy)
     state, out = serving_state(8, batch=300)
     predict(state, out)
-    assert calls == [((300, 6, 8, 32), 3, 1)]
-    assert len(rule(*calls[0])) == 3                  # 128 windows a block
+    # a serving layer keeps five window-sized arrays live
+    assert calls == [((300, 6, 8, 32), 3, 5)]
+    assert len(rule(*calls[0])) == 12                 # 25 windows a block
 
     # evaluate runs the backbone on the blocks the rule cuts from each chunk
     backbone, state, windows = serving_setup(8, batch=300)
@@ -291,9 +307,9 @@ def test_inference_and_hpcl_blocks_come_from_the_one_rule(monkeypatch):
     monkeypatch.setattr(adapter_module, "backbone_forward",
                         lambda bb, x: fed.append(len(x)) or backbone_forward(bb, x))
     calls.clear()
-    evaluate(state, backbone, windows, chunk=200)
-    assert calls == [((m, 6, 8, 32), 3, 1) for m in (200, 100)]
-    assert fed == [128, 72, 100]
+    evaluate(state, backbone, windows, chunk=210)
+    assert calls == [((m, 6, 8, 32), 3, 5) for m in (210, 90)]
+    assert fed == [25] * 8 + [10] + [25] * 3 + [15]
     backbone, x, y = tiny_backbone(seed=7, n=8, b=6)
     state = init_adapter(backbone, 8, small_config())
     out = backbone_forward(backbone, x)

@@ -92,8 +92,16 @@ def _entry(name, shape):
     return {"name": name, "shape": shape, "dtype": "float64"}
 
 
-# headers whose ALS report pretrain_backbone cannot have written
-BAD_ALS_REPORTS = {
+# headers whose fit report save_backbone cannot have written
+BAD_FIT_REPORTS = {
+    "backbone-with-ridge-text": {"ridge": "1e-3"},
+    "backbone-with-ridge-true": {"ridge": True},
+    "backbone-with-negative-ridge": {"ridge": -1.0},
+    "backbone-with-ridge-nan": {"ridge": float("nan")},
+    "backbone-with-train_mse-text": {"train_mse": "0.5"},
+    "backbone-with-train_mse-true": {"train_mse": True},
+    "backbone-with-negative-train_mse": {"train_mse": -1.0},
+    "backbone-with-train_mse-inf": {"train_mse": float("inf")},
     "backbone-with-als_rounds-2.5": {"als_rounds": 2.5},
     "backbone-with-als_rounds-true": {"als_rounds": True},
     "backbone-with-als_stop-list": {"als_stop": ["x"]},
@@ -108,7 +116,7 @@ BAD_ALS_REPORTS = {
     "adapter-with-zero-epochs", "adapter-with-negative-n_channels",
     "adapter-with-huge-lr", "adapter-with-huge-tau",
     "backbone-without-lookback", "backbone-with-huge-train_mse",
-    "backbone-without-head", "backbone-with-patch_len-7", *BAD_ALS_REPORTS])
+    "backbone-without-head", "backbone-with-patch_len-7", *BAD_FIT_REPORTS])
 def test_loaders_reject_malformed_headers(tmp_path, case):
     """Every malformed header is a SerializationError, never another
     exception or header bytes returned as payload."""
@@ -140,8 +148,8 @@ def test_loaders_reject_malformed_headers(tmp_path, case):
         _edited(path, good, key="lookback")
     elif case == "backbone-with-patch_len-7":
         _edited(path, good, patch_len=7)
-    elif case in BAD_ALS_REPORTS:
-        _edited(path, good, **BAD_ALS_REPORTS[case])
+    elif case in BAD_FIT_REPORTS:
+        _edited(path, good, **BAD_FIT_REPORTS[case])
     else:
         _edited(path, good, array="head")
     with pytest.raises(serialize.SerializationError):
@@ -558,7 +566,11 @@ def test_backbone_checkpoint_round_trip(tmp_path):
     assert loaded.config == state.config
     assert np.array_equal(loaded.embed, state.embed)
     assert np.array_equal(loaded.head, state.head)
-    assert loaded.train_mse == pytest.approx(state.train_mse)
+    assert (loaded.train_mse, loaded.ridge) == (state.train_mse, state.ridge)
+    # an unfitted state saves a NaN train_mse and a zero ridge
+    bb.save_backbone(bb.BackboneState(config=CFG, embed=state.embed, head=state.head), path)
+    loaded = bb.load_backbone(path)
+    assert np.isnan(loaded.train_mse) and loaded.ridge == 0.0
 
     rng = np.random.default_rng(92)
     x = rng.normal(size=(2, 3, CFG.lookback))

@@ -229,14 +229,19 @@ def test_gate_receives_gradient_even_with_zero_head():
     assert params.head_w.grad is not None
 
 
-def _fused_and_chain(depth, batch, grad):
+def _fused_and_chain(depth, batch, grad, n=4, d=5, strided=False):
     """``run(fuse, mse)``: ystar's bytes and, in grad mode, the loss's and
     every gradient's after backward, for one problem with the views as
-    parameters."""
+    parameters; ``strided`` views are transposed, not C-contiguous."""
     rng = np.random.default_rng(79 + depth)
-    params = warmed_params(rng, depth=depth)
-    arrays = make_inputs(rng, b=batch)
+    params = warmed_params(rng, n=n, d=d, depth=depth)
+    arrays = make_inputs(rng, b=batch, n=n, d=d)
     target = rng.normal(size=arrays[2].shape)
+    if strided:
+        views = [np.ascontiguousarray(a.swapaxes(-3, -2)).swapaxes(-3, -2)
+                 for a in arrays[:2]]
+        assert not any(v.flags.c_contiguous for v in views)
+        arrays = (*views, arrays[2])
 
     def run(fuse, mse):
         x_pos, x_neg = ad.parameter(arrays[0]), ad.parameter(arrays[1])
@@ -284,3 +289,74 @@ def test_mse_loss_is_bitwise_the_generic_chain(shape):
         return [t.tobytes() for t in (loss.data, value.data, pred.grad, target.grad)]
 
     assert run(ad.mse_loss) == run(chain_mse)
+
+
+def row_fuse_predict(params, x_pos, x_neg, yhat):
+    """The fusion op as it was before the views were summed straight into
+    their per-channel flatten: sum, then flatten as a copy.  The bitwise
+    reference of `fu.fuse_predict`."""
+    from chancorr.projection import flatten_per_channel, project_stack
+    x_pos, x_neg, yhat = ad.as_tensor(x_pos), ad.as_tensor(x_neg), ad.as_tensor(yhat)
+    n = x_pos.shape[-2]
+    x_pos = project_stack(params.post.pos_layers, x_pos)
+    x_neg = project_stack(params.post.neg_layers, x_neg)
+    head_w, head_b, beta_logits = params.head_w, params.head_b, params.beta_logits
+    wd, yd, d, keep = head_w.data, yhat.data, x_pos.shape[-1], ad._mode.grad_enabled
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat = flatten_per_channel(x_pos.data + x_neg.data)
+        head = flat @ wd
+        head += head_b.data
+        sig = ad._logistic(beta_logits.data)
+        beta = sig.reshape(n, 1)
+        out = np.multiply(beta, head, out=None if keep else head)
+        out += (1.0 - beta) * yd
+
+    grads = {}
+    sum_to = ad._sum_to_shape
+
+    def backward(name, g):
+        if grads:
+            return grads.pop(name)
+        g_beta = sum_to(np.multiply(g, head, order="C"), beta.shape)
+        g_beta -= sum_to(np.multiply(g, yd, order="C"), beta.shape)
+        g_head = np.multiply(g, beta, order="C")
+        g_flat = g_head @ wd.swapaxes(-1, -2)
+        g_views = g_flat.reshape(g_flat.shape[:-1] + (-1, d)).swapaxes(-3, -2)
+        grads.update(x_pos=g_views, x_neg=g_views,
+                     head_w=sum_to(flat.swapaxes(-1, -2) @ g_head, wd.shape),
+                     head_b=sum_to(g_head, head_b.shape),
+                     beta_logits=g_beta.reshape(n) * sig * (1.0 - sig))
+        return grads.pop(name)
+
+    edges = [(t, lambda g, name=name: backward(name, g)) for name, t in
+             (("x_pos", x_pos), ("x_neg", x_neg), ("head_w", head_w),
+              ("head_b", head_b), ("beta_logits", beta_logits))]
+    return ad._result(out, edges, "fuse_predict")
+
+
+@pytest.mark.parametrize("case", [dict(n=1), dict(d=1), dict(batch=0), dict(strided=True),
+                                  dict(depth=0, strided=True)],
+                         ids=["n1", "d1", "unbatched", "non-contiguous", "depth0-non-contiguous"])
+@pytest.mark.parametrize("grad", [True, False])
+def test_fused_head_is_bitwise_the_sum_then_flatten_kernel(case, grad):
+    # summing the views into the flatten's buffer gives each element the
+    # same one add: ystar, the loss and every gradient match
+    case = {"depth": 1, "batch": 3, **case}
+    run = _fused_and_chain(case.pop("depth"), case.pop("batch"), grad, **case)
+    assert run(fu.fuse_predict, ad.mse_loss) == run(row_fuse_predict, ad.mse_loss)
+
+
+def test_fusion_never_writes_to_its_inputs():
+    # read-only views and yhat raise if the op writes to any, in either mode
+    rng = np.random.default_rng(81)
+    params = warmed_params(rng, depth=1)
+    arrays = make_inputs(rng, b=3)
+    for a in arrays:
+        a.flags.writeable = False
+    for grad in (True, False):
+        with contextlib.ExitStack() as stack:
+            if not grad:
+                stack.enter_context(ad.no_grad())
+            for depth_params in (params, warmed_params(rng, depth=0)):
+                ystar = fu.fuse_predict(depth_params, *(ad.constant(a) for a in arrays))
+                assert np.isfinite(ystar.data).all()

@@ -1,6 +1,7 @@
 """Projection stacks: identity at init, channel weighting, gradients."""
 
 import contextlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -388,3 +389,152 @@ def test_non_contiguous_input_gives_the_bits_of_a_contiguous_copy(view):
         for grad in (True, False):
             want = _run(fn, copy, layer_leaves, grad)
             assert _run(fn, x, layer_leaves, grad) == want
+
+
+def row_project(layer, x, norm, inv, own_norm):
+    """The layer op as it was before its per-feature vectors and gate were
+    broadcast as (N, d) rows: each vector broadcast over d-long rows and
+    the gate as (..., 1, N, 1).  The bitwise reference of `pj._project`."""
+    tensors = [getattr(layer, name) for name in pj._PARAM_NAMES]
+    ln_scale, ln_shift, w1, b1, w2, b2, v1, c1, v2, c2 = (t.data for t in tensors)
+    xd, keep = x.data, ad._mode.grad_enabled
+    with np.errstate(over="ignore", invalid="ignore"):
+        ln = np.multiply(norm, ln_scale, out=norm if own_norm and not keep else None)
+        ln += ln_shift
+        hidden = ln @ w1
+        hidden += b1
+        ad.trace_gate(np.maximum(hidden, 0.0, out=hidden))
+        proj = hidden @ w2
+        proj += b2
+        flat = pj.flatten_per_channel(ln)
+        squeeze = flat @ v1
+        squeeze += c1
+        ad.trace_gate(np.maximum(squeeze, 0.0, out=squeeze))
+        logits = squeeze @ v2
+        logits += c2
+        logits = logits.reshape(logits.shape[:-1])
+        weights = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        weights = weights / weights.sum(axis=-1, keepdims=True)
+        gate = weights.reshape(weights.shape[:-1] + (1, weights.shape[-1], 1))
+        out = np.multiply(proj, gate, out=None if keep else proj)
+        out += xd
+
+    grads = {}
+    sum_to = ad._sum_to_shape
+
+    def backward(name, g):
+        if grads:
+            return grads.pop(name)
+        g_proj = np.multiply(g, gate, order="C")
+        grads.update(w2=sum_to(hidden.swapaxes(-1, -2) @ g_proj, w2.shape),
+                     b2=sum_to(g_proj, b2.shape))
+        g_hidden = g_proj @ w2.swapaxes(-1, -2)
+        g_hidden *= hidden > 0
+        grads.update(w1=sum_to(ln.swapaxes(-1, -2) @ g_hidden, w1.shape),
+                     b1=sum_to(g_hidden, b1.shape))
+        g_ln = g_hidden @ w1.swapaxes(-1, -2)
+        g_gate = sum_to(np.multiply(g, proj, order="C"), gate.shape).reshape(weights.shape)
+        g_logits = weights * (g_gate - (g_gate * weights).sum(axis=-1, keepdims=True))
+        g_logits = g_logits.reshape(g_logits.shape + (1,))
+        g_squeeze = g_logits @ v2.swapaxes(-1, -2)
+        g_squeeze *= squeeze > 0
+        grads.update(v1=sum_to(flat.swapaxes(-1, -2) @ g_squeeze, v1.shape),
+                     c1=sum_to(g_squeeze, c1.shape),
+                     v2=sum_to(squeeze.swapaxes(-1, -2) @ g_logits, v2.shape),
+                     c2=sum_to(g_logits, c2.shape))
+        g_flat = g_squeeze @ v1.swapaxes(-1, -2)
+        g_ln += g_flat.reshape(g_flat.shape[:-1] + (-1, len(w1))).swapaxes(-3, -2)
+        grads.update(ln_scale=sum_to(np.multiply(g_ln, norm, order="C"), ln_scale.shape),
+                     ln_shift=sum_to(g_ln, ln_shift.shape), ln=g_ln)
+        return grads.pop(name)
+
+    def grad_x(g):
+        g_norm = np.multiply(backward("ln", g), ln_scale, order="C")
+        gn = (g_norm * norm).mean(axis=-1, keepdims=True)
+        g_norm -= g_norm.mean(axis=-1, keepdims=True)
+        g_norm -= norm * gn
+        g_norm *= inv
+        return g_norm
+
+    edges = [(t, lambda g, name=name: backward(name, g))
+             for name, t in zip(pj._PARAM_NAMES, tensors)]
+    return ad._result(out, [(x, lambda g: g)] + edges + [(x, grad_x)], "projection")
+
+
+def row_divide(params, x):
+    """`pj.divide` on the row kernel."""
+    norm, inv = pj._layer_norm(params.pos_layers[0], x)
+    pos = pj.project_stack(params.pos_layers[1:],
+                           row_project(params.pos_layers[0], x, norm, inv, False))
+    neg = pj.project_stack(params.neg_layers[1:],
+                           row_project(params.neg_layers[0], x, norm, inv, True))
+    return pos, neg
+
+
+def _row_case(shape, rng):
+    """Randomised depth-1 stacks for (..., P, N, d) inputs of ``shape`` and
+    such an input, made non-C-contiguous when ``shape`` is None."""
+    p, d = (3, 4) if shape is None else (shape[-3], shape[-1])
+    params = pj.HdParams(*[[randomized_layer(p, d, rng)] for _ in range(2)])
+    for layer in params.pos_layers + params.neg_layers:
+        for t in (layer.ln_scale, layer.ln_shift, layer.b1, layer.c1):
+            t.data = t.data + rng.normal(0, 0.3, size=t.shape)
+    if shape is None:
+        x = rng.normal(size=(2, 5, p, d)).swapaxes(1, 2)    # (B, P, N, d) view
+        assert not x.flags.c_contiguous
+    else:
+        x = rng.normal(size=shape)
+    return params, x
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 1, 4), (3, 2, 5, 1), (2, 6, 4), (2, 2, 2, 3, 4),
+                                   None], ids=["n1", "d1", "unbatched", "two-batch-axes",
+                                               "non-contiguous"])
+def test_row_broadcasts_are_bitwise_the_d_long_row_kernel(shape):
+    # the per-feature vectors as (N, d) tiles and the gate repeated to
+    # (..., 1, N, d) give each element the same one multiply or add as the
+    # row kernel: views, every gradient (x's too) and the gate trace match
+    rng = np.random.default_rng(47)
+    params, x = _row_case(shape, rng)
+    layer = params.pos_layers[0]
+    leaves = [t for _, t in layer.named_tensors()]
+    all_leaves = [t for _, t in params.named_tensors()]
+    for grad in (True, False):
+        want = _run(lambda x_t: [row_project(layer, x_t, *pj._layer_norm(layer, x_t), True)],
+                    x, leaves, grad)
+        assert _run(lambda x_t: [pj.channel_aware_project(layer, x_t)], x, leaves, grad) == want
+        want = _run(lambda x_t: row_divide(params, x_t), x, all_leaves, grad)
+        assert _run(lambda x_t: pj.divide(params, x_t), x, all_leaves, grad) == want
+
+
+def test_layers_never_write_to_their_input():
+    # a read-only input raises if any kernel writes to it, in either mode
+    rng = np.random.default_rng(48)
+    params, x = _row_case((3, 3, 5, 4), rng)
+    x.flags.writeable = False
+    for grad in (True, False):
+        with contextlib.ExitStack() as stack:
+            if not grad:
+                stack.enter_context(ad.no_grad())
+            views = pj.divide(params, ad.constant(x))
+            views += (pj.channel_aware_project(params.neg_layers[0], ad.constant(x)),)
+        assert all(np.isfinite(v.data).all() for v in views)
+
+
+def test_live_arrays_counts_what_a_serving_layer_holds():
+    # LIVE_ARRAYS sizes the serving blocks: under no_grad a layer's traced
+    # peak is its window-sized temporaries, one fewer than the count since
+    # its input x is allocated before tracing, plus the (..., N, d) squeeze
+    # and gate rows, each 1/P of a window, at serve-wide's geometry
+    rng = np.random.default_rng(49)
+    layer = randomized_layer(6, 32, rng)
+    for shape in ((6, 256, 32), (4, 6, 256, 32)):
+        x = rng.normal(size=shape)
+        with ad.no_grad():
+            tracemalloc.start()
+            try:
+                pj.channel_aware_project(layer, ad.constant(x))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert pj.LIVE_ARRAYS - 1 < peak / x.nbytes < pj.LIVE_ARRAYS, peak / x.nbytes
